@@ -18,6 +18,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from shoptalk import annotate, opinion_index
 from shoptalk.corpus import ingest_metadata, ingest_reviews
+from shoptalk.world import build_world
 
 OUT_DIR = Path(__file__).resolve().parent.parent / "src" / "shoptalk" / "data" / "sample"
 SEED = 20240817
@@ -139,8 +140,7 @@ def build_reviews(rng: random.Random, products: list[dict]) -> list[dict]:
 def check_coverage(meta_path: Path, reviews_path: Path) -> None:
     catalog = ingest_metadata(meta_path)
     store = ingest_reviews(reviews_path, catalog)
-    spans = annotate.annotate_store(store, annotate.default_lexicons())
-    index = opinion_index.build_index(catalog, store, spans)
+    index = build_world(catalog, store, annotate.default_lexicons()).index
     problems = []
     for pid in catalog.ids():
         pos = opinion_index.features_of(index, pid, "positive")
@@ -155,7 +155,8 @@ def check_coverage(meta_path: Path, reviews_path: Path) -> None:
             problems.append(f"{pid}: only {index.non_neutral_counts.get(pid, 0)} non-neutral spans")
     if problems:
         raise SystemExit("coverage check failed:\n  " + "\n  ".join(problems))
-    print(f"coverage ok: {len(catalog)} products, {len(store)} reviews, {len(spans)} spans")
+    print(f"coverage ok: {len(catalog)} products, {len(store)} reviews, "
+          f"{sum(map(len, index.entries.values()))} spans")
 
 
 def main() -> None:

@@ -3,7 +3,8 @@
 Spans come from either the built-in lexicon scorer or an imported
 annotations file (``annotations.jsonl`` with keys review_id,
 sentence_ordinal, feature, score).  Imported spans override lexicon spans
-for the same (sentence, canonical feature).
+for the same (sentence, canonical feature).  Both read a sentence map
+(review id -> sentences) that the caller splits once; see world.build_world.
 """
 
 from __future__ import annotations
@@ -80,14 +81,19 @@ def canonicalize_feature(term: str) -> str:
     return term
 
 
-@dataclass
+@dataclass(frozen=True)
 class Lexicons:
+    """Scorer vocabulary, validated once at construction; the mappings are
+    not copied and must not be mutated afterwards."""
+
     feature_terms: dict[str, str] = field(default_factory=dict)
     sentiment_terms: dict[str, float] = field(default_factory=dict)
     negators: frozenset[str] = frozenset()
     intensifiers: dict[str, float] = field(default_factory=dict)
+    # longest feature phrase, in tokens; bounds the phrase matcher
+    max_feature_tokens: int = field(init=False, repr=False, compare=False)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for surface, canonical in self.feature_terms.items():
             if not canonical or canonical != canonical.lower():
                 raise InvalidLexiconError(
@@ -99,12 +105,8 @@ class Lexicons:
         for term, factor in self.intensifiers.items():
             if factor <= 0:
                 raise InvalidLexiconError(f"multiplier for {term!r} must be > 0")
-
-    @property
-    def max_feature_tokens(self) -> int:
-        if not self.feature_terms:
-            return 0
-        return max(len(term.split()) for term in self.feature_terms)
+        longest = max((len(term.split()) for term in self.feature_terms), default=0)
+        object.__setattr__(self, "max_feature_tokens", longest)
 
 
 def split_sentences(review: Review) -> list[Sentence]:
@@ -215,7 +217,6 @@ def extract_opinions(
 ) -> list[OpinionSpan]:
     """Emit one span per feature-term occurrence, scored over a token
     window with intensifier chaining and negation flipping."""
-    lexicons.validate()
     tokens = _tokenize(sentence.text)
     spans = []
     for first, last, canonical in _find_features(tokens, lexicons):
@@ -242,12 +243,15 @@ def sentence_map(store: ReviewStore) -> dict[str, list[Sentence]]:
 
 
 def annotate_store(
-    store: ReviewStore, lexicons: Lexicons, config: PolarityConfig = PolarityConfig()
+    sentences: dict[str, list[Sentence]],
+    lexicons: Lexicons,
+    config: PolarityConfig = PolarityConfig(),
 ) -> list[OpinionSpan]:
-    """Run the lexicon extractor over the whole store in review-id order."""
+    """Run the lexicon extractor over a sentence map (see sentence_map) in
+    its review-id order."""
     spans: list[OpinionSpan] = []
-    for review in store:
-        for sentence in split_sentences(review):
+    for review_sentences in sentences.values():
+        for sentence in review_sentences:
             spans.extend(extract_opinions(sentence, lexicons, config))
     return spans
 
@@ -261,14 +265,14 @@ class ImportResult:
 
 def import_annotations(
     path: str | Path,
-    store: ReviewStore,
+    sentences: dict[str, list[Sentence]],
     config: PolarityConfig = PolarityConfig(),
     strict: bool = False,
 ) -> ImportResult:
-    """Read externally produced spans; records referencing unknown
-    sentences (or features absent from the sentence text) are skipped and
-    counted, out-of-range scores are clamped with a counter."""
-    sentences = sentence_map(store)
+    """Read externally produced spans against a sentence map; records
+    referencing unknown sentences (or features absent from the sentence
+    text) are skipped and counted, out-of-range scores are clamped with a
+    counter."""
     result = ImportResult(spans=[])
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, 1):
@@ -343,7 +347,10 @@ def parse_lexicons(text: str) -> Lexicons:
     Sections: [features], [sentiment], [negators], [intensifiers].
     Blank lines and '#' comments are ignored; terms are lowercased.
     """
-    lexicons = Lexicons()
+    features: dict[str, str] = {}
+    sentiment: dict[str, float] = {}
+    negators: set[str] = set()
+    intensifiers: dict[str, float] = {}
     section = None
     for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -369,19 +376,18 @@ def parse_lexicons(text: str) -> Lexicons:
                     if len(parts) > 1 and parts[1].strip()
                     else canonicalize_feature(term)
                 )
-                lexicons.feature_terms[term] = canonical
+                features[term] = canonical
             elif section == "sentiment":
-                lexicons.sentiment_terms[term] = float(parts[1])
+                sentiment[term] = float(parts[1])
             elif section == "negators":
-                lexicons.negators = lexicons.negators | {term}
+                negators.add(term)
             elif section == "intensifiers":
-                lexicons.intensifiers[term] = float(parts[1])
+                intensifiers[term] = float(parts[1])
         except (IndexError, ValueError) as exc:
             raise InvalidLexiconError(
                 f"bad entry at line {line_no}: {raw.rstrip()!r}"
             ) from exc
-    lexicons.validate()
-    return lexicons
+    return Lexicons(features, sentiment, frozenset(negators), intensifiers)
 
 
 def load_lexicons(path: str | Path) -> Lexicons:

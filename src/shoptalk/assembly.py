@@ -12,7 +12,6 @@ from a run leaves every other conversation byte-identical.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 import random
@@ -21,8 +20,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from .corpus import ProductCatalog, ReviewStore, Sentence
-from .errors import GenerationExhaustedError, NoEligibleProductError
+from .errors import GenerationExhaustedError, InvalidStateError, NoEligibleProductError
 from .negotiation import (
     DialogPair,
     DialogState,
@@ -31,9 +29,9 @@ from .negotiation import (
     build_pair,
     parse_kind,
 )
-from .opinion_index import OpinionIndex
 from .search_dialog import AlternativesSet, generate_search_dialog, sample_seed
 from .turns import Turn
+from .world import World
 
 MAX_TEMPLATE_LENGTH = 8
 LOCAL_RETRIES = 5
@@ -134,13 +132,15 @@ class Conversation:
         return self.search_turns + self.evaluation_turns
 
     def to_record(self) -> dict:
+        """JSON-ready record; it shares the pair-trace entries with this
+        conversation, so copy them before editing the record."""
         return {
             "schema_version": 1,
             "id": self.id,
             "template_id": self.template_id,
             "master_seed": self.master_seed,
             "turns": [t.to_record() for t in self.turns],
-            "pair_trace": copy.deepcopy(list(self.pair_trace)),
+            "pair_trace": list(self.pair_trace),
             "product_trajectory": list(self.product_trajectory),
             "alternatives": self.alternatives.to_record(),
         }
@@ -191,17 +191,18 @@ class GenerationReport:
 def _try_sequence(
     sequence: tuple[PairKind, ...],
     alternatives: AlternativesSet,
-    index: OpinionIndex,
-    catalog: ProductCatalog,
+    world: World,
     rng: random.Random,
     phrasebank: Phrasebank,
-    sentences: dict[str, list[Sentence]],
     top_k: int,
 ) -> Optional[list[DialogPair]]:
     state = DialogState.initial(alternatives)
     pairs: list[DialogPair] = []
     for kind in sequence:
-        pair = build_pair(kind, state, index, catalog, rng, phrasebank, sentences, top_k)
+        pair = build_pair(
+            kind, state, world.index, world.catalog, rng, phrasebank,
+            world.sentences, top_k,
+        )
         if pair is None:
             return None
         pairs.append(pair)
@@ -211,13 +212,10 @@ def _try_sequence(
 
 def generate_conversation(
     template: ConversationTemplate,
-    catalog: ProductCatalog,
-    store: ReviewStore,
-    index: OpinionIndex,
+    world: World,
     stream: SeedStream,
     *,
     phrasebank: Phrasebank,
-    sentences: dict[str, list[Sentence]],
     settings: GenerationSettings = GenerationSettings(),
     conversation_id: str = "c0",
     master_seed: int = 0,
@@ -230,12 +228,13 @@ def generate_conversation(
     while True:
         try:
             seed_product = sample_seed(
-                catalog, index, stream.rng("seed", global_round), settings.min_opinions
+                world.catalog, world.index, stream.rng("seed", global_round),
+                settings.min_opinions,
             )
         except NoEligibleProductError:
             raise GenerationExhaustedError(template.id, attempts)
         search_turns, alternatives = generate_search_dialog(
-            seed_product, catalog, stream.rng("search", global_round), settings.p_skip
+            seed_product, world.catalog, stream.rng("search", global_round), settings.p_skip
         )
         for local_round in range(LOCAL_RETRIES):
             if attempts >= settings.retry_budget:
@@ -244,11 +243,9 @@ def generate_conversation(
             pairs = _try_sequence(
                 template.sequence,
                 alternatives,
-                index,
-                catalog,
+                world,
                 stream.rng("pairs", global_round, local_round),
                 phrasebank,
-                sentences,
                 settings.top_k,
             )
             if pairs is not None:
@@ -274,8 +271,10 @@ def _assemble(
         evaluation_turns.append(pair.customer_turn)
         evaluation_turns.append(pair.assistant_turn)
         trace.append(_trace_entry(pair))
+    if tuple(pair.kind for pair in pairs) != template.sequence:
+        raise InvalidStateError(f"pairs do not follow template {template.id}")
     final_state = pairs[-1].state_after
-    conversation = Conversation(
+    return Conversation(
         id=conversation_id,
         template_id=template.id,
         master_seed=master_seed,
@@ -285,10 +284,6 @@ def _assemble(
         product_trajectory=final_state.visited_products,
         alternatives=alternatives,
     )
-    assert tuple(entry["kind"] for entry in conversation.pair_trace) == tuple(
-        kind.value for kind in template.sequence
-    )
-    return conversation
 
 
 def _trace_entry(pair: DialogPair) -> dict:
@@ -307,12 +302,9 @@ def _trace_entry(pair: DialogPair) -> dict:
 def generate_dataset(
     templates: list[ConversationTemplate],
     master_seed: int,
-    catalog: ProductCatalog,
-    store: ReviewStore,
-    index: OpinionIndex,
+    world: World,
     *,
     phrasebank: Phrasebank,
-    sentences: dict[str, list[Sentence]],
     settings: GenerationSettings = GenerationSettings(),
 ) -> tuple[list[Conversation], GenerationReport]:
     """Attempt settings.per_template conversations per template with
@@ -341,8 +333,7 @@ def generate_dataset(
         conversation_id = f"t{template.id:02d}-n{ordinal:02d}"
         try:
             conversation, attempts = generate_conversation(
-                template, catalog, store, index, stream,
-                phrasebank=phrasebank, sentences=sentences, settings=settings,
+                template, world, stream, phrasebank=phrasebank, settings=settings,
                 conversation_id=conversation_id, master_seed=master_seed,
             )
             return conversation, attempts, None

@@ -12,11 +12,9 @@ import json
 import sys
 from pathlib import Path
 
-from . import annotate, assembly, dataset_io, opinion_index
+from . import annotate, assembly, dataset_io
 from .corpus import (
     IngestOptions,
-    ProductCatalog,
-    ReviewStore,
     ingest_metadata,
     ingest_reviews,
     write_catalog,
@@ -24,6 +22,7 @@ from .corpus import (
 )
 from .errors import ShoptalkError
 from .negotiation import default_phrasebank, load_phrasebank
+from .world import World, build_world
 
 SCHEMA_NOTE = "dataset schema: one JSON conversation per line, schema_version 1"
 
@@ -57,12 +56,26 @@ def _effective_config(args: argparse.Namespace, keys: list[str]) -> dict:
     return {key: config[key] for key in keys}
 
 
-def _load_snapshot(snapshot_dir: str, strict: bool) -> tuple[ProductCatalog, ReviewStore]:
-    snapshot = Path(snapshot_dir)
-    options = IngestOptions(strict=strict)
+def _load_world(args: argparse.Namespace, config: dict) -> World:
+    """Snapshot, lexicon and optional annotations -> the derived world."""
+    snapshot = Path(args.snapshot)
+    options = IngestOptions(strict=config["strict"])
     catalog = ingest_metadata(snapshot / "catalog.jsonl", options)
     store = ingest_reviews(snapshot / "reviews.jsonl", catalog, options)
-    return catalog, store
+    lexicons = (
+        annotate.load_lexicons(args.lexicon) if args.lexicon
+        else annotate.default_lexicons()
+    )
+    polarity = annotate.PolarityConfig(t_pos=config["t_pos"], t_neg=config["t_neg"])
+    return build_world(
+        catalog, store, lexicons, polarity, args.annotations, config["strict"]
+    )
+
+
+def _templates(args: argparse.Namespace) -> list[assembly.ConversationTemplate]:
+    if args.templates:
+        return assembly.load_templates(args.templates)
+    return assembly.builtin_templates()
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
@@ -103,26 +116,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    catalog, store = _load_snapshot(args.snapshot, config["strict"])
-    lexicons = (
-        annotate.load_lexicons(args.lexicon) if args.lexicon
-        else annotate.default_lexicons()
-    )
-    polarity = annotate.PolarityConfig(t_pos=config["t_pos"], t_neg=config["t_neg"])
-    spans = annotate.annotate_store(store, lexicons, polarity)
-    if args.annotations:
-        imported = annotate.import_annotations(
-            args.annotations, store, polarity, strict=config["strict"]
-        )
-        spans = annotate.merge_spans(spans, imported.spans)
-    index = opinion_index.build_index(catalog, store, spans)
-
+    world = _load_world(args, config)
     phrasebank = (
         load_phrasebank(args.phrasebank) if args.phrasebank else default_phrasebank()
-    )
-    templates = (
-        assembly.load_templates(args.templates) if args.templates
-        else assembly.builtin_templates()
     )
     settings = assembly.GenerationSettings(
         per_template=config["per_template"],
@@ -132,15 +128,13 @@ def cmd_generate(args: argparse.Namespace) -> int:
         min_opinions=config["min_opinions"],
         workers=config["workers"],
     )
-    sentences = annotate.sentence_map(store)
     conversations, report = assembly.generate_dataset(
-        templates, args.seed, catalog, store, index,
-        phrasebank=phrasebank, sentences=sentences, settings=settings,
+        _templates(args), args.seed, world, phrasebank=phrasebank, settings=settings,
     )
     dataset_io.write_dataset(conversations, out / "dataset.jsonl")
     run_report = report.to_record()
     run_report["config"] = config
-    run_report["spans_indexed"] = len(spans)
+    run_report["spans_indexed"] = sum(map(len, world.index.entries.values()))
     with open(out / "report.json", "w", encoding="utf-8") as fh:
         json.dump(run_report, fh, indent=2, sort_keys=True)
     print(
@@ -156,25 +150,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    catalog, store = _load_snapshot(args.snapshot, strict=False)
-    lexicons = (
-        annotate.load_lexicons(args.lexicon) if args.lexicon
-        else annotate.default_lexicons()
-    )
-    polarity = annotate.PolarityConfig(
-        t_pos=args.t_pos if args.t_pos is not None else DEFAULTS["t_pos"],
-        t_neg=args.t_neg if args.t_neg is not None else DEFAULTS["t_neg"],
-    )
-    spans = annotate.annotate_store(store, lexicons, polarity)
-    if args.annotations:
-        imported = annotate.import_annotations(args.annotations, store, polarity)
-        spans = annotate.merge_spans(spans, imported.spans)
-    index = opinion_index.build_index(catalog, store, spans)
-    templates = (
-        assembly.load_templates(args.templates) if args.templates
-        else assembly.builtin_templates()
-    )
-    report = dataset_io.validate(args.dataset, catalog, store, index, templates)
+    config = dict(_effective_config(args, ["t_pos", "t_neg"]), strict=False)
+    world = _load_world(args, config)
+    report = dataset_io.validate(args.dataset, world, _templates(args))
     print(report.summary())
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -2,18 +2,17 @@
 
 One conversation per line (``dataset.jsonl``), schema_version 1.  The
 validator trusts nothing from the generator: substring and polarity checks
-are recomputed against the ingested corpus and a freshly built index.
+are recomputed against a world (see world.build_world) freshly derived
+from the ingested corpus.
 """
 
 from __future__ import annotations
 
-import copy
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from . import annotate
 from .assembly import Conversation, ConversationTemplate, builtin_templates
 from .corpus import ProductCatalog, ReviewStore
 from .errors import SchemaViolationError
@@ -21,6 +20,7 @@ from .negotiation import KIND_BY_ACT, SIGNATURES
 from .opinion_index import OpinionIndex
 from .search_dialog import AlternativesSet
 from .turns import ASSISTANT, CUSTOMER, SEARCH_ACTS, Turn
+from .world import World
 
 RULE_GROUNDING = "grounding"
 RULE_POLARITY = "polarity"
@@ -64,7 +64,7 @@ def conversation_from_record(record: dict) -> Conversation:
         master_seed=int(record["master_seed"]),
         search_turns=search_turns,
         evaluation_turns=evaluation_turns,
-        pair_trace=tuple(copy.deepcopy(record.get("pair_trace", []))),
+        pair_trace=tuple(record.get("pair_trace", [])),
         product_trajectory=tuple(record["product_trajectory"]),
         alternatives=alternatives,
     )
@@ -78,6 +78,8 @@ def read_dataset(path: str | Path) -> list[Conversation]:
                 continue
             try:
                 record = json.loads(line)
+                if not isinstance(record, dict):
+                    raise ValueError("line is not a JSON object")
                 if record.get("schema_version") != 1:
                     raise ValueError(
                         f"unsupported schema_version {record.get('schema_version')}"
@@ -118,15 +120,12 @@ class ValidationReport:
 
 def validate(
     dataset_path: str | Path,
-    catalog: ProductCatalog,
-    store: ReviewStore,
-    index: OpinionIndex,
+    world: World,
     templates: Optional[list[ConversationTemplate]] = None,
 ) -> ValidationReport:
     """Apply all six rules to every conversation, re-deriving every check
-    from the corpus rather than trusting generator metadata."""
+    from the corpus world rather than trusting generator metadata."""
     conversations = read_dataset(dataset_path)
-    sentences = annotate.sentence_map(store)
     template_map = {
         t.id: t for t in (templates if templates is not None else builtin_templates())
     }
@@ -135,9 +134,9 @@ def validate(
         report.conversations_checked += 1
         _check_alternation(conversation, report)
         _check_template(conversation, template_map, report)
-        _check_grounding(conversation, store, sentences, report)
-        _check_polarity(conversation, index, sentences, report)
-        _check_pool(conversation, catalog, report)
+        _check_grounding(conversation, world.store, world.sentences, report)
+        _check_polarity(conversation, world.index, world.sentences, report)
+        _check_pool(conversation, world.catalog, report)
         _check_reuse(conversation, report)
     report.violations.sort()
     return report

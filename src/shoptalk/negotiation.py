@@ -131,15 +131,6 @@ class PairBinding:
     customer_span: Optional[OpinionSpan]
     assistant_span: OpinionSpan
 
-    def to_trace(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "product_a": self.product_a,
-            "product_b": self.product_b,
-            "feature_a": self.feature_a,
-            "feature_b": self.feature_b,
-        }
-
 
 @dataclass(frozen=True)
 class BoundPair:

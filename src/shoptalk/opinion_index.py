@@ -7,17 +7,12 @@ sentence ordinal, then surface form.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Optional
 
-from . import annotate
 from .annotate import NEGATIVE, NEUTRAL, POSITIVE, OpinionSpan
-from .corpus import ProductCatalog, ReviewStore
-from .errors import DanglingSpanError, SchemaViolationError
-
-SNAPSHOT_VERSION = 1
+from .corpus import ReviewStore, Sentence
+from .errors import DanglingSpanError
 
 SpanIdentity = tuple[str, int, str]
 IndexKey = tuple[str, str, str]  # (product_id, feature_canonical, polarity_label)
@@ -43,11 +38,12 @@ class OpinionIndex:
 
 
 def build_index(
-    catalog: ProductCatalog, store: ReviewStore, spans: Iterable[OpinionSpan]
+    store: ReviewStore,
+    sentences: dict[str, list[Sentence]],
+    spans: Iterable[OpinionSpan],
 ) -> OpinionIndex:
     """Group spans by (product, feature, label); rejects spans whose review
-    or sentence does not exist."""
-    sentences = annotate.sentence_map(store)
+    is not in the store or whose sentence is not in the sentence map."""
     grouped: dict[IndexKey, list[OpinionSpan]] = {}
     directory: dict[str, set[str]] = {}
     counts: dict[str, int] = {}
@@ -55,7 +51,7 @@ def build_index(
         review = store.get(span.review_id)
         if review is None:
             raise DanglingSpanError(span.review_id, "review not in store")
-        if not 0 <= span.sentence_ordinal < len(sentences[span.review_id]):
+        if not 0 <= span.sentence_ordinal < len(sentences.get(span.review_id, ())):
             raise DanglingSpanError(
                 span.review_id, f"sentence ordinal {span.sentence_ordinal}"
             )
@@ -106,70 +102,3 @@ def features_of(
         if total:
             counts[feature] = total
     return sorted(counts.items(), key=lambda item: (-item[1], item[0]))
-
-
-def save_index(index: OpinionIndex, path: str | Path) -> None:
-    """Write a versioned line-record snapshot that reloads exactly."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"schema": "opinion-index", "version": SNAPSHOT_VERSION}) + "\n")
-        for key in sorted(index.entries):
-            product_id, _, _ = key
-            for span in index.entries[key]:
-                record = {
-                    "product_id": product_id,
-                    "review_id": span.review_id,
-                    "sentence_ordinal": span.sentence_ordinal,
-                    "feature_surface": span.feature_surface,
-                    "feature_canonical": span.feature_canonical,
-                    "polarity_score": span.polarity_score,
-                    "polarity_label": span.polarity_label,
-                    "source": span.source,
-                }
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
-
-
-def load_index(path: str | Path) -> OpinionIndex:
-    """Rebuild an index snapshot written by save_index."""
-    grouped: dict[IndexKey, list[OpinionSpan]] = {}
-    directory: dict[str, set[str]] = {}
-    counts: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
-        try:
-            meta = json.loads(header)
-            if meta.get("schema") != "opinion-index":
-                raise ValueError("not an opinion-index snapshot")
-            if meta.get("version") != SNAPSHOT_VERSION:
-                raise ValueError(f"unsupported snapshot version {meta.get('version')}")
-        except (ValueError, AttributeError) as exc:
-            raise SchemaViolationError(1, str(exc)) from exc
-        for line_no, line in enumerate(fh, 2):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-                span = OpinionSpan(
-                    review_id=record["review_id"],
-                    sentence_ordinal=int(record["sentence_ordinal"]),
-                    feature_surface=record["feature_surface"],
-                    feature_canonical=record["feature_canonical"],
-                    polarity_score=float(record["polarity_score"]),
-                    polarity_label=record["polarity_label"],
-                    source=record["source"],
-                )
-                product_id = record["product_id"]
-            except (ValueError, KeyError, TypeError) as exc:
-                raise SchemaViolationError(line_no, str(exc)) from exc
-            key = (product_id, span.feature_canonical, span.polarity_label)
-            grouped.setdefault(key, []).append(span)
-            if span.polarity_label != NEUTRAL:
-                directory.setdefault(product_id, set()).add(span.feature_canonical)
-                counts[product_id] = counts.get(product_id, 0) + 1
-    entries = {
-        key: tuple(sorted(group, key=_rank_key)) for key, group in grouped.items()
-    }
-    return OpinionIndex(
-        entries=entries,
-        feature_directory={pid: frozenset(feats) for pid, feats in directory.items()},
-        non_neutral_counts=counts,
-    )

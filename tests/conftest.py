@@ -1,4 +1,5 @@
-"""Shared fixtures: tiny in-memory corpora and the bundled sample corpus."""
+"""Shared fixtures: tiny in-memory corpora, the bundled sample corpus and
+the world derived from it."""
 
 from __future__ import annotations
 
@@ -7,14 +8,18 @@ from pathlib import Path
 
 import pytest
 
+from shoptalk.annotate import default_lexicons
 from shoptalk.corpus import (
     IngestReport,
     Product,
     ProductCatalog,
     Review,
     ReviewStore,
+    ingest_metadata,
+    ingest_reviews,
     normalize_text,
 )
+from shoptalk.world import World, build_world
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -43,9 +48,17 @@ def write_jsonl(path: Path, records: list[dict]) -> Path:
     return path
 
 
-@pytest.fixture
+@pytest.fixture(scope="session")
 def sample_corpus_paths() -> tuple[Path, Path]:
     from importlib.resources import files
 
     base = files("shoptalk").joinpath("data/sample")
     return Path(str(base / "meta.jsonl")), Path(str(base / "reviews.jsonl"))
+
+
+@pytest.fixture(scope="session")
+def world(sample_corpus_paths) -> World:
+    """The bundled sample corpus, derived with the bundled lexicon."""
+    meta, reviews = sample_corpus_paths
+    catalog = ingest_metadata(meta)
+    return build_world(catalog, ingest_reviews(reviews, catalog), default_lexicons())

@@ -7,14 +7,12 @@ import time
 
 import pytest
 
-from shoptalk import annotate
 from shoptalk.assembly import (
     ConversationTemplate,
     GenerationSettings,
     builtin_templates,
     generate_dataset,
 )
-from shoptalk.corpus import ingest_metadata, ingest_reviews
 from shoptalk.dataset_io import read_dataset, validate, write_dataset
 from shoptalk.negotiation import (
     PairKind,
@@ -22,7 +20,7 @@ from shoptalk.negotiation import (
     instantiate_pair,
     realize,
 )
-from shoptalk.opinion_index import build_index, query
+from shoptalk.opinion_index import query
 from shoptalk.search_dialog import PreferenceProfile, filter_catalog
 from shoptalk.turns import CUSTOMER
 
@@ -38,25 +36,10 @@ from test_search_dialog import brute_force_filter, fixture_catalog
 
 
 @pytest.fixture(scope="module")
-def world():
-    from importlib.resources import files
-
-    base = files("shoptalk").joinpath("data/sample")
-    catalog = ingest_metadata(str(base / "meta.jsonl"))
-    store = ingest_reviews(str(base / "reviews.jsonl"), catalog)
-    spans = annotate.annotate_store(store, annotate.default_lexicons())
-    index = build_index(catalog, store, spans)
-    sentences = annotate.sentence_map(store)
-    return catalog, store, index, sentences
-
-
-@pytest.fixture(scope="module")
 def full_run(world, tmp_path_factory):
-    catalog, store, index, sentences = world
     started = time.monotonic()
     conversations, report = generate_dataset(
-        builtin_templates(), 20240817, catalog, store, index,
-        phrasebank=default_phrasebank(), sentences=sentences,
+        builtin_templates(), 20240817, world, phrasebank=default_phrasebank(),
         settings=GenerationSettings(per_template=10),
     )
     elapsed = time.monotonic() - started
@@ -66,7 +49,7 @@ def full_run(world, tmp_path_factory):
 
 
 def test_criterion_1_scale_match(world, full_run):
-    catalog, store, _, _ = world
+    catalog, store = world.catalog, world.store
     conversations, report, elapsed, _ = full_run
     assert len(catalog) >= 30
     assert len(store) >= 300
@@ -81,9 +64,8 @@ def test_criterion_1_scale_match(world, full_run):
 
 
 def test_criterion_2_grounding_no_lie(world, full_run, tmp_path):
-    catalog, store, index, _ = world
     conversations, _, _, path = full_run
-    clean = validate(path, catalog, store, index)
+    clean = validate(path, world)
     grounding = [v for v in clean.violations if v[1] == "grounding"]
     assert grounding == []
 
@@ -94,7 +76,7 @@ def test_criterion_2_grounding_no_lie(world, full_run, tmp_path):
         with open(mutated, "w", encoding="utf-8") as fh:
             for record in records:
                 fh.write(json.dumps(record, sort_keys=True) + "\n")
-        return validate(mutated, catalog, store, index).violations
+        return validate(mutated, world).violations
 
     def grounded_turn(record):
         return next(t for t in record["turns"] if t["grounding"])
@@ -138,9 +120,8 @@ def test_criterion_3_template_conformance(full_run):
 
 
 def test_criterion_4_product_pool(world, full_run):
-    catalog, store, index, sentences = world
     _, _, _, path = full_run
-    report = validate(path, catalog, store, index)
+    report = validate(path, world)
     pool = [v for v in report.violations if v[1] == "product_pool"]
     assert pool == []
     # chained switches: a custom template with two product switches
@@ -148,8 +129,7 @@ def test_criterion_4_product_pool(world, full_run):
         id=90, sequence=(PairKind.DENY_SWITCH_PRODUCT, PairKind.DENY_SWITCH_PRODUCT),
     )
     conversations, chain_report = generate_dataset(
-        [chained], 7, catalog, store, index,
-        phrasebank=default_phrasebank(), sentences=sentences,
+        [chained], 7, world, phrasebank=default_phrasebank(),
         settings=GenerationSettings(per_template=5),
     )
     assert chain_report.successes >= 1
@@ -157,9 +137,7 @@ def test_criterion_4_product_pool(world, full_run):
     with tempfile.TemporaryDirectory() as tmp:
         chain_path = f"{tmp}/chain.jsonl"
         write_dataset(conversations, chain_path)
-        chain_validation = validate(
-            chain_path, catalog, store, index, templates=[chained]
-        )
+        chain_validation = validate(chain_path, world, templates=[chained])
     assert [v for v in chain_validation.violations if v[1] == "product_pool"] == []
     chains = [c for c in conversations if len(c.product_trajectory) == 3]
     assert chains, "no conversation exercised a two-step switch chain"
@@ -197,10 +175,8 @@ def test_criterion_5_determinism(world, tmp_path):
         paths.append(out / "dataset.jsonl")
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
-    catalog, store, index, sentences = world
     api_run, _ = generate_dataset(
-        builtin_templates(), 99, catalog, store, index,
-        phrasebank=default_phrasebank(), sentences=sentences,
+        builtin_templates(), 99, world, phrasebank=default_phrasebank(),
         settings=GenerationSettings(per_template=3),
     )
     api_path = tmp_path / "api.jsonl"
@@ -209,8 +185,7 @@ def test_criterion_5_determinism(world, tmp_path):
 
     reduced_templates = [t for t in builtin_templates() if t.id != 5]
     reduced, _ = generate_dataset(
-        reduced_templates, 99, catalog, store, index,
-        phrasebank=default_phrasebank(), sentences=sentences,
+        reduced_templates, 99, world, phrasebank=default_phrasebank(),
         settings=GenerationSettings(per_template=3),
     )
     reduced_path = tmp_path / "reduced.jsonl"
@@ -294,8 +269,7 @@ def test_criterion_6_oracle_equivalence():
     )
 
 
-def test_criterion_7_golden_surface_forms(world):
-    catalog, _, index, sentences = world
+def test_criterion_7_golden_surface_forms():
     bank = default_phrasebank()
     ri_golden = "Can you give me your thoughts on its {feature}?"
     dsp_golden = (

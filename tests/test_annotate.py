@@ -15,6 +15,7 @@ from shoptalk.annotate import (
     import_annotations,
     merge_spans,
     parse_lexicons,
+    sentence_map,
     split_sentences,
 )
 from shoptalk.errors import InvalidLexiconError
@@ -113,7 +114,6 @@ class TestSplitSentences:
         assert texts == ["Great.", "no end"]
 
     def test_every_sample_corpus_span_indexes_validly(self, sample_corpus_paths):
-        from shoptalk.annotate import sentence_map
         from shoptalk.corpus import ingest_metadata, ingest_reviews
 
         meta, reviews = sample_corpus_paths
@@ -218,19 +218,16 @@ class TestLabelThresholds:
 
 class TestLexiconValidation:
     def test_uppercase_canonical_rejected(self):
-        bad = Lexicons(feature_terms={"battery": "Battery"})
         with pytest.raises(InvalidLexiconError):
-            bad.validate()
+            Lexicons(feature_terms={"battery": "Battery"})
 
     def test_weight_out_of_bounds_rejected(self):
-        bad = Lexicons(sentiment_terms={"good": 1.5})
         with pytest.raises(InvalidLexiconError):
-            bad.validate()
+            Lexicons(sentiment_terms={"good": 1.5})
 
     def test_nonpositive_multiplier_rejected(self):
-        bad = Lexicons(intensifiers={"very": 0.0})
         with pytest.raises(InvalidLexiconError):
-            bad.validate()
+            Lexicons(intensifiers={"very": 0.0})
 
     def test_parse_sections(self):
         text = (
@@ -269,12 +266,14 @@ class TestImportAnnotations:
             make_review("r1", "p1", "The battery is good. The screen is bad."),
         ])
 
+    def _sentences(self):
+        return sentence_map(self._store())
+
     def test_import_existing_sentence(self, tmp_path):
-        store = self._store()
         path = write_jsonl(tmp_path / "ann.jsonl", [
             {"review_id": "r1", "sentence_ordinal": 0, "feature": "battery", "score": 0.9},
         ])
-        result = import_annotations(path, store)
+        result = import_annotations(path, self._sentences())
         assert len(result.spans) == 1
         span = result.spans[0]
         assert span.source == "imported"
@@ -282,30 +281,27 @@ class TestImportAnnotations:
         assert span.feature_surface in "The battery is good."
 
     def test_out_of_range_score_clamped(self, tmp_path):
-        store = self._store()
         path = write_jsonl(tmp_path / "ann.jsonl", [
             {"review_id": "r1", "sentence_ordinal": 0, "feature": "battery", "score": 1.5},
         ])
-        result = import_annotations(path, store)
+        result = import_annotations(path, self._sentences())
         assert result.clamped == 1
         assert result.spans[0].polarity_score == 1.0
 
     def test_unknown_sentence_skipped(self, tmp_path):
-        store = self._store()
         path = write_jsonl(tmp_path / "ann.jsonl", [
             {"review_id": "r1", "sentence_ordinal": 9, "feature": "battery", "score": 0.5},
             {"review_id": "nope", "sentence_ordinal": 0, "feature": "battery", "score": 0.5},
         ])
-        result = import_annotations(path, store)
+        result = import_annotations(path, self._sentences())
         assert result.spans == []
         assert result.skipped == 2
 
     def test_feature_absent_from_sentence_skipped(self, tmp_path):
-        store = self._store()
         path = write_jsonl(tmp_path / "ann.jsonl", [
             {"review_id": "r1", "sentence_ordinal": 0, "feature": "keyboard", "score": 0.5},
         ])
-        result = import_annotations(path, store)
+        result = import_annotations(path, self._sentences())
         assert result.spans == []
         assert result.skipped == 1
 
@@ -319,7 +315,7 @@ class TestImportAnnotations:
         path = write_jsonl(tmp_path / "ann.jsonl", [
             {"review_id": "r1", "sentence_ordinal": 0, "feature": "battery", "score": -0.9},
         ])
-        imported = import_annotations(path, store).spans
+        imported = import_annotations(path, sentence_map(store)).spans
         merged = merge_spans(lexicon_spans, imported)
         battery = [s for s in merged if s.identity == ("r1", 0, "battery")]
         assert len(battery) == 1

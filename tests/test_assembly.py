@@ -3,9 +3,15 @@ independence."""
 
 import itertools
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import shoptalk
 from shoptalk import annotate
 from shoptalk.annotate import OpinionSpan, PolarityConfig
 from shoptalk.assembly import (
@@ -17,25 +23,22 @@ from shoptalk.assembly import (
     generate_dataset,
     load_templates,
 )
-from shoptalk.corpus import Product, ingest_metadata, ingest_reviews
+from shoptalk.corpus import Product
 from shoptalk.errors import GenerationExhaustedError
 from shoptalk.negotiation import PairKind, default_phrasebank
 from shoptalk.opinion_index import build_index
 from shoptalk.turns import ASSISTANT, CUSTOMER
+from shoptalk.world import World
 
 from conftest import make_catalog, make_review, make_store
 
 CONFIG = PolarityConfig()
 
 
-def load_sample(sample_corpus_paths):
-    meta, reviews = sample_corpus_paths
-    catalog = ingest_metadata(meta)
-    store = ingest_reviews(reviews, catalog)
-    spans = annotate.annotate_store(store, annotate.default_lexicons())
-    index = build_index(catalog, store, spans)
+def world_of(catalog, store, spans) -> World:
+    """A world over hand-made spans, bypassing the lexicon."""
     sentences = annotate.sentence_map(store)
-    return catalog, store, index, sentences
+    return World(catalog, store, sentences, build_index(store, sentences, spans))
 
 
 class TestBuiltinTemplates:
@@ -113,8 +116,7 @@ def engineered_template9_world():
         OpinionSpan("rev-p1", 1, "battery", "battery", 0.6, CONFIG.label(0.6)),
         OpinionSpan("rev-p1", 2, "screen", "screen", 0.7, CONFIG.label(0.7)),
     ]
-    index = build_index(catalog, store, spans)
-    return catalog, store, index, annotate.sentence_map(store), spans
+    return world_of(catalog, store, spans), spans
 
 
 def enumerate_template9_assignments(index, spans):
@@ -136,12 +138,12 @@ def enumerate_template9_assignments(index, spans):
 
 class TestGenerateConversation:
     def test_template9_unique_assignment_shape(self, sample_corpus_paths):
-        catalog, store, index, sentences, spans = engineered_template9_world()
-        assert len(enumerate_template9_assignments(index, spans)) == 1
+        world, spans = engineered_template9_world()
+        assert len(enumerate_template9_assignments(world.index, spans)) == 1
         template = [t for t in builtin_templates() if t.id == 9][0]
         conversation, attempts = generate_conversation(
-            template, catalog, store, index, SeedStream(1, "conv", 9, 1),
-            phrasebank=default_phrasebank(), sentences=sentences,
+            template, world, SeedStream(1, "conv", 9, 1),
+            phrasebank=default_phrasebank(),
             settings=GenerationSettings(min_opinions=2),
             conversation_id="t09-n01", master_seed=1,
         )
@@ -163,52 +165,79 @@ class TestGenerateConversation:
             OpinionSpan("rev-p1", 0, "battery", "battery", 0.8, "positive"),
             OpinionSpan("rev-p1", 1, "screen", "screen", 0.7, "positive"),
         ]
-        index = build_index(catalog, store, spans)
         template = [t for t in builtin_templates() if t.id == 1][0]  # needs a denial
         with pytest.raises(GenerationExhaustedError) as exc_info:
             generate_conversation(
-                template, catalog, store, index, SeedStream(1, "conv", 1, 1),
+                template, world_of(catalog, store, spans), SeedStream(1, "conv", 1, 1),
                 phrasebank=default_phrasebank(),
-                sentences=annotate.sentence_map(store),
                 settings=GenerationSettings(retry_budget=10),
             )
         assert exc_info.value.template_id == 1
         assert exc_info.value.attempts == 10
 
-    def test_byte_identical_across_runs(self, sample_corpus_paths):
-        catalog, store, index, sentences = load_sample(sample_corpus_paths)
+    def test_byte_identical_across_runs(self, world):
         template = builtin_templates()[0]
         runs = []
         for _ in range(2):
             conversation, _ = generate_conversation(
-                template, catalog, store, index, SeedStream(7, "conv", 1, 1),
-                phrasebank=default_phrasebank(), sentences=sentences,
+                template, world, SeedStream(7, "conv", 1, 1),
+                phrasebank=default_phrasebank(),
                 conversation_id="t01-n01", master_seed=7,
             )
             runs.append(json.dumps(conversation.to_record(), sort_keys=True))
         assert runs[0] == runs[1]
 
-    def test_alternation_and_speakers(self, sample_corpus_paths):
-        catalog, store, index, sentences = load_sample(sample_corpus_paths)
+    def test_alternation_and_speakers(self, world):
         for template in builtin_templates()[:4]:
             conversation, _ = generate_conversation(
-                template, catalog, store, index,
-                SeedStream(3, "conv", template.id, 1),
-                phrasebank=default_phrasebank(), sentences=sentences,
+                template, world, SeedStream(3, "conv", template.id, 1),
+                phrasebank=default_phrasebank(),
             )
             turns = conversation.evaluation_turns
             assert len(turns) == 2 * len(template.sequence)
             for i, turn in enumerate(turns):
                 assert turn.speaker == (CUSTOMER if i % 2 == 0 else ASSISTANT)
 
+    def test_template_mismatch_raises_under_optimize(self):
+        # the check must not be an assert: python -O strips those
+        script = textwrap.dedent("""
+            import sys
+            from shoptalk.assembly import ConversationTemplate, _assemble
+            from shoptalk.errors import InvalidStateError
+            from shoptalk.negotiation import DialogPair, DialogState, PairKind
+            from shoptalk.search_dialog import AlternativesSet
+            from shoptalk.turns import Turn
+
+            alternatives = AlternativesSet(seed_product="p1", members=("p1",))
+            turn = Turn(speaker="customer", text="x", act="request_inform")
+            pair = DialogPair(
+                PairKind.REQUEST_INFORM, turn, turn, DialogState.initial(alternatives)
+            )
+            template = ConversationTemplate(id=1, sequence=(PairKind.SEARCH_AGREEMENT,))
+            try:
+                _assemble("c0", template, 0, [], alternatives, [pair])
+            except InvalidStateError:
+                print("raised", sys.flags.optimize)
+            else:
+                print("accepted", sys.flags.optimize)
+        """)
+        src = str(Path(shoptalk.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        ))
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        assert result.stdout.split() == ["raised", "1"]
+
 
 class TestGenerateDataset:
-    def test_per_template_counts(self, sample_corpus_paths):
-        catalog, store, index, sentences = load_sample(sample_corpus_paths)
+    def test_per_template_counts(self, world):
         templates = [t for t in builtin_templates() if t.id in (1, 9, 10)]
         conversations, report = generate_dataset(
-            templates, 11, catalog, store, index,
-            phrasebank=default_phrasebank(), sentences=sentences,
+            templates, 11, world,
+            phrasebank=default_phrasebank(),
             settings=GenerationSettings(per_template=2),
         )
         assert report.successes == 6
@@ -221,30 +250,28 @@ class TestGenerateDataset:
         with pytest.raises(ValueError):
             GenerationSettings(per_template=0)
 
-    def test_output_order_by_template_then_ordinal(self, sample_corpus_paths):
-        catalog, store, index, sentences = load_sample(sample_corpus_paths)
+    def test_output_order_by_template_then_ordinal(self, world):
         templates = [t for t in builtin_templates() if t.id in (10, 2)]
         conversations, _ = generate_dataset(
-            templates, 5, catalog, store, index,
-            phrasebank=default_phrasebank(), sentences=sentences,
+            templates, 5, world,
+            phrasebank=default_phrasebank(),
             settings=GenerationSettings(per_template=2),
         )
         assert [c.id for c in conversations] == [
             "t02-n01", "t02-n02", "t10-n01", "t10-n02",
         ]
 
-    def test_stream_independence(self, sample_corpus_paths):
+    def test_stream_independence(self, world):
         # removing one template leaves every other conversation byte-identical
-        catalog, store, index, sentences = load_sample(sample_corpus_paths)
         settings = GenerationSettings(per_template=2)
         full, _ = generate_dataset(
-            builtin_templates(), 5, catalog, store, index,
-            phrasebank=default_phrasebank(), sentences=sentences, settings=settings,
+            builtin_templates(), 5, world,
+            phrasebank=default_phrasebank(), settings=settings,
         )
         reduced_templates = [t for t in builtin_templates() if t.id != 7]
         reduced, _ = generate_dataset(
-            reduced_templates, 5, catalog, store, index,
-            phrasebank=default_phrasebank(), sentences=sentences, settings=settings,
+            reduced_templates, 5, world,
+            phrasebank=default_phrasebank(), settings=settings,
         )
         full_by_id = {c.id: json.dumps(c.to_record(), sort_keys=True) for c in full}
         reduced_by_id = {c.id: json.dumps(c.to_record(), sort_keys=True) for c in reduced}
@@ -252,33 +279,31 @@ class TestGenerateDataset:
         for cid, record in reduced_by_id.items():
             assert full_by_id[cid] == record
 
-    def test_different_seeds_differ(self, sample_corpus_paths):
-        catalog, store, index, sentences = load_sample(sample_corpus_paths)
+    def test_different_seeds_differ(self, world):
         templates = builtin_templates()[:3]
         settings = GenerationSettings(per_template=2)
         a, _ = generate_dataset(
-            templates, 1, catalog, store, index,
-            phrasebank=default_phrasebank(), sentences=sentences, settings=settings,
+            templates, 1, world,
+            phrasebank=default_phrasebank(), settings=settings,
         )
         b, _ = generate_dataset(
-            templates, 2, catalog, store, index,
-            phrasebank=default_phrasebank(), sentences=sentences, settings=settings,
+            templates, 2, world,
+            phrasebank=default_phrasebank(), settings=settings,
         )
         assert [json.dumps(c.to_record(), sort_keys=True) for c in a] != [
             json.dumps(c.to_record(), sort_keys=True) for c in b
         ]
 
-    def test_workers_do_not_change_output(self, sample_corpus_paths):
-        catalog, store, index, sentences = load_sample(sample_corpus_paths)
+    def test_workers_do_not_change_output(self, world):
         templates = builtin_templates()[:4]
         serial, _ = generate_dataset(
-            templates, 9, catalog, store, index,
-            phrasebank=default_phrasebank(), sentences=sentences,
+            templates, 9, world,
+            phrasebank=default_phrasebank(),
             settings=GenerationSettings(per_template=2, workers=1),
         )
         threaded, _ = generate_dataset(
-            templates, 9, catalog, store, index,
-            phrasebank=default_phrasebank(), sentences=sentences,
+            templates, 9, world,
+            phrasebank=default_phrasebank(),
             settings=GenerationSettings(per_template=2, workers=4),
         )
         assert [c.to_record() for c in serial] == [c.to_record() for c in threaded]
@@ -286,11 +311,11 @@ class TestGenerateDataset:
     def test_exhaustions_reported_not_raised(self):
         # all-positive corpus: template 9 works, template 1 (needs a
         # denial) cannot
-        catalog, store, index, sentences, _ = engineered_template9_world()
+        world, _ = engineered_template9_world()
         templates = [t for t in builtin_templates() if t.id in (1, 9)]
         conversations, report = generate_dataset(
-            templates, 1, catalog, store, index,
-            phrasebank=default_phrasebank(), sentences=sentences,
+            templates, 1, world,
+            phrasebank=default_phrasebank(),
             settings=GenerationSettings(per_template=1, retry_budget=5),
         )
         assert report.successes == 1

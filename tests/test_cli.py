@@ -1,9 +1,12 @@
 """End-to-end command-line behavior on the bundled sample corpus."""
 
+import hashlib
 import json
+from collections import Counter
 
 import pytest
 
+from shoptalk import annotate
 from shoptalk.cli import main
 
 from conftest import write_jsonl
@@ -153,6 +156,45 @@ class TestGenerate:
         records = [json.loads(l) for l in (out / "dataset.jsonl").read_text().splitlines()]
         assert {r["template_id"] for r in records} == {77}
 
+    def test_golden_dataset_digest(self, tmp_path, snapshot_dir):
+        # pins the bytes of the default run on the bundled sample
+        out = tmp_path / "run"
+        assert main(["generate", "--snapshot", str(snapshot_dir), "--out", str(out),
+                     "--seed", "7", "--per-template", "10"]) == 0
+        digest = hashlib.sha256((out / "dataset.jsonl").read_bytes()).hexdigest()
+        assert digest == "fec8c785e24767bd8eb92860741796571dd9de341187b7a59e00d752099d950c"
+
+
+class TestDeriveOnce:
+    def test_each_command_splits_each_review_once(self, tmp_path, snapshot_dir,
+                                                  monkeypatch):
+        reviews = [json.loads(line) for line in
+                   (snapshot_dir / "reviews.jsonl").read_text().splitlines()]
+        annotations = write_jsonl(tmp_path / "annotations.jsonl", [
+            {"review_id": r["id"], "sentence_ordinal": 0,
+             "feature": r["normalized_text"].split()[0].lower(), "score": 0.9}
+            for r in reviews[:20]
+        ])
+        split = annotate.split_sentences
+        calls = Counter()
+
+        def counting_split(review):
+            calls[review.id] += 1
+            return split(review)
+
+        monkeypatch.setattr(annotate, "split_sentences", counting_split)
+        out = tmp_path / "run"
+        commands = [
+            ["generate", "--snapshot", str(snapshot_dir), "--out", str(out),
+             "--seed", "7", "--per-template", "1"],
+            ["validate", "--dataset", str(out / "dataset.jsonl"),
+             "--snapshot", str(snapshot_dir)],
+        ]
+        for argv in commands:
+            calls.clear()
+            assert main(argv + ["--annotations", str(annotations)]) == 0
+            assert calls == Counter({r["id"]: 1 for r in reviews}), argv[0]
+
 
 class TestValidateCommand:
     def test_clean_dataset_exit_zero(self, tmp_path, snapshot_dir, capsys):
@@ -209,3 +251,11 @@ class TestStatsCommand:
         assert stats_record["conversations"] == report["successes"]
         assert stats_record["per_template"] == report["per_template"]
         assert stats_record["span_reuse"] == 0
+
+    def test_non_object_line_is_schema_violation(self, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("[1, 2]\n")
+        assert main(["stats", "--dataset", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert "schema violation at line 1" in err
+        assert "Traceback" not in err

@@ -1,6 +1,8 @@
 """Ingestion and normalization contracts."""
 
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -197,3 +199,13 @@ class TestRoundTrip:
         lines = (tmp_path / "out.jsonl").read_text().splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["id"] == "B1"
+
+
+class TestSampleCorpusScript:
+    def test_coverage_check_passes_on_bundled_sample(self, sample_corpus_paths, capsys):
+        script = Path(__file__).resolve().parent.parent / "scripts" / "build_sample_corpus.py"
+        spec = importlib.util.spec_from_file_location("build_sample_corpus", script)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        module.check_coverage(*sample_corpus_paths)
+        assert capsys.readouterr().out == "coverage ok: 32 products, 320 reviews, 780 spans\n"

@@ -1,13 +1,12 @@
 """Serialization round-trips, the six validation rules (one targeted
 mutation each), and dataset statistics."""
 
+import copy
 import json
 
 import pytest
 
-from shoptalk import annotate
 from shoptalk.assembly import GenerationSettings, builtin_templates, generate_dataset
-from shoptalk.corpus import ingest_metadata, ingest_reviews
 from shoptalk.dataset_io import (
     read_dataset,
     stats,
@@ -16,28 +15,12 @@ from shoptalk.dataset_io import (
 )
 from shoptalk.errors import SchemaViolationError
 from shoptalk.negotiation import default_phrasebank
-from shoptalk.opinion_index import build_index
-
-
-@pytest.fixture(scope="module")
-def world(sample_corpus_paths=None):
-    from importlib.resources import files
-
-    base = files("shoptalk").joinpath("data/sample")
-    catalog = ingest_metadata(str(base / "meta.jsonl"))
-    store = ingest_reviews(str(base / "reviews.jsonl"), catalog)
-    spans = annotate.annotate_store(store, annotate.default_lexicons())
-    index = build_index(catalog, store, spans)
-    sentences = annotate.sentence_map(store)
-    return catalog, store, index, sentences
 
 
 @pytest.fixture(scope="module")
 def generated(world):
-    catalog, store, index, sentences = world
     conversations, report = generate_dataset(
-        builtin_templates(), 4242, catalog, store, index,
-        phrasebank=default_phrasebank(), sentences=sentences,
+        builtin_templates(), 4242, world, phrasebank=default_phrasebank(),
         settings=GenerationSettings(per_template=2),
     )
     return conversations, report
@@ -86,8 +69,9 @@ class TestRoundTrip:
 
 
 def mutate_dataset(tmp_path, conversations, mutator, name="mutated.jsonl"):
-    """Write conversations, apply mutator to the first record's dict."""
+    """Write conversations, apply mutator to a copy of the first record."""
     records = [c.to_record() for c in conversations]
+    records[0] = copy.deepcopy(records[0])
     mutator(records[0])
     path = tmp_path / name
     with open(path, "w", encoding="utf-8") as fh:
@@ -105,17 +89,15 @@ def first_grounded_turn(record):
 
 class TestValidate:
     def test_fresh_dataset_is_clean(self, tmp_path, world, generated):
-        catalog, store, index, _ = world
         conversations, _ = generated
         path = tmp_path / "clean.jsonl"
         write_dataset(conversations, path)
-        report = validate(path, catalog, store, index)
+        report = validate(path, world)
         assert report.conversations_checked == len(conversations)
         assert report.passed
         assert report.violations == []
 
     def test_mutation_edit_text_flags_grounding_only(self, tmp_path, world, generated):
-        catalog, store, index, _ = world
         conversations, _ = generated
 
         def edit_text(record):
@@ -123,26 +105,24 @@ class TestValidate:
             turn["text"] = turn["text"].replace("the", "thee", 1)
 
         path = mutate_dataset(tmp_path, conversations, edit_text)
-        report = validate(path, catalog, store, index)
+        report = validate(path, world)
         assert len(report.violations) == 1
         cid, rule, _ = report.violations[0]
         assert rule == "grounding"
         assert cid == conversations[0].id
 
     def test_mutation_dangling_review_flags_grounding_only(self, tmp_path, world, generated):
-        catalog, store, index, _ = world
         conversations, _ = generated
 
         def dangle(record):
             first_grounded_turn(record)["grounding"][0]["review_id"] = "r-ghost"
 
         path = mutate_dataset(tmp_path, conversations, dangle)
-        report = validate(path, catalog, store, index)
+        report = validate(path, world)
         assert len(report.violations) == 1
         assert report.violations[0][1] == "grounding"
 
     def test_mutation_flip_label_flags_polarity_only(self, tmp_path, world, generated):
-        catalog, store, index, _ = world
         conversations, _ = generated
 
         def flip(record):
@@ -150,12 +130,11 @@ class TestValidate:
             ref["label"] = "negative" if ref["label"] == "positive" else "positive"
 
         path = mutate_dataset(tmp_path, conversations, flip)
-        report = validate(path, catalog, store, index)
+        report = validate(path, world)
         assert len(report.violations) == 1
         assert report.violations[0][1] == "polarity"
 
     def test_mutation_trace_kind_flags_template_only(self, tmp_path, world, generated):
-        catalog, store, index, _ = world
         conversations, _ = generated
 
         def rewrite_trace(record):
@@ -163,12 +142,11 @@ class TestValidate:
                 if record["pair_trace"][0]["kind"] != "SearchAgreement" else "RequestInform"
 
         path = mutate_dataset(tmp_path, conversations, rewrite_trace)
-        report = validate(path, catalog, store, index)
+        report = validate(path, world)
         assert {v[1] for v in report.violations} == {"template_conformance"}
         assert len(report.violations) == 1
 
     def test_mutation_trajectory_flags_pool_only(self, tmp_path, world, generated):
-        catalog, store, index, _ = world
         conversations, _ = generated
 
         def retarget(record):
@@ -179,12 +157,11 @@ class TestValidate:
             )
 
         path = mutate_dataset(tmp_path, conversations, retarget)
-        report = validate(path, catalog, store, index)
+        report = validate(path, world)
         assert {v[1] for v in report.violations} == {"product_pool"}
         assert len(report.violations) == 1
 
     def test_mutation_duplicate_ref_flags_reuse_only(self, tmp_path, world, generated):
-        catalog, store, index, _ = world
         conversations, _ = generated
 
         def duplicate(record):
@@ -192,12 +169,11 @@ class TestValidate:
             grounding.append(dict(grounding[0]))
 
         path = mutate_dataset(tmp_path, conversations, duplicate)
-        report = validate(path, catalog, store, index)
+        report = validate(path, world)
         assert {v[1] for v in report.violations} == {"span_reuse"}
         assert len(report.violations) == 1
 
     def test_mutation_swapped_pair_flags_alternation_only(self, tmp_path, world, generated):
-        catalog, store, index, _ = world
         conversations, _ = generated
 
         def swap(record):
@@ -210,11 +186,10 @@ class TestValidate:
             turns[a], turns[b] = turns[b], turns[a]
 
         path = mutate_dataset(tmp_path, conversations, swap)
-        report = validate(path, catalog, store, index)
+        report = validate(path, world)
         assert {v[1] for v in report.violations} == {"alternation"}
 
     def test_report_ordering_deterministic(self, tmp_path, world, generated):
-        catalog, store, index, _ = world
         conversations, _ = generated
 
         def wreck_two(record):
@@ -223,8 +198,8 @@ class TestValidate:
             record["pair_trace"][0]["kind"] = "Bogus"
 
         path = mutate_dataset(tmp_path, conversations, wreck_two)
-        first = validate(path, catalog, store, index).violations
-        second = validate(path, catalog, store, index).violations
+        first = validate(path, world).violations
+        second = validate(path, world).violations
         assert first == second
         assert first == sorted(first)
 
@@ -240,11 +215,9 @@ class TestStats:
         assert result.span_reuse == 0
 
     def test_three_templates_times_two(self, tmp_path, world):
-        catalog, store, index, sentences = world
         templates = [t for t in builtin_templates() if t.id in (1, 9, 10)]
         conversations, _ = generate_dataset(
-            templates, 5, catalog, store, index,
-            phrasebank=default_phrasebank(), sentences=sentences,
+            templates, 5, world, phrasebank=default_phrasebank(),
             settings=GenerationSettings(per_template=2),
         )
         path = tmp_path / "six.jsonl"
@@ -257,8 +230,7 @@ class TestStats:
         expected_mean = (14 + 12 + 12 + 12 + 12 + 14) / 6
         assert result.mean_turns == pytest.approx(expected_mean)
 
-    def test_counts_match_generation_report(self, tmp_path, world, generated):
-        catalog, store, index, _ = world
+    def test_counts_match_generation_report(self, tmp_path, generated):
         conversations, report = generated
         path = tmp_path / "all.jsonl"
         write_dataset(conversations, path)

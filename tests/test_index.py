@@ -4,18 +4,11 @@ import random
 
 import pytest
 
-from shoptalk.annotate import OpinionSpan, PolarityConfig, annotate_store
-from shoptalk.corpus import Product
+from shoptalk.annotate import OpinionSpan, PolarityConfig, sentence_map
 from shoptalk.errors import DanglingSpanError
-from shoptalk.opinion_index import (
-    build_index,
-    features_of,
-    load_index,
-    query,
-    save_index,
-)
+from shoptalk.opinion_index import build_index, features_of, query
 
-from conftest import make_catalog, make_review, make_store
+from conftest import make_review, make_store
 
 
 def span(review_id, ordinal, feature, score, surface=None, label=None):
@@ -30,79 +23,81 @@ def span(review_id, ordinal, feature, score, surface=None, label=None):
     )
 
 
-def tiny_corpus():
-    products = [Product(id="p1", title="One"), Product(id="p2", title="Two")]
+def index_of(store, spans):
+    return build_index(store, sentence_map(store), spans)
+
+
+def tiny_store():
     reviews = [
         make_review("r1", "p1", "First. Second. Third. Fourth."),
         make_review("r2", "p1", "First. Second. Third. Fourth."),
         make_review("r3", "p2", "First. Second. Third. Fourth."),
     ]
-    return make_catalog(products), make_store(reviews)
+    return make_store(reviews)
 
 
 class TestBuildIndex:
     def test_empty(self):
-        catalog, store = tiny_corpus()
-        index = build_index(catalog, store, [])
+        store = tiny_store()
+        index = index_of(store, [])
         assert index.entries == {}
         assert index.feature_directory == {}
 
     def test_sort_contract(self):
-        catalog, store = tiny_corpus()
+        store = tiny_store()
         spans = [
             span("r1", 0, "battery", 0.4),
             span("r1", 1, "battery", 0.9),
         ]
-        index = build_index(catalog, store, spans)
+        index = index_of(store, spans)
         ranked = index.spans_for(("p1", "battery", "positive"))
         assert [s.polarity_score for s in ranked] == [0.9, 0.4]
 
     def test_tie_break_by_review_then_ordinal(self):
-        catalog, store = tiny_corpus()
+        store = tiny_store()
         spans = [
             span("r2", 0, "battery", 0.5),
             span("r1", 1, "battery", 0.5),
             span("r1", 0, "battery", -0.5),
             span("r1", 3, "battery", 0.5),
         ]
-        index = build_index(catalog, store, spans)
+        index = index_of(store, spans)
         ranked = index.spans_for(("p1", "battery", "positive"))
         assert [(s.review_id, s.sentence_ordinal) for s in ranked] == [
             ("r1", 1), ("r1", 3), ("r2", 0),
         ]
 
     def test_dangling_review_rejected(self):
-        catalog, store = tiny_corpus()
+        store = tiny_store()
         with pytest.raises(DanglingSpanError):
-            build_index(catalog, store, [span("ghost", 0, "battery", 0.5)])
+            index_of(store, [span("ghost", 0, "battery", 0.5)])
 
     def test_dangling_sentence_rejected(self):
-        catalog, store = tiny_corpus()
+        store = tiny_store()
         with pytest.raises(DanglingSpanError):
-            build_index(catalog, store, [span("r1", 99, "battery", 0.5)])
+            index_of(store, [span("r1", 99, "battery", 0.5)])
 
     def test_build_is_deterministic(self):
-        catalog, store = tiny_corpus()
+        store = tiny_store()
         spans = [span("r1", i % 4, f, s)
                  for i, (f, s) in enumerate([("a", 0.3), ("b", -0.2), ("a", 0.9)])]
-        assert build_index(catalog, store, spans) == build_index(catalog, store, spans)
+        assert index_of(store, spans) == index_of(store, spans)
 
     def test_directory_matches_brute_force_group_by(self):
         # derived oracle: independent group-by over a 50-span fixture
         rng = random.Random(7)
-        products = [Product(id=f"p{i}", title=f"P{i}") for i in range(5)]
         reviews = [
             make_review(f"r{i}", f"p{i % 5}", "One. Two. Three. Four. Five.")
             for i in range(10)
         ]
-        catalog, store = make_catalog(products), make_store(reviews)
+        store = make_store(reviews)
         features = ["battery", "screen", "camera", "sound"]
         spans = [
             span(f"r{rng.randrange(10)}", rng.randrange(5),
                  rng.choice(features), rng.choice([-0.8, -0.3, 0.0, 0.5, 0.9]))
             for _ in range(50)
         ]
-        index = build_index(catalog, store, spans)
+        index = index_of(store, spans)
         expected: dict[str, set] = {}
         for s in spans:
             pid = store.get(s.review_id).product_id
@@ -113,14 +108,14 @@ class TestBuildIndex:
 
 class TestQuery:
     def _index(self):
-        catalog, store = tiny_corpus()
+        store = tiny_store()
         self.spans = [
             span("r1", 0, "battery", 0.9),
             span("r1", 1, "battery", 0.5),
             span("r2", 2, "battery", 0.5),
             span("r1", 2, "battery", 0.0),
         ]
-        return build_index(catalog, store, self.spans)
+        return index_of(store, self.spans)
 
     def test_single_span_returned(self):
         index = self._index()
@@ -128,8 +123,8 @@ class TestQuery:
         assert result.identity == ("r1", 0, "battery")
 
     def test_excluding_only_span_yields_none(self):
-        catalog, store = tiny_corpus()
-        index = build_index(catalog, store, [span("r1", 0, "battery", 0.9)])
+        store = tiny_store()
+        index = index_of(store, [span("r1", 0, "battery", 0.9)])
         only = query(index, "p1", "battery", "positive")
         assert query(index, "p1", "battery", "positive", {only.identity}) is None
 
@@ -161,19 +156,18 @@ class TestQuery:
     def test_matches_linear_scan_oracle(self):
         # randomized keys and exclusion sets vs a scan with identical rules
         rng = random.Random(21)
-        products = [Product(id=f"p{i}", title=f"P{i}") for i in range(4)]
         reviews = [
             make_review(f"r{i}", f"p{i % 4}", "One. Two. Three. Four. Five.")
             for i in range(8)
         ]
-        catalog, store = make_catalog(products), make_store(reviews)
+        store = make_store(reviews)
         features = ["battery", "screen"]
         spans = [
             span(f"r{rng.randrange(8)}", rng.randrange(5), rng.choice(features),
                  round(rng.uniform(-1, 1), 2))
             for _ in range(120)
         ]
-        index = build_index(catalog, store, spans)
+        index = index_of(store, spans)
 
         def oracle(pid, feature, label, exclude):
             eligible = []
@@ -191,7 +185,7 @@ class TestQuery:
 
         mismatches = 0
         for _ in range(300):
-            pid = rng.choice([p.id for p in products])
+            pid = rng.choice([f"p{i}" for i in range(4)])
             feature = rng.choice(features)
             label = rng.choice(["positive", "negative"])
             excl = {
@@ -219,59 +213,32 @@ class TestQuery:
 
 class TestFeaturesOf:
     def test_unknown_product_empty(self):
-        catalog, store = tiny_corpus()
-        index = build_index(catalog, store, [])
+        store = tiny_store()
+        index = index_of(store, [])
         assert features_of(index, "nope") == []
 
     def test_counts_by_hand(self):
-        catalog, store = tiny_corpus()
+        store = tiny_store()
         spans = [
             span("r1", 0, "battery", 0.9),
             span("r1", 1, "battery", 0.5),
             span("r1", 2, "screen", 0.4),
         ]
-        index = build_index(catalog, store, spans)
+        index = index_of(store, spans)
         assert features_of(index, "p1", "positive") == [("battery", 2), ("screen", 1)]
 
     def test_label_restriction(self):
-        catalog, store = tiny_corpus()
+        store = tiny_store()
         spans = [span("r1", 0, "battery", 0.9)]
-        index = build_index(catalog, store, spans)
+        index = index_of(store, spans)
         assert features_of(index, "p1", "negative") == []
 
     def test_name_tie_break(self):
-        catalog, store = tiny_corpus()
+        store = tiny_store()
         spans = [
             span("r1", 0, "screen", 0.9),
             span("r1", 1, "battery", 0.8),
         ]
-        index = build_index(catalog, store, spans)
+        index = index_of(store, spans)
         assert features_of(index, "p1", "positive") == [("battery", 1), ("screen", 1)]
 
-
-class TestSnapshot:
-    def test_round_trip_exact(self, tmp_path):
-        catalog, store = tiny_corpus()
-        spans = [
-            span("r1", 0, "battery", 0.9),
-            span("r1", 1, "battery", -0.5),
-            span("r3", 2, "screen", 0.3, surface="Screen"),
-            span("r2", 3, "sound", 0.0),
-        ]
-        index = build_index(catalog, store, spans)
-        path = tmp_path / "index.jsonl"
-        save_index(index, path)
-        again = load_index(path)
-        assert again == index
-
-    def test_real_pipeline_snapshot(self, tmp_path, sample_corpus_paths):
-        from shoptalk.annotate import default_lexicons
-        from shoptalk.corpus import ingest_metadata, ingest_reviews
-
-        meta, reviews = sample_corpus_paths
-        catalog = ingest_metadata(meta)
-        store = ingest_reviews(reviews, catalog)
-        index = build_index(catalog, store, annotate_store(store, default_lexicons()))
-        path = tmp_path / "index.jsonl"
-        save_index(index, path)
-        assert load_index(path) == index

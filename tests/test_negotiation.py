@@ -60,8 +60,8 @@ def build_world(spec, also_viewed=None, titles=None):
                 ordinal += 1
     catalog = make_catalog(products)
     store = make_store(reviews)
-    index = build_index(catalog, store, spans)
     sentences = annotate.sentence_map(store)
+    index = build_index(store, sentences, spans)
     return catalog, store, index, sentences, spans
 
 

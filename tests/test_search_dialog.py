@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from shoptalk.annotate import OpinionSpan, PolarityConfig
+from shoptalk.annotate import OpinionSpan, PolarityConfig, sentence_map
 from shoptalk.corpus import SEARCHABLE_FEATURES, Product
 from shoptalk.errors import NoEligibleProductError
 from shoptalk.opinion_index import build_index
@@ -110,7 +110,7 @@ class TestSampleSeed:
                     feature_surface="battery", feature_canonical="battery",
                     polarity_score=0.5, polarity_label=config.label(0.5),
                 ))
-        return build_index(catalog, store, spans)
+        return build_index(store, sentence_map(store), spans)
 
     def test_forced_choice_when_one_eligible(self):
         catalog = fixture_catalog()
@@ -141,7 +141,7 @@ class TestSampleSeed:
     def test_no_eligible_product_raises(self):
         catalog = fixture_catalog()
         store = make_store([make_review("r1", "p1", "plain text")])
-        index = build_index(catalog, store, [])
+        index = build_index(store, sentence_map(store), [])
         with pytest.raises(NoEligibleProductError):
             sample_seed(catalog, index, random.Random(0), 1)
 
