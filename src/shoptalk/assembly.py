@@ -15,7 +15,6 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -153,7 +152,6 @@ class GenerationSettings:
     top_k: int = 3
     p_skip: float = 0.25
     min_opinions: int = 2
-    workers: int = 1
 
     def __post_init__(self):
         if self.per_template < 1:
@@ -164,8 +162,6 @@ class GenerationSettings:
             raise ValueError("top_k must be >= 1")
         if not 0.0 <= self.p_skip <= 1.0:
             raise ValueError("p_skip must be in [0,1]")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
 
 @dataclass
@@ -321,44 +317,26 @@ def generate_dataset(
             "min_opinions": settings.min_opinions,
         },
     )
-    jobs = [
-        (template, ordinal)
-        for template in sorted(templates, key=lambda t: t.id)
-        for ordinal in range(1, settings.per_template + 1)
-    ]
-
-    def run(job):
-        template, ordinal = job
-        stream = SeedStream(master_seed, "conv", template.id, ordinal)
-        conversation_id = f"t{template.id:02d}-n{ordinal:02d}"
-        try:
-            conversation, attempts = generate_conversation(
-                template, world, stream, phrasebank=phrasebank, settings=settings,
-                conversation_id=conversation_id, master_seed=master_seed,
-            )
-            return conversation, attempts, None
-        except GenerationExhaustedError as exc:
-            return None, exc.attempts, {
-                "template_id": template.id,
-                "ordinal": ordinal,
-                "attempts": exc.attempts,
-            }
-
-    if settings.workers > 1:
-        with ThreadPoolExecutor(max_workers=settings.workers) as pool:
-            results = list(pool.map(run, jobs))
-    else:
-        results = [run(job) for job in jobs]
-
     conversations: list[Conversation] = []
-    for conversation, attempts, failure in results:
-        report.attempts += attempts
-        if conversation is not None:
+    for template in sorted(templates, key=lambda t: t.id):
+        for ordinal in range(1, settings.per_template + 1):
+            stream = SeedStream(master_seed, "conv", template.id, ordinal)
+            try:
+                conversation, attempts = generate_conversation(
+                    template, world, stream, phrasebank=phrasebank, settings=settings,
+                    conversation_id=f"t{template.id:02d}-n{ordinal:02d}",
+                    master_seed=master_seed,
+                )
+            except GenerationExhaustedError as exc:
+                report.attempts += exc.attempts
+                report.exhausted.append({
+                    "template_id": template.id,
+                    "ordinal": ordinal,
+                    "attempts": exc.attempts,
+                })
+                continue
+            report.attempts += attempts
             conversations.append(conversation)
             report.successes += 1
-            report.per_template[conversation.template_id] = (
-                report.per_template.get(conversation.template_id, 0) + 1
-            )
-        else:
-            report.exhausted.append(failure)
+            report.per_template[template.id] = report.per_template.get(template.id, 0) + 1
     return conversations, report

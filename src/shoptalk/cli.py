@@ -34,7 +34,6 @@ DEFAULTS = {
     "t_pos": 0.1,
     "t_neg": -0.1,
     "min_opinions": 2,
-    "workers": 1,
     "strict": False,
 }
 
@@ -110,7 +109,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 def cmd_generate(args: argparse.Namespace) -> int:
     keys = [
         "per_template", "p_skip", "retry_budget", "top_k",
-        "t_pos", "t_neg", "min_opinions", "workers", "strict",
+        "t_pos", "t_neg", "min_opinions", "strict",
     ]
     config = _effective_config(args, keys)
     out = Path(args.out)
@@ -126,7 +125,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
         top_k=config["top_k"],
         p_skip=config["p_skip"],
         min_opinions=config["min_opinions"],
-        workers=config["workers"],
     )
     conversations, report = assembly.generate_dataset(
         _templates(args), args.seed, world, phrasebank=phrasebank, settings=settings,
@@ -197,7 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--t-pos", dest="t_pos", type=float)
     p_gen.add_argument("--t-neg", dest="t_neg", type=float)
     p_gen.add_argument("--min-opinions", dest="min_opinions", type=int)
-    p_gen.add_argument("--workers", type=int)
     p_gen.add_argument("--strict", action="store_true", default=None)
     p_gen.add_argument("--config", help="JSON config file (flags override it)")
     p_gen.set_defaults(func=cmd_generate)

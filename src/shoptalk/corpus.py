@@ -14,6 +14,7 @@ based punctuation restoration can pre-fill ``normalized_text`` upstream.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -131,10 +132,17 @@ class IngestOptions:
 
 
 class ProductCatalog:
-    """Immutable product collection keyed by id."""
+    """Immutable product collection keyed by id.
+
+    Ids are sorted once, here.  The search index, (feature, lowercased
+    value) -> ids, is built on the first ``matching`` call, so commands
+    that never search (ingest, validate) never pay for it.
+    """
 
     def __init__(self, products: dict[str, Product], report: IngestReport):
         self._products = dict(products)
+        self._ids = tuple(sorted(self._products))
+        self._search_index: Optional[dict[tuple[str, str], frozenset[str]]] = None
         self.report = report
 
     def __len__(self) -> int:
@@ -144,7 +152,7 @@ class ProductCatalog:
         return product_id in self._products
 
     def __iter__(self) -> Iterator[Product]:
-        for pid in sorted(self._products):
+        for pid in self._ids:
             yield self._products[pid]
 
     def __eq__(self, other) -> bool:
@@ -156,8 +164,26 @@ class ProductCatalog:
     def get(self, product_id: str) -> Optional[Product]:
         return self._products.get(product_id)
 
-    def ids(self) -> list[str]:
-        return sorted(self._products)
+    def ids(self) -> tuple[str, ...]:
+        return self._ids
+
+    def matching(self, feature: str, value: str) -> frozenset[str]:
+        """Ids of the products whose ``feature`` equals ``value`` under
+        ``str.lower()``; a product lacking the field matches nothing."""
+        if feature not in SEARCHABLE_FEATURES:
+            raise KeyError(f"not a searchable feature: {feature!r}")
+        if self._search_index is None:
+            self._search_index = self._build_search_index()
+        return self._search_index.get((feature, value.lower()), frozenset())
+
+    def _build_search_index(self) -> dict[tuple[str, str], frozenset[str]]:
+        groups: dict[tuple[str, str], set[str]] = {}
+        for pid, product in self._products.items():
+            for feature in SEARCHABLE_FEATURES:
+                value = getattr(product, feature)
+                if value is not None:
+                    groups.setdefault((feature, value.lower()), set()).add(pid)
+        return {key: frozenset(ids) for key, ids in groups.items()}
 
 
 class ReviewStore:
@@ -217,9 +243,18 @@ def _parse_product(record: dict) -> Product:
         raise ValueError("missing or empty id")
     if title is None or not isinstance(title, str):
         raise ValueError("missing title")
+    for key in SEARCHABLE_FEATURES:
+        value = record.get(key)
+        if value is not None and not isinstance(value, str):
+            raise ValueError(f"{key} must be a string")
+    for key in ("category_path", "also_viewed"):
+        if not isinstance(record.get(key, []), list):
+            raise ValueError(f"{key} must be a list")
     price = record.get("price")
     if price is not None:
         price = float(price)
+        if not math.isfinite(price):
+            raise ValueError("non-finite price")
         if price < 0:
             raise ValueError("negative price")
     category_path = tuple(str(c) for c in record.get("category_path", []))

@@ -58,13 +58,16 @@ def conversation_from_record(record: dict) -> Conversation:
         seed_product=record["alternatives"]["seed_product"],
         members=tuple(record["alternatives"]["members"]),
     )
+    pair_trace = tuple(record.get("pair_trace", []))
+    if not all(isinstance(entry, dict) for entry in pair_trace):
+        raise ValueError("pair_trace entry is not an object")
     return Conversation(
         id=record["id"],
         template_id=int(record["template_id"]),
         master_seed=int(record["master_seed"]),
         search_turns=search_turns,
         evaluation_turns=evaluation_turns,
-        pair_trace=tuple(record.get("pair_trace", [])),
+        pair_trace=pair_trace,
         product_trajectory=tuple(record["product_trajectory"]),
         alternatives=alternatives,
     )

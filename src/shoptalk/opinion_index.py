@@ -31,7 +31,7 @@ def _rank_key(span: OpinionSpan):
 class OpinionIndex:
     entries: dict[IndexKey, tuple[OpinionSpan, ...]]
     feature_directory: dict[str, frozenset[str]]
-    non_neutral_counts: dict[str, int]
+    non_neutral_counts: dict[str, int]  # keyed in ascending product-id order
 
     def spans_for(self, key: IndexKey) -> tuple[OpinionSpan, ...]:
         return self.entries.get(key, ())
@@ -67,7 +67,7 @@ def build_index(
     return OpinionIndex(
         entries=entries,
         feature_directory={pid: frozenset(feats) for pid, feats in directory.items()},
-        non_neutral_counts=counts,
+        non_neutral_counts=dict(sorted(counts.items())),
     )
 
 

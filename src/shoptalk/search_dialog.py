@@ -67,13 +67,21 @@ def sample_seed(
     rng: random.Random,
     min_opinions: int = 2,
 ) -> str:
-    """Uniform seeded choice among products with at least ``min_opinions``
-    non-neutral indexed spans."""
-    eligible = [
-        pid
-        for pid in catalog.ids()
-        if index.non_neutral_counts.get(pid, 0) >= min_opinions
-    ]
+    """Uniform seeded choice among catalog products, in id order, with at
+    least ``min_opinions`` non-neutral indexed spans.
+
+    The index must be built from reviews of this catalog's products, as a
+    ``World``'s is: then its ``non_neutral_counts``, keyed in id order,
+    yields that list without walking the catalog.
+    """
+    if min_opinions > 0:
+        eligible = [
+            pid
+            for pid, count in index.non_neutral_counts.items()
+            if count >= min_opinions
+        ]
+    else:
+        eligible = catalog.ids()
     if not eligible:
         raise NoEligibleProductError(
             f"no product has >= {min_opinions} non-neutral opinions"
@@ -82,19 +90,16 @@ def sample_seed(
 
 
 def filter_catalog(catalog: ProductCatalog, profile: PreferenceProfile) -> set[str]:
-    """Products matching every answered feature exactly (case-insensitive);
+    """Products matching every answered feature exactly under ``str.lower()``;
     a product lacking an answered field does not match."""
-    matches = set()
-    for product in catalog:
-        for feature, wanted in profile.answers():
-            if wanted is None:
-                continue
-            actual = product.searchable_value(feature)
-            if actual is None or actual.lower() != wanted.lower():
-                break
-        else:
-            matches.add(product.id)
-    return matches
+    matches = sorted(
+        (catalog.matching(feature, wanted)
+         for feature, wanted in profile.answers() if wanted is not None),
+        key=len,
+    )
+    if not matches:
+        return set(catalog.ids())
+    return set(matches[0]).intersection(*matches[1:])
 
 
 def generate_search_dialog(

@@ -3,6 +3,7 @@ the world derived from it."""
 
 from __future__ import annotations
 
+import importlib.util
 import json
 from pathlib import Path
 
@@ -46,6 +47,15 @@ def write_jsonl(path: Path, records: list[dict]) -> Path:
         for record in records:
             fh.write(json.dumps(record) + "\n")
     return path
+
+
+def load_corpus_script():
+    """scripts/build_sample_corpus.py as a module."""
+    script = Path(__file__).resolve().parent.parent / "scripts" / "build_sample_corpus.py"
+    spec = importlib.util.spec_from_file_location("build_sample_corpus", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,7 @@
 """Conversation templates, composition, backtracking, and stream
 independence."""
 
+import dataclasses
 import itertools
 import json
 import os
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import shoptalk
-from shoptalk import annotate
+from shoptalk import annotate, assembly
 from shoptalk.annotate import OpinionSpan, PolarityConfig
 from shoptalk.assembly import (
     ConversationTemplate,
@@ -23,7 +24,7 @@ from shoptalk.assembly import (
     generate_dataset,
     load_templates,
 )
-from shoptalk.corpus import Product
+from shoptalk.corpus import Product, ProductCatalog
 from shoptalk.errors import GenerationExhaustedError
 from shoptalk.negotiation import PairKind, default_phrasebank
 from shoptalk.opinion_index import build_index
@@ -294,20 +295,6 @@ class TestGenerateDataset:
             json.dumps(c.to_record(), sort_keys=True) for c in b
         ]
 
-    def test_workers_do_not_change_output(self, world):
-        templates = builtin_templates()[:4]
-        serial, _ = generate_dataset(
-            templates, 9, world,
-            phrasebank=default_phrasebank(),
-            settings=GenerationSettings(per_template=2, workers=1),
-        )
-        threaded, _ = generate_dataset(
-            templates, 9, world,
-            phrasebank=default_phrasebank(),
-            settings=GenerationSettings(per_template=2, workers=4),
-        )
-        assert [c.to_record() for c in serial] == [c.to_record() for c in threaded]
-
     def test_exhaustions_reported_not_raised(self):
         # all-positive corpus: template 9 works, template 1 (needs a
         # denial) cannot
@@ -322,3 +309,42 @@ class TestGenerateDataset:
         assert [c.template_id for c in conversations] == [9]
         assert len(report.exhausted) == 1
         assert report.exhausted[0]["template_id"] == 1
+
+
+class TestSearchCost:
+    # p_skip=1.0: every search has no answers and must still not walk
+    @pytest.mark.parametrize("p_skip", [0.25, 1.0])
+    def test_generation_never_walks_the_catalog(self, world, monkeypatch, p_skip):
+        # a catalog whose search index is not built yet
+        fresh = dataclasses.replace(world, catalog=make_catalog(list(world.catalog)))
+        walks, valued, seeds, builds = [], set(), set(), []
+        build = ProductCatalog._build_search_index
+        sample_seed = assembly.sample_seed
+
+        def counting_build(catalog):
+            builds.append(catalog)
+            return build(catalog)
+
+        def recording_sample_seed(*args):
+            seed = sample_seed(*args)
+            seeds.add(seed)
+            return seed
+
+        def recording_value(product, feature):
+            valued.add(product.id)
+            return getattr(product, feature)
+
+        monkeypatch.setattr(ProductCatalog, "_build_search_index", counting_build)
+        monkeypatch.setattr(ProductCatalog, "__iter__",
+                            lambda catalog: walks.append(catalog) or iter(()))
+        monkeypatch.setattr(Product, "searchable_value", recording_value)
+        monkeypatch.setattr(assembly, "sample_seed", recording_sample_seed)
+        conversations, report = generate_dataset(
+            builtin_templates(), 7, fresh, phrasebank=default_phrasebank(),
+            settings=GenerationSettings(per_template=2, p_skip=p_skip),
+        )
+        assert report.successes == len(conversations) == 28
+        assert walks == []
+        assert valued and valued <= seeds
+        assert builds == ([] if p_skip == 1.0 else [fresh.catalog])
+        assert all(catalog is fresh.catalog for catalog in builds)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 from collections import Counter
 
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from shoptalk import annotate
 from shoptalk.cli import main
 
-from conftest import write_jsonl
+from conftest import load_corpus_script, write_jsonl
 
 
 @pytest.fixture
@@ -165,6 +166,24 @@ class TestGenerate:
         assert digest == "fec8c785e24767bd8eb92860741796571dd9de341187b7a59e00d752099d950c"
 
 
+class TestGoldenAtScale:
+    def test_dataset_digest_on_2000_products(self, tmp_path):
+        # alternatives sets average 67 members here, so the search filter
+        # decides much of the output
+        corpus = load_corpus_script()
+        rng = random.Random(1)
+        products = corpus.build_products(rng, 2000)
+        write_jsonl(tmp_path / "meta.jsonl", products)
+        write_jsonl(tmp_path / "reviews.jsonl", corpus.build_reviews(rng, products[::10]))
+        snap, out = tmp_path / "snap", tmp_path / "run"
+        assert main(["ingest", "--meta", str(tmp_path / "meta.jsonl"),
+                     "--reviews", str(tmp_path / "reviews.jsonl"), "--out", str(snap)]) == 0
+        assert main(["generate", "--snapshot", str(snap), "--out", str(out),
+                     "--seed", "7", "--per-template", "2"]) == 0
+        digest = hashlib.sha256((out / "dataset.jsonl").read_bytes()).hexdigest()
+        assert digest == "ad6ee8767aecd40cf7b51306fb234390b89789a49e58bf4c9ef04e1e3c9174a9"
+
+
 class TestDeriveOnce:
     def test_each_command_splits_each_review_once(self, tmp_path, snapshot_dir,
                                                   monkeypatch):
@@ -259,3 +278,19 @@ class TestStatsCommand:
         err = capsys.readouterr().err
         assert "schema violation at line 1" in err
         assert "Traceback" not in err
+
+    def test_non_object_pair_trace_entry_exits_one(self, tmp_path, snapshot_dir, capsys):
+        out = tmp_path / "run"
+        main(["generate", "--snapshot", str(snapshot_dir), "--out", str(out),
+              "--seed", "7", "--per-template", "1"])
+        dataset = out / "dataset.jsonl"
+        records = [json.loads(l) for l in dataset.read_text().splitlines()]
+        records[2]["pair_trace"] = [1]
+        dataset.write_text("\n".join(json.dumps(r) for r in records) + "\n")
+        capsys.readouterr()
+        for argv in (["stats", "--dataset", str(dataset)],
+                     ["validate", "--dataset", str(dataset), "--snapshot", str(snapshot_dir)]):
+            assert main(argv) == 1, argv[0]
+            err = capsys.readouterr().err
+            assert "schema violation at line 3" in err
+            assert "Traceback" not in err

@@ -1,8 +1,6 @@
 """Ingestion and normalization contracts."""
 
-import importlib.util
 import json
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +16,7 @@ from shoptalk.corpus import (
 )
 from shoptalk.errors import DuplicateIdError, MalformedRecordError
 
-from conftest import write_jsonl
+from conftest import load_corpus_script, write_jsonl
 
 
 class TestNormalizeText:
@@ -102,6 +100,31 @@ class TestIngestMetadata:
         catalog = ingest_metadata(path)
         assert len(catalog) == 0
         assert catalog.report.malformed == 1
+
+    @pytest.mark.parametrize("key, value", [
+        ("brand", 7),
+        ("os", ["android"]),
+        ("price", float("nan")),
+        ("price", float("inf")),
+        ("also_viewed", "p1x"),
+        ("category_path", "Phones"),
+    ], ids=["brand-int", "os-list", "price-nan", "price-inf",
+            "also-viewed-string", "category-path-string"])
+    def test_ill_typed_field_is_malformed(self, tmp_path, key, value):
+        path = write_jsonl(tmp_path / "meta.jsonl", [
+            {"id": "B1", "title": "A", "brand": "LG"},
+            {"id": "B2", "title": "B", key: value},
+        ])
+        catalog = ingest_metadata(path)
+        assert catalog.ids() == ("B1",)
+        assert catalog.report.malformed_lines == [2]
+        with pytest.raises(MalformedRecordError) as exc_info:
+            ingest_metadata(path, IngestOptions(strict=True))
+        assert exc_info.value.line_no == 2
+
+    def test_null_searchable_field_is_absent(self, tmp_path):
+        path = write_jsonl(tmp_path / "meta.jsonl", [{"id": "B1", "title": "A", "brand": None}])
+        assert ingest_metadata(path).get("B1").brand is None
 
 
 class TestIngestReviews:
@@ -203,9 +226,5 @@ class TestRoundTrip:
 
 class TestSampleCorpusScript:
     def test_coverage_check_passes_on_bundled_sample(self, sample_corpus_paths, capsys):
-        script = Path(__file__).resolve().parent.parent / "scripts" / "build_sample_corpus.py"
-        spec = importlib.util.spec_from_file_location("build_sample_corpus", script)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        module.check_coverage(*sample_corpus_paths)
+        load_corpus_script().check_coverage(*sample_corpus_paths)
         assert capsys.readouterr().out == "coverage ok: 32 products, 320 reviews, 780 spans\n"

@@ -67,6 +67,19 @@ class TestRoundTrip:
             read_dataset(path)
         assert exc_info.value.line_no == 3
 
+    def test_non_object_pair_trace_entry_raises_with_line_number(self, tmp_path, generated):
+        conversations, _ = generated
+        record = conversations[1].to_record()
+        record["pair_trace"] = [1]
+        path = tmp_path / "trace.jsonl"
+        write_dataset(conversations[:1], path)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(record) + "\n")
+        with pytest.raises(SchemaViolationError) as exc_info:
+            read_dataset(path)
+        assert exc_info.value.line_no == 2
+        assert "pair_trace" in str(exc_info.value)
+
 
 def mutate_dataset(tmp_path, conversations, mutator, name="mutated.jsonl"):
     """Write conversations, apply mutator to a copy of the first record."""

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shoptalk.annotate import OpinionSpan, PolarityConfig, sentence_map
 from shoptalk.corpus import SEARCHABLE_FEATURES, Product
@@ -47,6 +49,43 @@ def brute_force_filter(catalog, profile):
     return result
 
 
+# Values whose lowercase forms collide or nearly do; "ß" and "SS" agree
+# under casefold() but not under lower(), which the filter uses.
+VALUES = ["Samsung", "samsung", "SAMSUNG", "LG", "lg", "4 GB", "4 gb", "ß", "SS", "ss", "İ", "i"]
+CASE_CHANGES = [str.upper, str.lower, str.swapcase, str.title]
+
+
+@st.composite
+def catalogs(draw, max_size=12):
+    """Products with every searchable field drawn from VALUES, short
+    arbitrary text, or absent; inserted in shuffled id order."""
+    value = st.one_of(st.none(), st.sampled_from(VALUES), st.text(max_size=3))
+    products = [
+        Product(id=f"p{i:02d}", title=f"t{i}",
+                **{feature: draw(value) for feature in SEARCHABLE_FEATURES})
+        for i in range(draw(st.integers(0, max_size)))
+    ]
+    return make_catalog(draw(st.permutations(products)))
+
+
+@st.composite
+def catalogs_and_profiles(draw):
+    """A catalog and answers that are absent, any of VALUES, or a value the
+    catalog holds, possibly in another case."""
+    catalog = draw(catalogs())
+    answers = {}
+    for feature in SEARCHABLE_FEATURES:
+        held = sorted({getattr(p, feature) for p in catalog} - {None})
+        choices = [st.none(), st.sampled_from(VALUES)]
+        if held:
+            choices.append(st.sampled_from(held))
+        answer = draw(st.one_of(*choices))
+        if answer is not None and draw(st.booleans()):
+            answer = draw(st.sampled_from(CASE_CHANGES))(answer)
+        answers[feature] = answer
+    return catalog, PreferenceProfile(**answers)
+
+
 class TestFilter:
     def test_all_no_preference_returns_full_catalog(self):
         catalog = fixture_catalog()
@@ -85,6 +124,17 @@ class TestFilter:
             if filter_catalog(catalog, profile) != brute_force_filter(catalog, profile):
                 mismatches += 1
         assert mismatches == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(catalogs_and_profiles())
+    def test_matches_brute_force_on_random_catalogs(self, case):
+        catalog, profile = case
+        assert filter_catalog(catalog, profile) == brute_force_filter(catalog, profile)
+
+    def test_lower_not_casefold(self):
+        catalog = make_catalog([Product(id="p1", title="t", brand="ß")])
+        assert filter_catalog(catalog, PreferenceProfile(brand="ß")) == {"p1"}
+        assert filter_catalog(catalog, PreferenceProfile(brand="SS")) == set()
 
     def test_monotone_under_added_constraints(self):
         catalog = fixture_catalog()
@@ -137,6 +187,35 @@ class TestSampleSeed:
         for seed in range(200):
             seen.add(sample_seed(catalog, index, random.Random(seed), 2))
         assert seen == expected_eligible
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_same_choice_as_full_catalog_list(self, data):
+        catalog = data.draw(catalogs(max_size=20))
+        pids = catalog.ids()
+        # reviews in shuffled order, so spans do not arrive in product order
+        reviewed = data.draw(st.permutations(pids))[:data.draw(st.integers(0, len(pids)))]
+        store = make_store([make_review(f"r-{p}", p, "battery stuff") for p in reviewed])
+        config = PolarityConfig()
+        spans = [
+            OpinionSpan(f"r-{p}", 0, "battery", "battery", score, config.label(score))
+            for p in reviewed
+            for score in data.draw(st.lists(st.sampled_from([0.5, -0.5, 0.0]), max_size=4))
+        ]
+        index = build_index(store, sentence_map(store), spans)
+        min_opinions = data.draw(st.integers(0, 3))
+        seed = data.draw(st.integers(0, 2**32))
+        non_neutral = {p: 0 for p in pids}
+        for span in spans:
+            if span.polarity_label != "neutral":
+                non_neutral[store.get(span.review_id).product_id] += 1
+        old_list = [p for p in sorted(pids) if non_neutral[p] >= min_opinions]
+        if not old_list:
+            with pytest.raises(NoEligibleProductError):
+                sample_seed(catalog, index, random.Random(seed), min_opinions)
+        else:
+            expected = random.Random(seed).choice(old_list)
+            assert sample_seed(catalog, index, random.Random(seed), min_opinions) == expected
 
     def test_no_eligible_product_raises(self):
         catalog = fixture_catalog()
