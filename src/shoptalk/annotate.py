@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import json
 import re
+import string
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Optional
 
@@ -31,7 +33,15 @@ ABBREVIATIONS = frozenset(
     "approx etc mr mrs ms dr prof vs inc ltd co corp jr sr st no fig min max".split()
 )
 
-_TOKEN = re.compile(r"[A-Za-z0-9]+(?:'[A-Za-z]+)?")
+# Words are read from an ASCII-only lowering of the text: str.lower() is
+# not length-preserving on other text ("İ" lowers to two code points), so it
+# would shift every later offset.  The group makes split() return gaps and
+# words alternately, so a word's offset is the length of what precedes it.
+_TOKEN = re.compile(r"([a-z0-9]+(?:'[a-z]+)?)")
+_ASCII_LOWER = str.maketrans(string.ascii_uppercase, string.ascii_lowercase)
+
+# A maximal run of sentence marks followed by a space or the end of text.
+_SENTENCE_END = re.compile(r"[.!?]+(?= |\Z)")
 
 
 @dataclass(frozen=True)
@@ -83,15 +93,17 @@ def canonicalize_feature(term: str) -> str:
 
 @dataclass(frozen=True)
 class Lexicons:
-    """Scorer vocabulary, validated once at construction; the mappings are
-    not copied and must not be mutated afterwards."""
+    """Scorer vocabulary, validated and compiled once at construction; the
+    mappings are not copied and must not be mutated afterwards."""
 
     feature_terms: dict[str, str] = field(default_factory=dict)
     sentiment_terms: dict[str, float] = field(default_factory=dict)
     negators: frozenset[str] = frozenset()
     intensifiers: dict[str, float] = field(default_factory=dict)
-    # longest feature phrase, in tokens; bounds the phrase matcher
-    max_feature_tokens: int = field(init=False, repr=False, compare=False)
+    # feature phrase -> canonical key, for every phrase that resolves
+    phrase_table: dict[str, str] = field(init=False, repr=False, compare=False)
+    # first word -> length, in words, of the longest phrase starting with it
+    phrase_lengths: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for surface, canonical in self.feature_terms.items():
@@ -105,8 +117,22 @@ class Lexicons:
         for term, factor in self.intensifiers.items():
             if factor <= 0:
                 raise InvalidLexiconError(f"multiplier for {term!r} must be > 0")
-        longest = max((len(term.split()) for term in self.feature_terms), default=0)
-        object.__setattr__(self, "max_feature_tokens", longest)
+        # A tokenized phrase resolves to a term directly, or through
+        # canonicalize_feature, which at most strips one trailing "s"; so
+        # only a term or a term + "s" can resolve, and the direct hit wins.
+        terms = self.feature_terms
+        table = {}
+        for term in terms:
+            for phrase in (term, term + "s"):
+                key = phrase if phrase in terms else canonicalize_feature(phrase)
+                if key in terms:
+                    table[phrase] = terms[key]
+        lengths: dict[str, int] = {}
+        for phrase in table:
+            words = phrase.split(" ")
+            lengths[words[0]] = max(lengths.get(words[0], 0), len(words))
+        object.__setattr__(self, "phrase_table", table)
+        object.__setattr__(self, "phrase_lengths", lengths)
 
 
 def split_sentences(review: Review) -> list[Sentence]:
@@ -115,29 +141,19 @@ def split_sentences(review: Review) -> list[Sentence]:
     text = review.normalized_text
     sentences: list[Sentence] = []
     start = 0
-    i = 0
-    n = len(text)
-    while i < n:
-        if text[i] in ".!?":
-            j = i + 1
-            while j < n and text[j] in ".!?":
-                j += 1
-            at_end = j >= n
-            if at_end or text[j] == " ":
-                if text[i] == "." and j - i == 1 and _abbreviation_before(text, i):
-                    i = j
-                    continue
-                segment = text[start:j]
-                if segment.strip():
-                    sentences.append(
-                        Sentence(review.id, len(sentences), start, j, segment)
-                    )
-                start = j + 1 if not at_end else j
-                i = start
-                continue
-        i += 1
-    if start < n and text[start:].strip():
-        sentences.append(Sentence(review.id, len(sentences), start, n, text[start:]))
+    for mark in _SENTENCE_END.finditer(text):
+        end = mark.end()
+        single_period = end - mark.start() == 1 and text[end - 1] == "."
+        if single_period and _abbreviation_before(text, end - 1):
+            continue
+        segment = text[start:end]
+        if segment.strip():
+            sentences.append(Sentence(review.id, len(sentences), start, end, segment))
+        start = min(end + 1, len(text))
+    if text[start:].strip():
+        sentences.append(
+            Sentence(review.id, len(sentences), start, len(text), text[start:])
+        )
     return sentences
 
 
@@ -151,62 +167,60 @@ def _abbreviation_before(text: str, period_pos: int) -> bool:
     return len(word) == 1 or word in ABBREVIATIONS
 
 
-def _tokenize(text: str) -> list[tuple[str, int, int]]:
-    return [(m.group(0).lower(), m.start(), m.end()) for m in _TOKEN.finditer(text)]
+def _split_words(text: str) -> list[str]:
+    """Gaps and ASCII-lowercased words of ``text``, alternating: word k is
+    ``parts[2k + 1]``; see _word_range for its offsets."""
+    lowered = text.lower() if text.isascii() else text.translate(_ASCII_LOWER)
+    return _TOKEN.split(lowered)
 
 
-def _find_features(
-    tokens: list[tuple[str, int, int]], lexicons: Lexicons
-) -> list[tuple[int, int, str]]:
-    """Yield (first_token, last_token, canonical) for each feature-term
+def _word_range(parts: list[str], first: int, last: int) -> tuple[int, int]:
+    """Offsets [start, end) of words first..last in the split text."""
+    start = sum(map(len, parts[: 2 * first + 1]))
+    return start, start + sum(map(len, parts[2 * first + 1 : 2 * last + 2]))
+
+
+def _find_features(words: list[str], lexicons: Lexicons) -> list[tuple[int, int, str]]:
+    """(first_word, last_word, canonical) for each feature-phrase
     occurrence, longest match first, non-overlapping."""
+    table = lexicons.phrase_table
+    lengths = lexicons.phrase_lengths
     matches = []
-    max_n = lexicons.max_feature_tokens
-    i = 0
-    while i < len(tokens):
-        matched = False
-        for n in range(min(max_n, len(tokens) - i), 0, -1):
-            phrase = " ".join(tok for tok, _, _ in tokens[i : i + n])
-            key = None
-            if phrase in lexicons.feature_terms:
-                key = phrase
-            else:
-                stripped = canonicalize_feature(phrase)
-                if stripped in lexicons.feature_terms:
-                    key = stripped
-            if key is not None:
-                matches.append((i, i + n - 1, lexicons.feature_terms[key]))
-                i += n
-                matched = True
+    resume = 0
+    for i, word in enumerate(words):
+        if i < resume or word not in lengths:
+            continue
+        for n in range(min(lengths[word], len(words) - i), 0, -1):
+            canonical = table.get(" ".join(words[i : i + n]) if n > 1 else word)
+            if canonical is not None:
+                matches.append((i, i + n - 1, canonical))
+                resume = i + n
                 break
-        if not matched:
-            i += 1
     return matches
 
 
 def _score_window(
-    tokens: list[tuple[str, int, int]],
+    words: list[str],
     first: int,
     last: int,
     lexicons: Lexicons,
     config: PolarityConfig,
 ) -> float:
+    sentiment = lexicons.sentiment_terms
+    intensifiers = lexicons.intensifiers
     lo = max(0, first - config.window)
-    hi = min(len(tokens) - 1, last + config.window)
+    hi = min(len(words), last + 1 + config.window)
     total = 0.0
-    for t in range(lo, hi + 1):
-        if first <= t <= last:
-            continue
-        token = tokens[t][0]
-        weight = lexicons.sentiment_terms.get(token)
+    for t in chain(range(lo, first), range(last + 1, hi)):
+        weight = sentiment.get(words[t])
         if weight is None:
             continue
         p = t - 1
-        while p >= 0 and tokens[p][0] in lexicons.intensifiers:
-            weight *= lexicons.intensifiers[tokens[p][0]]
+        while p >= 0 and words[p] in intensifiers:
+            weight *= intensifiers[words[p]]
             p -= 1
-        lookback = range(max(0, t - config.negation_lookback), t)
-        if any(tokens[q][0] in lexicons.negators for q in lookback):
+        lookback = words[max(0, t - config.negation_lookback) : t]
+        if not lexicons.negators.isdisjoint(lookback):
             weight = -weight
         total += weight
     return max(-1.0, min(1.0, total))
@@ -215,19 +229,19 @@ def _score_window(
 def extract_opinions(
     sentence: Sentence, lexicons: Lexicons, config: PolarityConfig = PolarityConfig()
 ) -> list[OpinionSpan]:
-    """Emit one span per feature-term occurrence, scored over a token
+    """Emit one span per feature-phrase occurrence, scored over a word
     window with intensifier chaining and negation flipping."""
-    tokens = _tokenize(sentence.text)
+    parts = _split_words(sentence.text)
+    words = parts[1::2]
     spans = []
-    for first, last, canonical in _find_features(tokens, lexicons):
-        surface = sentence.text[tokens[first][1] : tokens[last][2]]
-        score = _score_window(tokens, first, last, lexicons, config)
-        score = round(score, 6)
+    for first, last, canonical in _find_features(words, lexicons):
+        start, end = _word_range(parts, first, last)
+        score = round(_score_window(words, first, last, lexicons, config), 6)
         spans.append(
             OpinionSpan(
                 review_id=sentence.review_id,
                 sentence_ordinal=sentence.ordinal,
-                feature_surface=surface,
+                feature_surface=sentence.text[start:end],
                 feature_canonical=canonical,
                 polarity_score=score,
                 polarity_label=config.label(score),
@@ -316,10 +330,19 @@ def import_annotations(
 
 
 def _locate_surface(text: str, feature: str) -> Optional[str]:
-    idx = text.lower().find(feature.lower())
-    if idx < 0:
+    """The first run of whole words of ``text`` equal to the words of
+    ``feature`` (ASCII case-insensitive), verbatim; None if there is none."""
+    wanted = _split_words(feature)[1::2]
+    if not wanted:
         return None
-    return text[idx : idx + len(feature)]
+    parts = _split_words(text)
+    words = parts[1::2]
+    n = len(wanted)
+    for i in range(len(words) - n + 1):
+        if words[i : i + n] == wanted:
+            start, end = _word_range(parts, i, i + n - 1)
+            return text[start:end]
+    return None
 
 
 def merge_spans(

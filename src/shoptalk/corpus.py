@@ -252,7 +252,12 @@ def _parse_product(record: dict) -> Product:
             raise ValueError(f"{key} must be a list")
     price = record.get("price")
     if price is not None:
-        price = float(price)
+        if isinstance(price, bool) or not isinstance(price, (int, float)):
+            raise ValueError("price must be a number")
+        try:
+            price = float(price)
+        except OverflowError:
+            raise ValueError("price out of range") from None
         if not math.isfinite(price):
             raise ValueError("non-finite price")
         if price < 0:
@@ -318,7 +323,10 @@ def _parse_review(record: dict) -> tuple[str, str, str, Optional[int], Optional[
         raise ValueError("missing text")
     rating = record.get("rating")
     if rating is not None:
-        rating = int(rating)
+        if isinstance(rating, float) and rating.is_integer():
+            rating = int(rating)
+        if isinstance(rating, bool) or not isinstance(rating, int):
+            raise ValueError("rating must be an integer")
         if not 1 <= rating <= 5:
             raise ValueError(f"rating {rating} out of [1,5]")
     normalized = record.get("normalized_text")

@@ -282,12 +282,22 @@ def _check_polarity(
                 continue
             identity = (ref.review_id, ref.sentence_ordinal, ref.feature)
             indexed = index.spans_for((turn.product_id, ref.feature, required))
-            if not any(span.identity == identity for span in indexed):
+            # one sentence can hold the same feature twice, so one identity
+            # can have several spans; the ref must carry one of their scores
+            scores = [s.polarity_score for s in indexed if s.identity == identity]
+            if not scores:
                 report.add(
                     conversation.id,
                     RULE_POLARITY,
                     f"turn {i}: corpus index has no {required} span "
                     f"{identity} for product {turn.product_id}",
+                )
+            elif ref.score not in scores:
+                report.add(
+                    conversation.id,
+                    RULE_POLARITY,
+                    f"turn {i}: score {ref.score} is not the indexed score of "
+                    f"span {identity}",
                 )
 
 

@@ -1,0 +1,134 @@
+"""Reference copies of the sentence splitter and the lexicon extractor as
+they were before the lexicon was compiled into a phrase table: a character
+loop for the splitter, and a matcher that tries every n-gram of every token
+through canonicalize_feature.  The production code must agree with them
+exactly; see test_annotate.TestReferenceEquivalence."""
+
+from __future__ import annotations
+
+import re
+
+from shoptalk.annotate import (
+    ABBREVIATIONS,
+    SOURCE_LEXICON,
+    Lexicons,
+    OpinionSpan,
+    PolarityConfig,
+    canonicalize_feature,
+)
+from shoptalk.corpus import Review, Sentence
+
+_TOKEN = re.compile(r"[A-Za-z0-9]+(?:'[A-Za-z]+)?")
+
+
+def split_sentences(review: Review) -> list[Sentence]:
+    text = review.normalized_text
+    sentences: list[Sentence] = []
+    start = 0
+    i = 0
+    n = len(text)
+    while i < n:
+        if text[i] in ".!?":
+            j = i + 1
+            while j < n and text[j] in ".!?":
+                j += 1
+            at_end = j >= n
+            if at_end or text[j] == " ":
+                if text[i] == "." and j - i == 1 and _abbreviation_before(text, i):
+                    i = j
+                    continue
+                segment = text[start:j]
+                if segment.strip():
+                    sentences.append(
+                        Sentence(review.id, len(sentences), start, j, segment)
+                    )
+                start = j + 1 if not at_end else j
+                i = start
+                continue
+        i += 1
+    if start < n and text[start:].strip():
+        sentences.append(Sentence(review.id, len(sentences), start, n, text[start:]))
+    return sentences
+
+
+def _abbreviation_before(text: str, period_pos: int) -> bool:
+    k = period_pos
+    while k > 0 and text[k - 1].isalpha():
+        k -= 1
+    word = text[k:period_pos].lower()
+    if not word:
+        return False
+    return len(word) == 1 or word in ABBREVIATIONS
+
+
+def _tokenize(text: str) -> list[tuple[str, int, int]]:
+    return [(m.group(0).lower(), m.start(), m.end()) for m in _TOKEN.finditer(text)]
+
+
+def _find_features(tokens, lexicons: Lexicons) -> list[tuple[int, int, str]]:
+    matches = []
+    max_n = max((len(term.split()) for term in lexicons.feature_terms), default=0)
+    i = 0
+    while i < len(tokens):
+        matched = False
+        for n in range(min(max_n, len(tokens) - i), 0, -1):
+            phrase = " ".join(tok for tok, _, _ in tokens[i : i + n])
+            key = None
+            if phrase in lexicons.feature_terms:
+                key = phrase
+            else:
+                stripped = canonicalize_feature(phrase)
+                if stripped in lexicons.feature_terms:
+                    key = stripped
+            if key is not None:
+                matches.append((i, i + n - 1, lexicons.feature_terms[key]))
+                i += n
+                matched = True
+                break
+        if not matched:
+            i += 1
+    return matches
+
+
+def _score_window(tokens, first, last, lexicons: Lexicons, config: PolarityConfig) -> float:
+    lo = max(0, first - config.window)
+    hi = min(len(tokens) - 1, last + config.window)
+    total = 0.0
+    for t in range(lo, hi + 1):
+        if first <= t <= last:
+            continue
+        token = tokens[t][0]
+        weight = lexicons.sentiment_terms.get(token)
+        if weight is None:
+            continue
+        p = t - 1
+        while p >= 0 and tokens[p][0] in lexicons.intensifiers:
+            weight *= lexicons.intensifiers[tokens[p][0]]
+            p -= 1
+        lookback = range(max(0, t - config.negation_lookback), t)
+        if any(tokens[q][0] in lexicons.negators for q in lookback):
+            weight = -weight
+        total += weight
+    return max(-1.0, min(1.0, total))
+
+
+def extract_opinions(
+    sentence: Sentence, lexicons: Lexicons, config: PolarityConfig = PolarityConfig()
+) -> list[OpinionSpan]:
+    tokens = _tokenize(sentence.text)
+    spans = []
+    for first, last, canonical in _find_features(tokens, lexicons):
+        surface = sentence.text[tokens[first][1] : tokens[last][2]]
+        score = round(_score_window(tokens, first, last, lexicons, config), 6)
+        spans.append(
+            OpinionSpan(
+                review_id=sentence.review_id,
+                sentence_ordinal=sentence.ordinal,
+                feature_surface=surface,
+                feature_canonical=canonical,
+                polarity_score=score,
+                polarity_label=config.label(score),
+                source=SOURCE_LEXICON,
+            )
+        )
+    return spans

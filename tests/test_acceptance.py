@@ -97,6 +97,12 @@ def test_criterion_2_grounding_no_lie(world, full_run, tmp_path):
 
     flipped = mutate(flip, "flip.jsonl")
     assert len(flipped) == 1 and flipped[0][1] == "polarity"
+
+    def rescore(record):
+        grounded_turn(record)["grounding"][0]["score"] += 0.01
+
+    rescored = mutate(rescore, "rescore.jsonl")
+    assert len(rescored) == 1 and rescored[0][1] == "polarity"
     print(
         "\nPASS criterion 2 (grounding no-lie): 0 violations on fresh dataset; "
         "each mutation flagged exactly once"

@@ -1,16 +1,24 @@
 """Sentence splitting and opinion extraction, cross-checked against a
 brute-force scorer written independently of the production code."""
 
+import dataclasses
+import hashlib
+import json
+import random
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import annotate_reference as reference
+from shoptalk import annotate
 from shoptalk.annotate import (
     Lexicons,
     PolarityConfig,
+    annotate_store,
     canonicalize_feature,
+    default_lexicons,
     extract_opinions,
     import_annotations,
     merge_spans,
@@ -18,9 +26,10 @@ from shoptalk.annotate import (
     sentence_map,
     split_sentences,
 )
+from shoptalk.corpus import Review, Sentence
 from shoptalk.errors import InvalidLexiconError
 
-from conftest import make_review, make_store, write_jsonl
+from conftest import load_corpus_script, make_review, make_store, write_jsonl
 
 
 LEX = Lexicons(
@@ -203,6 +212,123 @@ class TestExtractOpinions:
         assert a == b
 
 
+# Multi-word phrases, plurals that strip ("cases", "apps", "batterys"),
+# plurals that must not ("oss" and "gpss" are too short, "screenss" ends in
+# "ss"), and a plural that is a term of its own with another canonical key
+# ("screens").
+PHRASE_LEX = Lexicons(
+    feature_terms={
+        "battery": "battery",
+        "battery life": "battery",
+        "screen": "screen",
+        "screens": "display",
+        "touch screen": "touchscreen",
+        "glass": "glass",
+        "os": "os",
+        "operating system": "os",
+        "camera quality": "camera",
+        "case": "case",
+        "app": "app",
+        "gps": "gps",
+    },
+    sentiment_terms={"good": 0.7, "bad": -0.7, "great": 0.8, "slow": -0.6, "nice": 0.3},
+    negators=frozenset({"not", "no", "never"}),
+    intensifiers={"pretty": 1.2, "very": 1.5, "really": 0.9},
+)
+
+# feature words, scorer words and the rest, drawn a third of the time each
+PHRASE_WORDS = st.one_of(
+    st.sampled_from(
+        "battery Battery BATTERY batterys life lifes LIFE screen Screens screens "
+        "screenss touch Touch glass Glass glasses os OS oss operating system "
+        "systems camera quality qualitys case cases app apps APPS gps gpss".split()
+    ),
+    st.sampled_from("good bad great slow nice not no never pretty very really".split()),
+    st.sampled_from("the is it don't it's 1.5 İ İİ ß é".split()),
+)
+SEPARATORS = [" ", " ", " ", "  ", ", ", "-", "İ", "'", "."]
+
+SPLIT_PIECES = [
+    ".", "!", "?", "?!.", "..", "...", " ", " ", "  ", "approx.", "etc.", "Dr.",
+    "a.", "B.", "No.", "1.5", "word", "Great", "İß", "İ.", "\n", "x",
+]
+
+
+class TestReferenceEquivalence:
+    """The compiled annotator against the character loop and n-gram matcher
+    it replaced (tests/annotate_reference.py)."""
+
+    @settings(max_examples=400)
+    @given(st.lists(st.sampled_from(SPLIT_PIECES), max_size=25).map("".join)
+           | st.text(alphabet=".!? aZİß1\n", max_size=40))
+    @example("It costs approx. 200. Dr. Who?! Yes... 1.5 inches. a. b.")
+    @example("İ. İß.  x?! ")
+    def test_split_sentences_matches_reference(self, text):
+        review = Review(id="r1", product_id="p1", raw_text=text, normalized_text=text)
+        assert split_sentences(review) == reference.split_sentences(review)
+
+    @settings(max_examples=400)
+    @given(
+        st.lists(st.tuples(PHRASE_WORDS, st.sampled_from(SEPARATORS)),
+                 max_size=16).map(lambda pairs: "".join(w + sep for w, sep in pairs)),
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=0, max_value=4),
+    )
+    @example("İ Battery Life is not very good.", 6, 3)
+    @example("The battery is not good.", 6, 1)
+    @example("The Screens and touch screen, OS-systems: apps; cases!", 6, 3)
+    def test_extract_opinions_matches_reference(self, text, window, lookback):
+        sentence = Sentence("r1", 0, 0, len(text), text)
+        config = PolarityConfig(window=window, negation_lookback=lookback)
+        assert extract_opinions(sentence, PHRASE_LEX, config) == (
+            reference.extract_opinions(sentence, PHRASE_LEX, config)
+        )
+
+    def test_phrase_table_keeps_the_plural_rule(self):
+        table = PHRASE_LEX.phrase_table
+        assert table["screens"] == "display"  # a direct term wins
+        assert table["cases"] == "case" and table["apps"] == "app"
+        assert table["battery lifes"] == "battery"
+        assert "oss" not in table and "gpss" not in table  # length <= 3
+        assert "glasss" not in table  # "ss" endings are kept
+        assert PHRASE_LEX.phrase_lengths["battery"] == 2
+        assert PHRASE_LEX.phrase_lengths["screens"] == 1
+
+
+def sample_corpus_sentences(products: int) -> dict:
+    """Sentence map of a generated corpus: random.Random(1), ten reviews
+    for each of ``products`` products."""
+    corpus = load_corpus_script()
+    rng = random.Random(1)
+    reviews = corpus.build_reviews(rng, corpus.build_products(rng, products))
+    return sentence_map(make_store(
+        [make_review(r["id"], r["product_id"], r["text"]) for r in reviews]
+    ))
+
+
+class TestAnnotateStore:
+    def test_golden_span_digest(self):
+        # computed with the n-gram matcher before the phrase table existed
+        spans = annotate_store(sample_corpus_sentences(300), default_lexicons())
+        blob = "".join(json.dumps(dataclasses.astuple(s)) + "\n" for s in spans)
+        assert len(spans) == 7446
+        assert hashlib.sha256(blob.encode()).hexdigest() == (
+            "01d0827388031f0a957c3d4fb931e2776d07886ff2be7bf47c827359e3d36bbc"
+        )
+
+    def test_never_canonicalizes_per_sentence(self, world, monkeypatch):
+        lexicons = default_lexicons()
+        calls = []
+
+        def counting(term):
+            calls.append(term)
+            return canonicalize_feature(term)
+
+        monkeypatch.setattr(annotate, "canonicalize_feature", counting)
+        spans = annotate_store(world.sentences, lexicons)
+        assert spans and calls == []
+
+
 class TestLabelThresholds:
     @given(st.floats(min_value=-1.0, max_value=1.0, allow_nan=False))
     def test_label_function(self, score):
@@ -304,6 +430,21 @@ class TestImportAnnotations:
         result = import_annotations(path, self._sentences())
         assert result.spans == []
         assert result.skipped == 1
+
+    @pytest.mark.parametrize("text, feature, surface", [
+        ("The program crashed often.", "ram", None),
+        ("The BATTERY is good.", "Battery", "BATTERY"),
+        ("Its Battery-Life is good.", "battery life", "Battery-Life"),
+        ("Batteryless phones need a battery.", "battery", "battery"),
+    ], ids=["inside-a-word", "case-insensitive", "multi-word", "skips-a-longer-word"])
+    def test_feature_matches_whole_words(self, tmp_path, text, feature, surface):
+        sentences = sentence_map(make_store([make_review("r1", "p1", text)]))
+        path = write_jsonl(tmp_path / "ann.jsonl", [
+            {"review_id": "r1", "sentence_ordinal": 0, "feature": feature, "score": 0.5},
+        ])
+        result = import_annotations(path, sentences)
+        assert [s.feature_surface for s in result.spans] == ([surface] if surface else [])
+        assert result.skipped == (0 if surface else 1)
 
     def test_imported_overrides_lexicon_on_collision(self, tmp_path):
         store = self._store()
