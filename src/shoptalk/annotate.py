@@ -10,6 +10,7 @@ for the same (sentence, canonical feature).  Both read a sentence map
 from __future__ import annotations
 
 import json
+import math
 import re
 import string
 from dataclasses import dataclass, field
@@ -18,7 +19,13 @@ from pathlib import Path
 from typing import Optional
 
 from .corpus import Review, ReviewStore, Sentence
-from .errors import InvalidLexiconError, MalformedRecordError
+from .errors import (
+    InvalidConfigError,
+    InvalidLexiconError,
+    MalformedRecordError,
+    decoding,
+    read_text,
+)
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -55,9 +62,12 @@ class PolarityConfig:
 
     def __post_init__(self):
         if not -1.0 <= self.t_neg <= self.t_pos <= 1.0:
-            raise ValueError("thresholds must satisfy -1 <= t_neg <= t_pos <= 1")
+            raise InvalidConfigError(
+                "thresholds must satisfy -1 <= t_neg <= t_pos <= 1, "
+                f"got t_neg={self.t_neg}, t_pos={self.t_pos}"
+            )
         if self.window < 1 or self.negation_lookback < 0:
-            raise ValueError("window must be >= 1, negation_lookback >= 0")
+            raise InvalidConfigError("window must be >= 1, negation_lookback >= 0")
 
     def label(self, score: float) -> str:
         if score >= self.t_pos:
@@ -115,8 +125,8 @@ class Lexicons:
             if not -1.0 <= weight <= 1.0:
                 raise InvalidLexiconError(f"weight for {term!r} out of [-1,1]")
         for term, factor in self.intensifiers.items():
-            if factor <= 0:
-                raise InvalidLexiconError(f"multiplier for {term!r} must be > 0")
+            if not (math.isfinite(factor) and factor > 0):
+                raise InvalidLexiconError(f"multiplier for {term!r} must be finite and > 0")
         # A tokenized phrase resolves to a term directly, or through
         # canonicalize_feature, which at most strips one trailing "s"; so
         # only a term or a term + "s" can resolve, and the direct hit wins.
@@ -288,16 +298,12 @@ def import_annotations(
     text) are skipped and counted, out-of-range scores are clamped with a
     counter."""
     result = ImportResult(spans=[])
-    with open(path, "r", encoding="utf-8") as fh:
+    with decoding(path), open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, 1):
             if not line.strip():
                 continue
             try:
-                record = json.loads(line)
-                review_id = record["review_id"]
-                ordinal = int(record["sentence_ordinal"])
-                feature = str(record["feature"])
-                score = float(record["score"])
+                review_id, ordinal, feature, score = _annotation_fields(json.loads(line))
             except (ValueError, KeyError, TypeError) as exc:
                 if strict:
                     raise MalformedRecordError(line_no, str(exc)) from exc
@@ -327,6 +333,30 @@ def import_annotations(
                 )
             )
     return result
+
+
+def _annotation_fields(record) -> tuple[str, int, str, float]:
+    """(review_id, sentence_ordinal, feature, score) of one annotation
+    record, each of its JSON type; raises ValueError otherwise."""
+    if not isinstance(record, dict):
+        raise ValueError("record is not an object")
+    review_id, ordinal = record["review_id"], record["sentence_ordinal"]
+    feature, score = record["feature"], record["score"]
+    if type(review_id) is not str:
+        raise ValueError("review_id must be a string")
+    if type(ordinal) is not int:  # JSON values have exact types: no bool
+        raise ValueError("sentence_ordinal must be an integer")
+    if type(feature) is not str:
+        raise ValueError("feature must be a string")
+    if type(score) not in (int, float):
+        raise ValueError("score must be a number")
+    try:
+        score = float(score)
+    except OverflowError:
+        raise ValueError("score out of range") from None
+    if math.isnan(score):
+        raise ValueError("score is NaN")
+    return review_id, ordinal, feature, score
 
 
 def _locate_surface(text: str, feature: str) -> Optional[str]:
@@ -415,7 +445,7 @@ def parse_lexicons(text: str) -> Lexicons:
 
 def load_lexicons(path: str | Path) -> Lexicons:
     """Parse a sectioned lexicon file; see parse_lexicons."""
-    return parse_lexicons(Path(path).read_text(encoding="utf-8"))
+    return parse_lexicons(read_text(path))
 
 
 def default_lexicons() -> Lexicons:

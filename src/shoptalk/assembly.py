@@ -19,7 +19,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from .errors import GenerationExhaustedError, InvalidStateError, NoEligibleProductError
+from .errors import (
+    GenerationExhaustedError,
+    InvalidConfigError,
+    InvalidStateError,
+    NoEligibleProductError,
+    read_text,
+)
 from .negotiation import (
     DialogPair,
     DialogState,
@@ -56,9 +62,9 @@ class ConversationTemplate:
 
     def __post_init__(self):
         if not self.sequence:
-            raise ValueError(f"template {self.id} has an empty sequence")
+            raise InvalidConfigError(f"template {self.id} has an empty sequence")
         if len(self.sequence) > MAX_TEMPLATE_LENGTH:
-            raise ValueError(
+            raise InvalidConfigError(
                 f"template {self.id} longer than {MAX_TEMPLATE_LENGTH} pairs"
             )
 
@@ -100,19 +106,34 @@ def builtin_templates() -> list[ConversationTemplate]:
 
 
 def load_templates(path: str | Path) -> list[ConversationTemplate]:
-    """Read template config: a JSON list of {id, pairs: [kind names]}."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    """Read template config: a JSON list of {id, pairs: [kind names]} with
+    integer ids; raises InvalidConfigError naming the file and the entry."""
+    try:
+        data = json.loads(read_text(path))
+    except ValueError as exc:
+        raise InvalidConfigError(f"templates {path}: invalid JSON: {exc}") from None
+    if not isinstance(data, list):
+        raise InvalidConfigError(f"templates {path}: not a JSON list")
     templates = []
-    for entry in data:
-        templates.append(
-            ConversationTemplate(
-                id=int(entry["id"]),
-                sequence=tuple(parse_kind(name) for name in entry["pairs"]),
-            )
-        )
+    for n, entry in enumerate(data):
+        try:
+            templates.append(_template_from_entry(entry))
+        except InvalidConfigError as exc:
+            raise InvalidConfigError(f"templates {path}: entry {n}: {exc}") from None
     if len({t.id for t in templates}) != len(templates):
-        raise ValueError("duplicate template ids in config")
+        raise InvalidConfigError(f"templates {path}: duplicate template ids")
     return templates
+
+
+def _template_from_entry(entry) -> ConversationTemplate:
+    if not isinstance(entry, dict):
+        raise InvalidConfigError("not a JSON object")
+    template_id, names = entry.get("id"), entry.get("pairs")
+    if type(template_id) is not int:  # JSON values have exact types: no bool
+        raise InvalidConfigError(f"id must be an integer, got {template_id!r}")
+    if type(names) is not list or any(type(n) is not str for n in names):
+        raise InvalidConfigError(f"pairs must be a list of kind names, got {names!r}")
+    return ConversationTemplate(template_id, tuple(parse_kind(n) for n in names))
 
 
 @dataclass(frozen=True)
@@ -155,13 +176,13 @@ class GenerationSettings:
 
     def __post_init__(self):
         if self.per_template < 1:
-            raise ValueError("per_template must be >= 1")
+            raise InvalidConfigError(f"per_template must be >= 1, got {self.per_template}")
         if self.retry_budget < 1:
-            raise ValueError("retry_budget must be >= 1")
+            raise InvalidConfigError(f"retry_budget must be >= 1, got {self.retry_budget}")
         if self.top_k < 1:
-            raise ValueError("top_k must be >= 1")
+            raise InvalidConfigError(f"top_k must be >= 1, got {self.top_k}")
         if not 0.0 <= self.p_skip <= 1.0:
-            raise ValueError("p_skip must be in [0,1]")
+            raise InvalidConfigError(f"p_skip must be in [0,1], got {self.p_skip}")
 
 
 @dataclass

@@ -20,7 +20,7 @@ from .corpus import (
     write_catalog,
     write_reviews,
 )
-from .errors import ShoptalkError
+from .errors import InvalidConfigError, ShoptalkError, read_text
 from .negotiation import default_phrasebank, load_phrasebank
 from .world import World, build_world
 
@@ -42,17 +42,33 @@ def _effective_config(args: argparse.Namespace, keys: list[str]) -> dict:
     """flags > config file > defaults."""
     config = dict(DEFAULTS)
     if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as fh:
-            file_config = json.load(fh)
-        unknown = set(file_config) - set(DEFAULTS)
-        if unknown:
-            raise ShoptalkError(f"unknown config keys: {sorted(unknown)}")
-        config.update(file_config)
+        config.update(_read_config(args.config))
     for key in keys:
         value = getattr(args, key, None)
         if value is not None:
             config[key] = value
     return {key: config[key] for key in keys}
+
+
+def _read_config(path: str) -> dict:
+    """A config file's settings, each of its default's JSON type (a float
+    setting also takes an integer, an integer setting no boolean)."""
+    try:
+        file_config = json.loads(read_text(path))
+    except ValueError as exc:
+        raise InvalidConfigError(f"config {path}: invalid JSON: {exc}") from None
+    if not isinstance(file_config, dict):
+        raise InvalidConfigError(f"config {path}: not a JSON object")
+    unknown = set(file_config) - set(DEFAULTS)
+    if unknown:
+        raise InvalidConfigError(f"config {path}: unknown config keys: {sorted(unknown)}")
+    for key, value in file_config.items():
+        kind = type(DEFAULTS[key])
+        if type(value) not in ((int, float) if kind is float else (kind,)):
+            raise InvalidConfigError(
+                f"config {path}: {key} must be a JSON {kind.__name__}, got {value!r}"
+            )
+    return file_config
 
 
 def _load_world(args: argparse.Namespace, config: dict) -> World:
@@ -112,13 +128,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
         "t_pos", "t_neg", "min_opinions", "strict",
     ]
     config = _effective_config(args, keys)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
-    world = _load_world(args, config)
-    phrasebank = (
-        load_phrasebank(args.phrasebank) if args.phrasebank else default_phrasebank()
-    )
     settings = assembly.GenerationSettings(
         per_template=config["per_template"],
         retry_budget=config["retry_budget"],
@@ -126,8 +135,16 @@ def cmd_generate(args: argparse.Namespace) -> int:
         p_skip=config["p_skip"],
         min_opinions=config["min_opinions"],
     )
+    templates = _templates(args)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+
+    world = _load_world(args, config)
+    phrasebank = (
+        load_phrasebank(args.phrasebank) if args.phrasebank else default_phrasebank()
+    )
     conversations, report = assembly.generate_dataset(
-        _templates(args), args.seed, world, phrasebank=phrasebank, settings=settings,
+        templates, args.seed, world, phrasebank=phrasebank, settings=settings,
     )
     dataset_io.write_dataset(conversations, out / "dataset.jsonl")
     run_report = report.to_record()
@@ -149,8 +166,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     config = dict(_effective_config(args, ["t_pos", "t_neg"]), strict=False)
+    templates = _templates(args)
     world = _load_world(args, config)
-    report = dataset_io.validate(args.dataset, world, _templates(args))
+    report = dataset_io.validate(args.dataset, world, templates)
     print(report.summary())
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

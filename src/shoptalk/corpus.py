@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterator, Optional
 
-from .errors import DuplicateIdError, MalformedRecordError
+from .errors import DuplicateIdError, MalformedRecordError, decoding
 
 SEARCHABLE_FEATURES = ("brand", "os", "memory", "color")
 
@@ -192,10 +192,6 @@ class ReviewStore:
     def __init__(self, reviews: dict[str, Review], report: IngestReport):
         self._reviews = dict(reviews)
         self.report = report
-        by_product: dict[str, list[str]] = {}
-        for rid in sorted(reviews):
-            by_product.setdefault(reviews[rid].product_id, []).append(rid)
-        self._by_product = by_product
 
     def __len__(self) -> int:
         return len(self._reviews)
@@ -213,12 +209,9 @@ class ReviewStore:
     def get(self, review_id: str) -> Optional[Review]:
         return self._reviews.get(review_id)
 
-    def review_ids(self, product_id: str) -> list[str]:
-        return list(self._by_product.get(product_id, []))
-
 
 def _iter_records(path: Path, report: IngestReport, strict: bool):
-    with open(path, "r", encoding="utf-8") as fh:
+    with decoding(path), open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, 1):
             if not line.strip():
                 continue

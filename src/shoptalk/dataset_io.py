@@ -15,11 +15,11 @@ from typing import Optional
 
 from .assembly import Conversation, ConversationTemplate, builtin_templates
 from .corpus import ProductCatalog, ReviewStore
-from .errors import SchemaViolationError
+from .errors import SchemaViolationError, decoding
 from .negotiation import KIND_BY_ACT, SIGNATURES
 from .opinion_index import OpinionIndex
 from .search_dialog import AlternativesSet
-from .turns import ASSISTANT, CUSTOMER, SEARCH_ACTS, Turn
+from .turns import ASSISTANT, CUSTOMER, SEARCH_ACTS, GroundingRef, Turn
 from .world import World
 
 RULE_GROUNDING = "grounding"
@@ -28,15 +28,6 @@ RULE_TEMPLATE = "template_conformance"
 RULE_POOL = "product_pool"
 RULE_REUSE = "span_reuse"
 RULE_ALTERNATION = "alternation"
-
-ALL_RULES = (
-    RULE_GROUNDING,
-    RULE_POLARITY,
-    RULE_TEMPLATE,
-    RULE_POOL,
-    RULE_REUSE,
-    RULE_ALTERNATION,
-)
 
 
 def write_dataset(conversations: list[Conversation], path: str | Path) -> None:
@@ -50,45 +41,104 @@ def write_dataset(conversations: list[Conversation], path: str | Path) -> None:
             )
 
 
+# JSON values have exact types, so a field is checked with ``type(x) is``,
+# which also keeps a boolean from passing as an integer.  Every turn and
+# grounding ref of a dataset is read here, so each checks its fields in one
+# expression.
+
+def _field(record: dict, key: str, kind: type, optional: bool = False):
+    """``record[key]`` if its type is ``kind``; an optional key may also be
+    absent or null (None)."""
+    value = record.get(key) if optional else record[key]
+    if type(value) is not kind and not (optional and value is None):
+        raise ValueError(f"{key} must be a JSON {kind.__name__}, got {value!r}")
+    return value
+
+
+def _object(value, what: str) -> dict:
+    if type(value) is not dict:
+        raise ValueError(f"{what} is not an object")
+    return value
+
+
+def _strings(record: dict, key: str) -> tuple[str, ...]:
+    values = _field(record, key, list)
+    if not all(type(value) is str for value in values):
+        raise ValueError(f"{key} must be a list of strings")
+    return tuple(values)
+
+
+def _ref_from_record(record) -> GroundingRef:
+    review_id, ordinal = record["review_id"], record["sentence_ordinal"]
+    feature, score, label = record["feature"], record["score"], record["label"]
+    if not (
+        type(review_id) is str and type(ordinal) is int and type(feature) is str
+        and type(score) in (float, int) and type(label) is str
+    ):
+        raise ValueError(f"grounding ref has an ill-typed field: {record!r}")
+    return GroundingRef(review_id, ordinal, feature, float(score), label)
+
+
+def _turn_from_record(record) -> Turn:
+    speaker, text, act = record["speaker"], record["text"], record["act"]
+    product_id, feature = record.get("product_id"), record.get("feature")
+    grounding = record.get("grounding", [])
+    if not (
+        type(speaker) is str and type(text) is str and type(act) is str
+        and (product_id is None or type(product_id) is str)
+        and (feature is None or type(feature) is str)
+        and type(grounding) is list
+        and all(type(ref) is dict for ref in grounding)
+    ):
+        raise ValueError(
+            "turn has an ill-typed speaker, text, act, product_id, feature or grounding"
+        )
+    return Turn(
+        speaker, text, act, product_id, feature,
+        tuple(_ref_from_record(ref) for ref in grounding),
+    )
+
+
 def conversation_from_record(record: dict) -> Conversation:
-    turns = [Turn.from_record(t) for t in record["turns"]]
+    """A conversation from its JSON record; raises ValueError, KeyError or
+    OverflowError when a field is missing or of the wrong type."""
+    turns = [_turn_from_record(_object(t, "turn")) for t in _field(record, "turns", list)]
     search_turns = tuple(t for t in turns if t.act in SEARCH_ACTS)
     evaluation_turns = tuple(t for t in turns if t.act not in SEARCH_ACTS)
-    alternatives = AlternativesSet(
-        seed_product=record["alternatives"]["seed_product"],
-        members=tuple(record["alternatives"]["members"]),
-    )
-    pair_trace = tuple(record.get("pair_trace", []))
-    if not all(isinstance(entry, dict) for entry in pair_trace):
-        raise ValueError("pair_trace entry is not an object")
+    alternatives = _object(record["alternatives"], "alternatives")
+    pair_trace = tuple(_field(record, "pair_trace", list, optional=True) or ())
+    for entry in pair_trace:
+        if type(_object(entry, "pair_trace entry").get("kind", "")) is not str:
+            raise ValueError("pair_trace kind must be a string")
     return Conversation(
-        id=record["id"],
-        template_id=int(record["template_id"]),
-        master_seed=int(record["master_seed"]),
+        id=_field(record, "id", str),
+        template_id=_field(record, "template_id", int),
+        master_seed=_field(record, "master_seed", int),
         search_turns=search_turns,
         evaluation_turns=evaluation_turns,
         pair_trace=pair_trace,
-        product_trajectory=tuple(record["product_trajectory"]),
-        alternatives=alternatives,
+        product_trajectory=_strings(record, "product_trajectory"),
+        alternatives=AlternativesSet(
+            seed_product=_field(alternatives, "seed_product", str),
+            members=_strings(alternatives, "members"),
+        ),
     )
 
 
 def read_dataset(path: str | Path) -> list[Conversation]:
     conversations = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with decoding(path), open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, 1):
             if not line.strip():
                 continue
             try:
-                record = json.loads(line)
-                if not isinstance(record, dict):
-                    raise ValueError("line is not a JSON object")
+                record = _object(json.loads(line), "line")
                 if record.get("schema_version") != 1:
                     raise ValueError(
                         f"unsupported schema_version {record.get('schema_version')}"
                     )
                 conversations.append(conversation_from_record(record))
-            except (ValueError, KeyError, TypeError) as exc:
+            except (ValueError, KeyError, TypeError, OverflowError) as exc:
                 raise SchemaViolationError(line_no, str(exc)) from exc
     return conversations
 
@@ -280,7 +330,7 @@ def _check_polarity(
                     f"turn {i}: label {ref.label} != required {required}",
                 )
                 continue
-            identity = (ref.review_id, ref.sentence_ordinal, ref.feature)
+            identity = ref.identity
             indexed = index.spans_for((turn.product_id, ref.feature, required))
             # one sentence can hold the same feature twice, so one identity
             # can have several spans; the ref must carry one of their scores
@@ -351,12 +401,11 @@ def _check_reuse(conversation: Conversation, report: ValidationReport) -> None:
     seen = set()
     for turn in conversation.evaluation_turns:
         for ref in turn.grounding:
-            identity = (ref.review_id, ref.sentence_ordinal, ref.feature)
-            if identity in seen:
+            if ref.identity in seen:
                 report.add(
-                    conversation.id, RULE_REUSE, f"span {identity} used twice"
+                    conversation.id, RULE_REUSE, f"span {ref.identity} used twice"
                 )
-            seen.add(identity)
+            seen.add(ref.identity)
 
 
 @dataclass
@@ -418,10 +467,9 @@ def stats(dataset_path: str | Path) -> DatasetStats:
             if turn.feature:
                 features.add(turn.feature)
             for ref in turn.grounding:
-                identity = (ref.review_id, ref.sentence_ordinal, ref.feature)
-                if identity in seen:
+                if ref.identity in seen:
                     result.span_reuse += 1
-                seen.add(identity)
+                seen.add(ref.identity)
     result.mean_turns = total_turns / len(conversations) if conversations else 0.0
     result.distinct_products = len(products)
     result.distinct_features = len(features)

@@ -1,5 +1,8 @@
 """Exception types shared across the pipeline."""
 
+from contextlib import contextmanager
+from pathlib import Path
+
 
 class ShoptalkError(Exception):
     """Base class for all pipeline errors."""
@@ -21,6 +24,35 @@ class DuplicateIdError(ShoptalkError):
         super().__init__(f"duplicate product id {product_id!r} at line {line_no}")
         self.product_id = product_id
         self.line_no = line_no
+
+
+class InvalidConfigError(ShoptalkError, ValueError):
+    """A generation setting, a conversation template or a config file is
+    invalid.  Also a ValueError, so a caller that catches a bad value as
+    ValueError keeps working."""
+
+
+class UndecodableInputError(ShoptalkError):
+    """An input file is not UTF-8 text."""
+
+    def __init__(self, path, reason: str):
+        super().__init__(f"{path} is not UTF-8 text: {reason}")
+
+
+@contextmanager
+def decoding(path):
+    """Report a UTF-8 decoding failure in the block that reads ``path`` as
+    an UndecodableInputError naming it."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise UndecodableInputError(path, exc.reason) from exc
+
+
+def read_text(path) -> str:
+    """The content of the UTF-8 text file ``path``; see decoding."""
+    with decoding(path):
+        return Path(path).read_text(encoding="utf-8")
 
 
 class InvalidLexiconError(ShoptalkError):

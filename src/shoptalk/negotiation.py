@@ -13,11 +13,14 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from string import Formatter
 from typing import Optional
 
 from .annotate import NEGATIVE, POSITIVE, OpinionSpan
 from .corpus import ProductCatalog, Sentence
-from .errors import InvalidStateError, PhrasebankError, UnboundSlotError
+from .errors import (
+    InvalidConfigError, InvalidStateError, PhrasebankError, UnboundSlotError, read_text,
+)
 from .opinion_index import OpinionIndex, SpanIdentity, features_of
 from .search_dialog import AlternativesSet
 from .turns import ASSISTANT, CUSTOMER, GroundingRef, Turn
@@ -65,7 +68,7 @@ def parse_kind(name: str) -> PairKind:
             return kind
     if compact in KIND_ALIASES:
         return KIND_ALIASES[compact]
-    raise ValueError(f"unknown pair kind {name!r}")
+    raise InvalidConfigError(f"unknown pair kind {name!r}")
 
 
 @dataclass(frozen=True)
@@ -217,8 +220,10 @@ def instantiate_pair(
     """Bind all slots of one pair, or None when no assignment exists.
 
     The candidate order is seeded (features: undiscussed first; spans:
-    shuffled top-k then remainder) and the search is exhaustive, so a None
-    result means the pair is unsatisfiable in this state.
+    shuffled top-k then remainder; switch targets: shuffled) and the search
+    is exhaustive, so a None result means the pair is unsatisfiable in this
+    state.  Every kind searches the same way; it only decides which
+    (product, feature) targets the assistant may speak about.
     """
     state.check(catalog)
     sig = SIGNATURES[kind]
@@ -235,51 +240,22 @@ def instantiate_pair(
             if customer_span is not None:
                 used = used | {customer_span.identity}
             if sig.switches_product:
-                bound = _bind_switch_product(kind, state, index, catalog, rng, k, fa, customer_span, used)
+                candidates = _switch_product_candidates(state, catalog, index, rng)
+                targets = [(p2, fa) for p2 in candidates]
             elif sig.switches_feature:
-                bound = _bind_switch_feature(kind, state, index, rng, k, fa, customer_span, used)
+                features = _feature_order(
+                    index, p1, sig.assistant_label, state.discussed_features, rng,
+                    skip=frozenset({fa}),
+                )
+                targets = [(p1, fb) for fb in features]
             else:
-                bound = _bind_same_slot(kind, state, index, rng, k, fa, customer_span, used)
-            if bound is not None:
-                return bound
-    return None
-
-
-def _bind_same_slot(kind, state, index, rng, k, fa, customer_span, used):
-    sig = SIGNATURES[kind]
-    p1 = state.current_product
-    pool = _eligible_spans(index, p1, fa, sig.assistant_label, used)
-    if not pool:
-        return None
-    assistant_span = _seeded_candidates(pool, rng, k)[0]
-    binding = PairBinding(kind, p1, p1, fa, fa, customer_span, assistant_span)
-    return BoundPair(binding, _advance(state, binding))
-
-
-def _bind_switch_feature(kind, state, index, rng, k, fa, customer_span, used):
-    sig = SIGNATURES[kind]
-    p1 = state.current_product
-    fb_order = _feature_order(
-        index, p1, sig.assistant_label, state.discussed_features, rng,
-        skip=frozenset({fa}),
-    )
-    for fb in fb_order:
-        pool = _eligible_spans(index, p1, fb, sig.assistant_label, used)
-        if pool:
-            assistant_span = _seeded_candidates(pool, rng, k)[0]
-            binding = PairBinding(kind, p1, p1, fa, fb, customer_span, assistant_span)
-            return BoundPair(binding, _advance(state, binding))
-    return None
-
-
-def _bind_switch_product(kind, state, index, catalog, rng, k, fa, customer_span, used):
-    p1 = state.current_product
-    for p2 in _switch_product_candidates(state, catalog, index, rng):
-        pool = _eligible_spans(index, p2, fa, POSITIVE, used)
-        if pool:
-            assistant_span = _seeded_candidates(pool, rng, k)[0]
-            binding = PairBinding(kind, p1, p2, fa, fa, customer_span, assistant_span)
-            return BoundPair(binding, _advance(state, binding))
+                targets = [(p1, fa)]
+            for p2, fb in targets:
+                pool = _eligible_spans(index, p2, fb, sig.assistant_label, used)
+                if pool:
+                    assistant_span = _seeded_candidates(pool, rng, k)[0]
+                    binding = PairBinding(kind, p1, p2, fa, fb, customer_span, assistant_span)
+                    return BoundPair(binding, _advance(state, binding))
     return None
 
 
@@ -333,7 +309,7 @@ class Phrasebank:
                     kind is PairKind.REQUEST_INFORM and speaker == CUSTOMER
                 )
                 for template in templates:
-                    used = set(re.findall(r"\{(\w+)\}", template))
+                    used = _placeholders(template, f"[{kind.act}.{speaker}]")
                     unknown = used - self.PLACEHOLDERS
                     if unknown:
                         raise PhrasebankError(
@@ -350,6 +326,22 @@ class Phrasebank:
                         )
 
 
+_SECTIONS = {(kind.act, speaker) for kind in PairKind for speaker in (CUSTOMER, ASSISTANT)}
+
+
+def _placeholders(template: str, section: str) -> set[str]:
+    """Field names of a format template; each must be bare (no conversion
+    or format spec), so that formatting cannot fail."""
+    try:
+        fields = [field[1:] for field in Formatter().parse(template) if field[1] is not None]
+    except ValueError as exc:
+        raise PhrasebankError(f"bad template {template!r} in {section}: {exc}") from None
+    for name, spec, conversion in fields:
+        if spec or conversion:
+            raise PhrasebankError(f"placeholder {{{name}}} in {section} must be bare")
+    return {name for name, _, _ in fields}
+
+
 def parse_phrasebank(text: str) -> Phrasebank:
     sections: dict[tuple[str, str], list[str]] = {}
     current: Optional[tuple[str, str]] = None
@@ -358,11 +350,9 @@ def parse_phrasebank(text: str) -> Phrasebank:
         if not line or line.startswith("#"):
             continue
         if line.startswith("[") and line.endswith("]"):
-            name = line[1:-1]
-            if "." not in name:
-                raise PhrasebankError(f"bad section header at line {line_no}: {line}")
-            act, speaker = name.rsplit(".", 1)
-            current = (act, speaker)
+            current = tuple(line[1:-1].rsplit(".", 1))
+            if current not in _SECTIONS:
+                raise PhrasebankError(f"unknown section header at line {line_no}: {line}")
             sections.setdefault(current, [])
             continue
         if current is None:
@@ -372,7 +362,7 @@ def parse_phrasebank(text: str) -> Phrasebank:
 
 
 def load_phrasebank(path: str | Path) -> Phrasebank:
-    return parse_phrasebank(Path(path).read_text(encoding="utf-8"))
+    return parse_phrasebank(read_text(path))
 
 
 def default_phrasebank() -> Phrasebank:
@@ -419,10 +409,10 @@ def _title(catalog: ProductCatalog, product_id: str) -> str:
 def _render(phrasebank, kind, speaker, rng, *, feature, product_title, span, sentences):
     template = rng.choice(phrasebank.variants(kind, speaker))
     opinion = ""
-    if "{opinion}" in template:
-        if span is None:
-            raise UnboundSlotError(f"no span bound for [{kind.act}.{speaker}]")
+    if span is not None:
         opinion = _sentence_text(sentences, span)
+    elif "opinion" in _placeholders(template, f"[{kind.act}.{speaker}]"):
+        raise UnboundSlotError(f"no span bound for [{kind.act}.{speaker}]")
     return template.format(feature=feature, product_title=product_title, opinion=opinion)
 
 

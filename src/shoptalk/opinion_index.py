@@ -2,7 +2,8 @@
 
 Every opinion uttered downstream is grounded by a span retrieved here.
 Ranking is deterministic: descending |score|, ties broken by review id,
-sentence ordinal, then surface form.
+sentence ordinal, then surface form.  Per (product, polarity), the index
+also ranks the features by span count, descending, ties by name.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from .errors import DanglingSpanError
 
 SpanIdentity = tuple[str, int, str]
 IndexKey = tuple[str, str, str]  # (product_id, feature_canonical, polarity_label)
+FeatureRanking = tuple[tuple[str, int], ...]  # (feature, span count), best first
 
 
 def _rank_key(span: OpinionSpan):
@@ -30,7 +32,7 @@ def _rank_key(span: OpinionSpan):
 @dataclass(frozen=True)
 class OpinionIndex:
     entries: dict[IndexKey, tuple[OpinionSpan, ...]]
-    feature_directory: dict[str, frozenset[str]]
+    feature_ranks: dict[tuple[str, str], FeatureRanking]  # (product, label)
     non_neutral_counts: dict[str, int]  # keyed in ascending product-id order
 
     def spans_for(self, key: IndexKey) -> tuple[OpinionSpan, ...]:
@@ -45,7 +47,6 @@ def build_index(
     """Group spans by (product, feature, label); rejects spans whose review
     is not in the store or whose sentence is not in the sentence map."""
     grouped: dict[IndexKey, list[OpinionSpan]] = {}
-    directory: dict[str, set[str]] = {}
     counts: dict[str, int] = {}
     for span in spans:
         review = store.get(span.review_id)
@@ -59,14 +60,20 @@ def build_index(
         key = (product_id, span.feature_canonical, span.polarity_label)
         grouped.setdefault(key, []).append(span)
         if span.polarity_label != NEUTRAL:
-            directory.setdefault(product_id, set()).add(span.feature_canonical)
             counts[product_id] = counts.get(product_id, 0) + 1
     entries = {
         key: tuple(sorted(group, key=_rank_key)) for key, group in grouped.items()
     }
+    features: dict[tuple[str, str], list[tuple[str, int]]] = {}
+    for (product_id, feature, label), ranked in entries.items():
+        if label != NEUTRAL:
+            features.setdefault((product_id, label), []).append((feature, len(ranked)))
     return OpinionIndex(
         entries=entries,
-        feature_directory={pid: frozenset(feats) for pid, feats in directory.items()},
+        feature_ranks={
+            key: tuple(sorted(pairs, key=lambda item: (-item[1], item[0])))
+            for key, pairs in features.items()
+        },
         non_neutral_counts=dict(sorted(counts.items())),
     )
 
@@ -89,16 +96,8 @@ def query(
 
 
 def features_of(
-    index: OpinionIndex, product_id: str, label: Optional[str] = None
+    index: OpinionIndex, product_id: str, label: str
 ) -> list[tuple[str, int]]:
-    """Features of a product with non-neutral span counts, sorted by
-    descending count then ascending name; restricted to one label if given."""
-    labels = (POSITIVE, NEGATIVE) if label is None else (label,)
-    counts: dict[str, int] = {}
-    for feature in index.feature_directory.get(product_id, ()):
-        total = sum(
-            len(index.spans_for((product_id, feature, lab))) for lab in labels
-        )
-        if total:
-            counts[feature] = total
-    return sorted(counts.items(), key=lambda item: (-item[1], item[0]))
+    """Features of a product with their ``label`` span counts, sorted by
+    descending count then ascending name."""
+    return list(index.feature_ranks.get((product_id, label), ()))

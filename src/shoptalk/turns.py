@@ -35,6 +35,11 @@ class GroundingRef:
             label=span.polarity_label,
         )
 
+    @property
+    def identity(self) -> tuple[str, int, str]:
+        """The grounded span's identity; see OpinionSpan.identity."""
+        return (self.review_id, self.sentence_ordinal, self.feature)
+
     def to_record(self) -> dict:
         return {
             "review_id": self.review_id,
@@ -63,23 +68,3 @@ class Turn:
             "feature": self.feature,
             "grounding": [ref.to_record() for ref in self.grounding],
         }
-
-    @classmethod
-    def from_record(cls, record: dict) -> "Turn":
-        return cls(
-            speaker=record["speaker"],
-            text=record["text"],
-            act=record["act"],
-            product_id=record.get("product_id"),
-            feature=record.get("feature"),
-            grounding=tuple(
-                GroundingRef(
-                    review_id=g["review_id"],
-                    sentence_ordinal=int(g["sentence_ordinal"]),
-                    feature=g["feature"],
-                    score=float(g["score"]),
-                    label=g["label"],
-                )
-                for g in record.get("grounding", [])
-            ),
-        )

@@ -8,6 +8,7 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from shoptalk.annotate import default_lexicons
 from shoptalk.corpus import (
@@ -23,6 +24,14 @@ from shoptalk.corpus import (
 from shoptalk.world import World, build_world
 
 DATA_DIR = Path(__file__).parent / "data"
+
+# Arbitrary JSON values, for fuzzing the fields of input records.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
 
 
 def make_catalog(products: list[Product]) -> ProductCatalog:

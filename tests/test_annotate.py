@@ -4,6 +4,7 @@ brute-force scorer written independently of the production code."""
 import dataclasses
 import hashlib
 import json
+import math
 import random
 import re
 
@@ -27,9 +28,9 @@ from shoptalk.annotate import (
     split_sentences,
 )
 from shoptalk.corpus import Review, Sentence
-from shoptalk.errors import InvalidLexiconError
+from shoptalk.errors import InvalidLexiconError, MalformedRecordError
 
-from conftest import load_corpus_script, make_review, make_store, write_jsonl
+from conftest import JSON_VALUES, load_corpus_script, make_review, make_store, write_jsonl
 
 
 LEX = Lexicons(
@@ -355,6 +356,27 @@ class TestLexiconValidation:
         with pytest.raises(InvalidLexiconError):
             Lexicons(intensifiers={"very": 0.0})
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-2"])
+    def test_parsed_multiplier_must_be_finite_and_positive(self, value):
+        with pytest.raises(InvalidLexiconError):
+            parse_lexicons(f"[intensifiers]\nvery\t{value}\n")
+
+    @settings(max_examples=300)
+    @given(st.lists(
+        st.sampled_from(["[features]", "[sentiment]", "[negators]", "[intensifiers]",
+                         "[Nope]", "#", "", "battery", "battery\tscreen", "good\t0.5",
+                         "very\tnan", "very\t1e400", "x\t-1e-400", "\tx", "İ\tİ"])
+        | st.text(alphabet="[]\t#.-0123456789eaİsn ", max_size=12),
+        max_size=8,
+    ).map("\n".join))
+    def test_any_text_parses_or_is_invalid(self, text):
+        try:
+            lex = parse_lexicons(text)
+        except InvalidLexiconError:
+            return
+        assert all(math.isfinite(f) and f > 0 for f in lex.intensifiers.values())
+        assert all(-1.0 <= w <= 1.0 for w in lex.sentiment_terms.values())
+
     def test_parse_sections(self):
         text = (
             "[features]\nbattery\tbattery\n"
@@ -430,6 +452,54 @@ class TestImportAnnotations:
         result = import_annotations(path, self._sentences())
         assert result.spans == []
         assert result.skipped == 1
+
+    @pytest.mark.parametrize("line", [
+        '{"review_id": ["r1"], "sentence_ordinal": 0, "feature": "battery", "score": 0.5}',
+        '{"review_id": "r1", "sentence_ordinal": 0, "feature": "battery", "score": 1%s}'
+        % ("0" * 400),
+        '{"review_id": "r1", "sentence_ordinal": true, "feature": "screen", "score": 0.5}',
+        '{"review_id": "r1", "sentence_ordinal": "1", "feature": "screen", "score": 0.5}',
+        '{"review_id": "r1", "sentence_ordinal": 0, "feature": "battery", "score": NaN}',
+        '{"review_id": "r1", "sentence_ordinal": 0, "feature": 7, "score": 0.5}',
+        '{"review_id": "r1", "sentence_ordinal": 0, "feature": "battery", "score": true}',
+        '["r1", 0, "battery", 0.5]',
+    ], ids=["list-review-id", "score-400-digits", "ordinal-true", "ordinal-string",
+            "score-nan", "feature-number", "score-true", "not-an-object"])
+    def test_ill_typed_record_skipped_or_named(self, tmp_path, line):
+        path = tmp_path / "ann.jsonl"
+        path.write_text(line + "\n")
+        result = import_annotations(path, self._sentences())
+        assert (result.spans, result.skipped, result.clamped) == ([], 1, 0)
+        with pytest.raises(MalformedRecordError) as exc_info:
+            import_annotations(path, self._sentences(), strict=True)
+        assert exc_info.value.line_no == 1
+
+    @settings(max_examples=300)
+    @given(
+        st.dictionaries(
+            st.sampled_from(["review_id", "sentence_ordinal", "feature", "score"])
+            | st.text(max_size=4),
+            JSON_VALUES, max_size=4,
+        ).map(lambda extra: {"review_id": "r1", "sentence_ordinal": 0,
+                             "feature": "battery", "score": 0.5, **extra})
+        | st.text(max_size=30).map(lambda text: re.sub(r"[\r\n]", " ", text))
+    )
+    def test_any_line_is_a_span_or_a_counted_skip(self, tmp_path_factory, line):
+        path = tmp_path_factory.mktemp("ann") / "ann.jsonl"
+        path.write_text((json.dumps(line) if isinstance(line, dict) else line) + "\n")
+        result = import_annotations(path, self._sentences())
+        if not path.read_text().strip():
+            assert (result.spans, result.skipped) == ([], 0)
+            return
+        assert len(result.spans) + result.skipped == 1
+        for span in result.spans:
+            assert -1.0 <= span.polarity_score <= 1.0
+        try:
+            strict = import_annotations(path, self._sentences(), strict=True)
+        except MalformedRecordError as exc:
+            assert exc.line_no == 1 and result.skipped == 1
+        else:
+            assert strict.spans == result.spans
 
     @pytest.mark.parametrize("text, feature, surface", [
         ("The program crashed often.", "ram", None),

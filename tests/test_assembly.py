@@ -11,6 +11,8 @@ import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import shoptalk
 from shoptalk import annotate, assembly
@@ -25,13 +27,13 @@ from shoptalk.assembly import (
     load_templates,
 )
 from shoptalk.corpus import Product, ProductCatalog
-from shoptalk.errors import GenerationExhaustedError
+from shoptalk.errors import GenerationExhaustedError, InvalidConfigError
 from shoptalk.negotiation import PairKind, default_phrasebank
 from shoptalk.opinion_index import build_index
 from shoptalk.turns import ASSISTANT, CUSTOMER
 from shoptalk.world import World
 
-from conftest import make_catalog, make_review, make_store
+from conftest import JSON_VALUES, make_catalog, make_review, make_store
 
 CONFIG = PolarityConfig()
 
@@ -102,6 +104,45 @@ class TestLoadTemplates:
         ]))
         with pytest.raises(ValueError):
             load_templates(path)
+
+
+    @pytest.mark.parametrize("content", [
+        '{"id": 1, "pairs": ["RequestInform"]}',
+        '[{"id": 1, "pairs": ["Haggle"]}]',
+        '[{"id": true, "pairs": ["RequestInform"]}]',
+        '[{"id": 1.5, "pairs": ["RequestInform"]}]',
+        '[{"id": 1, "pairs": "RequestInform"}]',
+        '[{"id": 1, "pairs": [7]}]',
+        '[{"id": 1, "pairs": []}]',
+        '[{"pairs": ["RequestInform"]}]',
+        '[["RequestInform"]]',
+        '[{',
+    ], ids=["not-a-list", "unknown-kind", "boolean-id", "float-id", "pairs-string",
+            "pairs-number", "empty-pairs", "missing-id", "entry-not-object", "bad-json"])
+    def test_bad_config_names_file(self, tmp_path, content):
+        path = tmp_path / "templates.json"
+        path.write_text(content)
+        with pytest.raises(InvalidConfigError) as exc_info:
+            load_templates(path)
+        assert "templates.json" in str(exc_info.value)
+
+    @settings(max_examples=300)
+    @given(JSON_VALUES | st.lists(
+        st.fixed_dictionaries({"id": JSON_VALUES, "pairs": JSON_VALUES})
+        | st.fixed_dictionaries({"id": st.integers(), "pairs": st.lists(
+            st.sampled_from(["RequestInform", "Search--Switch Product", "Haggle"])
+            | st.text(max_size=6), max_size=9)}),
+        max_size=3,
+    ))
+    def test_any_json_loads_or_is_rejected(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("templates") / "templates.json"
+        path.write_text(json.dumps(data))
+        try:
+            templates = load_templates(path)
+        except InvalidConfigError:
+            return
+        assert [t.id for t in templates] == [entry["id"] for entry in data]
+        assert all(1 <= len(t.sequence) <= assembly.MAX_TEMPLATE_LENGTH for t in templates)
 
 
 def engineered_template9_world():

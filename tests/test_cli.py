@@ -294,3 +294,101 @@ class TestStatsCommand:
             err = capsys.readouterr().err
             assert "schema violation at line 3" in err
             assert "Traceback" not in err
+
+
+def _write(path, content):
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content, encoding="utf-8")
+    return str(path)
+
+
+# (generate flags, a word the error line must hold): each input stops the
+# command before it generates anything
+BAD_GENERATE_INPUTS = {
+    "per-template-zero": lambda tmp: (["--per-template", "0"], "per_template"),
+    "t-pos-above-one": lambda tmp: (["--t-pos", "2"], "t_pos"),
+    "retry-budget-zero": lambda tmp: (["--retry-budget", "0"], "retry_budget"),
+    "templates-not-a-list": lambda tmp: (
+        ["--templates", _write(tmp / "t.json", '{"id": 1, "pairs": ["RequestInform"]}')],
+        "t.json"),
+    "templates-unknown-kind": lambda tmp: (
+        ["--templates", _write(tmp / "t.json", '[{"id": 1, "pairs": ["Haggle"]}]')],
+        "Haggle"),
+    "templates-string-id": lambda tmp: (
+        ["--templates", _write(tmp / "t.json", '[{"id": "1", "pairs": ["RequestInform"]}]')],
+        "entry 0"),
+    "templates-pairs-not-a-list": lambda tmp: (
+        ["--templates", _write(tmp / "t.json", '[{"id": 1, "pairs": "RequestInform"}]')],
+        "pairs"),
+    "templates-invalid-json": lambda tmp: (
+        ["--templates", _write(tmp / "t.json", "[{")], "t.json"),
+    "templates-not-utf8": lambda tmp: (
+        ["--templates", _write(tmp / "t.json", b'["\xff"]')], "t.json"),
+    "config-invalid-json": lambda tmp: (
+        ["--config", _write(tmp / "c.json", "{bad")], "c.json"),
+    "config-not-an-object": lambda tmp: (
+        ["--config", _write(tmp / "c.json", "[1]")], "c.json"),
+    "config-string-per-template": lambda tmp: (
+        ["--config", _write(tmp / "c.json", '{"per_template": "x"}')], "per_template"),
+    "config-boolean-top-k": lambda tmp: (
+        ["--config", _write(tmp / "c.json", '{"top_k": true}')], "top_k"),
+    "config-not-utf8": lambda tmp: (
+        ["--config", _write(tmp / "c.json", b'{"\xff": 1}')], "c.json"),
+    "lexicon-not-utf8": lambda tmp: (
+        ["--lexicon", _write(tmp / "lex.txt", b"[features]\nbattery\t\xe9\n")], "lex.txt"),
+    "phrasebank-not-utf8": lambda tmp: (
+        ["--phrasebank", _write(tmp / "pb.txt", b"\xff\n")], "pb.txt"),
+    "annotations-not-utf8": lambda tmp: (
+        ["--annotations", _write(tmp / "ann.jsonl", b'{"review_id": "\xff"}\n')],
+        "ann.jsonl"),
+}
+
+
+class TestBadInputExitsOne:
+    """A bad setting, template, config or undecodable file ends the command
+    with exit 1 and one ``error:`` line that names it, never a traceback."""
+
+    @pytest.mark.parametrize("make_input", BAD_GENERATE_INPUTS.values(),
+                             ids=BAD_GENERATE_INPUTS.keys())
+    def test_generate(self, tmp_path, snapshot_dir, capsys, make_input):
+        extra, named = make_input(tmp_path)
+        capsys.readouterr()
+        code = main(["generate", "--snapshot", str(snapshot_dir),
+                     "--out", str(tmp_path / "run"), "--seed", "7"] + extra)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert named in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "run" / "dataset.jsonl").exists()
+
+    def test_undecodable_snapshot(self, tmp_path, snapshot_dir, capsys):
+        with open(snapshot_dir / "reviews.jsonl", "ab") as fh:
+            fh.write(b'{"id": "\xff"}\n')
+        code = main(["validate", "--dataset", str(tmp_path / "none.jsonl"),
+                     "--snapshot", str(snapshot_dir)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "reviews.jsonl" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("field", ["template_id", "master_seed"])
+    def test_overflowing_number_in_dataset(self, tmp_path, snapshot_dir, capsys, field):
+        out = tmp_path / "run"
+        assert main(["generate", "--snapshot", str(snapshot_dir), "--out", str(out),
+                     "--seed", "7", "--per-template", "1"]) == 0
+        dataset = out / "dataset.jsonl"
+        lines = dataset.read_text().splitlines()
+        record = json.loads(lines[1])
+        record[field] = "PLACEHOLDER"
+        lines[1] = json.dumps(record).replace('"PLACEHOLDER"', "1e400")
+        dataset.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        for argv in (["stats", "--dataset", str(dataset)],
+                     ["validate", "--dataset", str(dataset), "--snapshot", str(snapshot_dir)]):
+            assert main(argv) == 1, argv[0]
+            err = capsys.readouterr().err
+            assert err.startswith("error: schema violation at line 2"), argv[0]
+            assert "Traceback" not in err

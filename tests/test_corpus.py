@@ -16,7 +16,7 @@ from shoptalk.corpus import (
 )
 from shoptalk.errors import DuplicateIdError, MalformedRecordError
 
-from conftest import load_corpus_script, write_jsonl
+from conftest import JSON_VALUES, load_corpus_script, write_jsonl
 
 
 class TestNormalizeText:
@@ -216,12 +216,6 @@ class TestIngestReviews:
         assert rating == 5 and type(rating) is int
 
 
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
-    lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
-    max_leaves=6,
-)
 FIELDS = ("id", "title", "category_path", "brand", "os", "memory", "color", "price",
           "also_viewed", "description", "product_id", "text", "rating",
           "normalized_text")

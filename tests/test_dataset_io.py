@@ -5,6 +5,8 @@ import copy
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shoptalk.assembly import GenerationSettings, builtin_templates, generate_dataset
 from shoptalk.dataset_io import (
@@ -15,6 +17,8 @@ from shoptalk.dataset_io import (
 )
 from shoptalk.errors import SchemaViolationError
 from shoptalk.negotiation import default_phrasebank
+
+from conftest import JSON_VALUES
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +83,93 @@ class TestRoundTrip:
             read_dataset(path)
         assert exc_info.value.line_no == 2
         assert "pair_trace" in str(exc_info.value)
+
+
+class TestReadDatasetTypes:
+    """A field of the wrong JSON type is a schema violation naming its line,
+    not a coerced value or a bare exception."""
+
+    @pytest.mark.parametrize("where, key, literal", [
+        ("ref", "sentence_ordinal", "1e400"),
+        ("ref", "score", "1" * 400),
+        ("ref", "sentence_ordinal", "true"),
+        ("ref", "sentence_ordinal", '"0"'),
+        ("record", "template_id", "1e400"),
+        ("record", "master_seed", "1e400"),
+        ("record", "id", "7"),
+    ], ids=["ordinal-1e400", "score-400-digits", "ordinal-true", "ordinal-string",
+            "template-id-1e400", "master-seed-1e400", "numeric-id"])
+    def test_rejected_with_line_number(self, tmp_path, generated, where, key, literal):
+        conversations, _ = generated
+        record = conversations[1].to_record()
+        target = record if where == "record" else first_grounded_turn(record)["grounding"][0]
+        target[key] = "PLACEHOLDER"
+        path = tmp_path / "typed.jsonl"
+        write_dataset(conversations[:1], path)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(record).replace('"PLACEHOLDER"', literal) + "\n")
+        with pytest.raises(SchemaViolationError) as exc_info:
+            read_dataset(path)
+        assert exc_info.value.line_no == 2
+
+
+def _objects(value):
+    """Every JSON object in ``value``, itself included."""
+    if isinstance(value, dict):
+        yield value
+    for child in value.values() if isinstance(value, dict) else value:
+        if isinstance(child, (dict, list)):
+            yield from _objects(child)
+
+
+RECORD_KEYS = (
+    "schema_version", "id", "template_id", "master_seed", "turns", "pair_trace",
+    "product_trajectory", "alternatives", "seed_product", "members", "speaker",
+    "text", "act", "product_id", "feature", "grounding", "review_id",
+    "sentence_ordinal", "score", "label", "kind",
+)
+
+
+class TestReadDatasetFuzz:
+    """Any line is read, or is a schema violation naming it; what is read
+    can be counted and validated without any other exception."""
+
+    @pytest.fixture(scope="class")
+    def directory(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("dataset-fuzz")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_fuzzed_record(self, directory, world, generated, data):
+        record = json.loads(json.dumps(generated[0][0].to_record()))
+        for _ in range(data.draw(st.integers(1, 3))):
+            target = data.draw(st.sampled_from(list(_objects(record))))
+            key = data.draw(st.sampled_from(RECORD_KEYS) | st.text(max_size=4))
+            if data.draw(st.booleans()):
+                target.pop(key, None)
+            else:
+                target[key] = data.draw(JSON_VALUES)
+        path = directory / "dataset.jsonl"
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        self._check(path, world)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(max_size=60))
+    def test_arbitrary_line(self, directory, world, line):
+        path = directory / "dataset.jsonl"
+        path.write_text(line.replace("\n", " ").replace("\r", " ") + "\n", encoding="utf-8")
+        self._check(path, world)
+
+    @staticmethod
+    def _check(path, world):
+        try:
+            conversations = read_dataset(path)
+        except SchemaViolationError as exc:
+            assert exc.line_no == 1
+            return
+        assert len(conversations) <= 1
+        stats(path)
+        validate(path, world)
 
 
 def mutate_dataset(tmp_path, conversations, mutator, name="mutated.jsonl"):

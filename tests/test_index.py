@@ -41,7 +41,7 @@ class TestBuildIndex:
         store = tiny_store()
         index = index_of(store, [])
         assert index.entries == {}
-        assert index.feature_directory == {}
+        assert index.feature_ranks == {}
 
     def test_sort_contract(self):
         store = tiny_store()
@@ -83,7 +83,7 @@ class TestBuildIndex:
                  for i, (f, s) in enumerate([("a", 0.3), ("b", -0.2), ("a", 0.9)])]
         assert index_of(store, spans) == index_of(store, spans)
 
-    def test_directory_matches_brute_force_group_by(self):
+    def test_feature_ranks_match_brute_force_group_by(self):
         # derived oracle: independent group-by over a 50-span fixture
         rng = random.Random(7)
         reviews = [
@@ -98,12 +98,19 @@ class TestBuildIndex:
             for _ in range(50)
         ]
         index = index_of(store, spans)
-        expected: dict[str, set] = {}
+        counts: dict[tuple, dict] = {}
         for s in spans:
             pid = store.get(s.review_id).product_id
             if s.polarity_label != "neutral":
-                expected.setdefault(pid, set()).add(s.feature_canonical)
-        assert {p: set(fs) for p, fs in index.feature_directory.items()} == expected
+                per_feature = counts.setdefault((pid, s.polarity_label), {})
+                per_feature[s.feature_canonical] = per_feature.get(s.feature_canonical, 0) + 1
+        expected = {
+            key: tuple(sorted(per_feature.items(), key=lambda fc: (-fc[1], fc[0])))
+            for key, per_feature in counts.items()
+        }
+        assert index.feature_ranks == expected
+        for (pid, label), ranking in expected.items():
+            assert features_of(index, pid, label) == list(ranking)
 
 
 class TestQuery:
@@ -215,7 +222,7 @@ class TestFeaturesOf:
     def test_unknown_product_empty(self):
         store = tiny_store()
         index = index_of(store, [])
-        assert features_of(index, "nope") == []
+        assert features_of(index, "nope", "positive") == []
 
     def test_counts_by_hand(self):
         store = tiny_store()

@@ -2,8 +2,11 @@
 equivalence with a brute-force slot enumerator."""
 
 import random
+from importlib.resources import files
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shoptalk import annotate
 from shoptalk.annotate import NEGATIVE, POSITIVE, OpinionSpan, PolarityConfig
@@ -27,6 +30,10 @@ from shoptalk.search_dialog import AlternativesSet
 from shoptalk.turns import ASSISTANT, CUSTOMER
 
 from conftest import make_catalog, make_review, make_store
+
+BUNDLED_PHRASEBANK = files("shoptalk").joinpath("data/phrasebank.txt").read_text(
+    encoding="utf-8"
+)
 
 CONFIG = PolarityConfig()
 
@@ -532,6 +539,55 @@ class TestPhrasebank:
         bad[("request_inform", CUSTOMER)] = ["Thoughts on {feature}? {opinion}"]
         with pytest.raises(PhrasebankError):
             Phrasebank(bad)
+
+    def test_unknown_section_rejected(self):
+        with pytest.raises(PhrasebankError, match="request_infrom"):
+            parse_phrasebank(BUNDLED_PHRASEBANK + "\n[request_infrom.customer]\nHi?\n")
+
+    @pytest.mark.parametrize("template", [
+        "Hi {} {opinion}", "Hi {0} {opinion}", "{opinion} {feature[0]}",
+        "{opinion!r}", "{opinion:>{width}}", "{ {opinion}", "{opinion} }",
+        "{{opinion}}",
+    ])
+    def test_template_that_cannot_render_rejected(self, template):
+        bad = default_phrasebank().sections.copy()
+        bad[("deny_disagreement", ASSISTANT)] = [template]
+        with pytest.raises(PhrasebankError):
+            Phrasebank(bad)
+
+    @settings(max_examples=300)
+    @given(st.lists(
+        st.tuples(
+            st.integers(0, 200),
+            st.sampled_from(["[deny_disagreement.assistant]", "[x]", "[.]", "#",
+                             "{opinion}", "{feature} {opinion}", "{", "}", "{}"])
+            | st.text(alphabet="{}[]._!:# fetuaropin", max_size=16),
+        ),
+        max_size=4,
+    ))
+    def test_any_lines_parse_or_are_rejected(self, inserts):
+        # the bundled phrasebank with arbitrary lines put in: a bank that
+        # loads renders every template
+        lines = BUNDLED_PHRASEBANK.splitlines()
+        for position, line in inserts:
+            lines.insert(position % (len(lines) + 1), line)
+        try:
+            bank = parse_phrasebank("\n".join(lines))
+        except PhrasebankError:
+            return
+        for templates in bank.sections.values():
+            for template in templates:
+                template.format(feature="f", product_title="t", opinion="o")
+
+    def test_escaped_opinion_in_neutral_question_renders(self):
+        catalog, _, index, sentences, _ = build_world({"p1": {"battery": [0.8, 0.5]}})
+        sections = default_phrasebank().sections.copy()
+        sections[("request_inform", CUSTOMER)] = ["Is the {feature} {{opinion}}?"]
+        pair = build_pair(
+            PairKind.REQUEST_INFORM, fresh_state(catalog, "p1"), index, catalog,
+            random.Random(1), Phrasebank(sections), sentences,
+        )
+        assert pair.customer_turn.text == "Is the battery {opinion}?"
 
     def test_default_bank_has_three_variants_everywhere(self):
         bank = default_phrasebank()
