@@ -23,7 +23,7 @@ from .errors import (
     InvalidConfigError,
     InvalidLexiconError,
     MalformedRecordError,
-    decoding,
+    read_lines,
     read_text,
 )
 
@@ -298,40 +298,37 @@ def import_annotations(
     text) are skipped and counted, out-of-range scores are clamped with a
     counter."""
     result = ImportResult(spans=[])
-    with decoding(path), open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                review_id, ordinal, feature, score = _annotation_fields(json.loads(line))
-            except (ValueError, KeyError, TypeError) as exc:
-                if strict:
-                    raise MalformedRecordError(line_no, str(exc)) from exc
-                result.skipped += 1
-                continue
-            review_sentences = sentences.get(review_id)
-            if review_sentences is None or not 0 <= ordinal < len(review_sentences):
-                result.skipped += 1
-                continue
-            sentence = review_sentences[ordinal]
-            surface = _locate_surface(sentence.text, feature)
-            if surface is None:
-                result.skipped += 1
-                continue
-            if not -1.0 <= score <= 1.0:
-                score = max(-1.0, min(1.0, score))
-                result.clamped += 1
-            result.spans.append(
-                OpinionSpan(
-                    review_id=review_id,
-                    sentence_ordinal=ordinal,
-                    feature_surface=surface,
-                    feature_canonical=canonicalize_feature(feature),
-                    polarity_score=score,
-                    polarity_label=config.label(score),
-                    source=SOURCE_IMPORTED,
-                )
+    for line_no, line in read_lines(path):
+        try:
+            review_id, ordinal, feature, score = _annotation_fields(json.loads(line))
+        except (ValueError, KeyError, TypeError) as exc:
+            if strict:
+                raise MalformedRecordError(line_no, str(exc)) from exc
+            result.skipped += 1
+            continue
+        review_sentences = sentences.get(review_id)
+        if review_sentences is None or not 0 <= ordinal < len(review_sentences):
+            result.skipped += 1
+            continue
+        sentence = review_sentences[ordinal]
+        surface = _locate_surface(sentence.text, feature)
+        if surface is None:
+            result.skipped += 1
+            continue
+        if not -1.0 <= score <= 1.0:
+            score = max(-1.0, min(1.0, score))
+            result.clamped += 1
+        result.spans.append(
+            OpinionSpan(
+                review_id=review_id,
+                sentence_ordinal=ordinal,
+                feature_surface=surface,
+                feature_canonical=canonicalize_feature(feature),
+                polarity_score=score,
+                polarity_label=config.label(score),
+                source=SOURCE_IMPORTED,
             )
+        )
     return result
 
 

@@ -17,7 +17,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 from .errors import (
     GenerationExhaustedError,
@@ -323,10 +323,12 @@ def generate_dataset(
     *,
     phrasebank: Phrasebank,
     settings: GenerationSettings = GenerationSettings(),
-) -> tuple[list[Conversation], GenerationReport]:
+) -> tuple[Iterator[Conversation], GenerationReport]:
     """Attempt settings.per_template conversations per template with
     independent per-conversation seed streams; exhaustions are reported,
-    not raised.  Output is ordered by (template_id, instance ordinal)."""
+    not raised.  The conversations are generated lazily, one per step of
+    the returned iterator, in (template_id, instance ordinal) order; the
+    report is complete once the iterator is exhausted."""
     report = GenerationReport(
         requested=len(templates) * settings.per_template,
         settings={
@@ -338,26 +340,28 @@ def generate_dataset(
             "min_opinions": settings.min_opinions,
         },
     )
-    conversations: list[Conversation] = []
-    for template in sorted(templates, key=lambda t: t.id):
-        for ordinal in range(1, settings.per_template + 1):
-            stream = SeedStream(master_seed, "conv", template.id, ordinal)
-            try:
-                conversation, attempts = generate_conversation(
-                    template, world, stream, phrasebank=phrasebank, settings=settings,
-                    conversation_id=f"t{template.id:02d}-n{ordinal:02d}",
-                    master_seed=master_seed,
-                )
-            except GenerationExhaustedError as exc:
-                report.attempts += exc.attempts
-                report.exhausted.append({
-                    "template_id": template.id,
-                    "ordinal": ordinal,
-                    "attempts": exc.attempts,
-                })
-                continue
-            report.attempts += attempts
-            conversations.append(conversation)
-            report.successes += 1
-            report.per_template[template.id] = report.per_template.get(template.id, 0) + 1
-    return conversations, report
+
+    def conversations() -> Iterator[Conversation]:
+        for template in sorted(templates, key=lambda t: t.id):
+            for ordinal in range(1, settings.per_template + 1):
+                stream = SeedStream(master_seed, "conv", template.id, ordinal)
+                try:
+                    conversation, attempts = generate_conversation(
+                        template, world, stream, phrasebank=phrasebank, settings=settings,
+                        conversation_id=f"t{template.id:02d}-n{ordinal:02d}",
+                        master_seed=master_seed,
+                    )
+                except GenerationExhaustedError as exc:
+                    report.attempts += exc.attempts
+                    report.exhausted.append({
+                        "template_id": template.id,
+                        "ordinal": ordinal,
+                        "attempts": exc.attempts,
+                    })
+                    continue
+                report.attempts += attempts
+                report.successes += 1
+                report.per_template[template.id] = report.per_template.get(template.id, 0) + 1
+                yield conversation
+
+    return conversations(), report

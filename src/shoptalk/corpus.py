@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterator, Optional
 
-from .errors import DuplicateIdError, MalformedRecordError, decoding
+from .errors import DuplicateIdError, MalformedRecordError, read_lines
 
 SEARCHABLE_FEATURES = ("brand", "os", "memory", "color")
 
@@ -211,22 +211,19 @@ class ReviewStore:
 
 
 def _iter_records(path: Path, report: IngestReport, strict: bool):
-    with decoding(path), open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            report.records_read += 1
-            try:
-                record = json.loads(line)
-                if not isinstance(record, dict):
-                    raise ValueError("record is not an object")
-            except ValueError as exc:
-                if strict:
-                    raise MalformedRecordError(line_no, str(exc)) from exc
-                report.malformed += 1
-                report.malformed_lines.append(line_no)
-                continue
-            yield line_no, record
+    for line_no, line in read_lines(path):
+        report.records_read += 1
+        try:
+            record = json.loads(line)
+            if not isinstance(record, dict):
+                raise ValueError("record is not an object")
+        except ValueError as exc:
+            if strict:
+                raise MalformedRecordError(line_no, str(exc)) from exc
+            report.malformed += 1
+            report.malformed_lines.append(line_no)
+            continue
+        yield line_no, record
 
 
 def _parse_product(record: dict) -> Product:

@@ -9,13 +9,14 @@ from the ingested corpus.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 from .assembly import Conversation, ConversationTemplate, builtin_templates
 from .corpus import ProductCatalog, ReviewStore
-from .errors import SchemaViolationError, decoding
+from .errors import SchemaViolationError, read_lines
 from .negotiation import KIND_BY_ACT, SIGNATURES
 from .opinion_index import OpinionIndex
 from .search_dialog import AlternativesSet
@@ -30,15 +31,25 @@ RULE_REUSE = "span_reuse"
 RULE_ALTERNATION = "alternation"
 
 
-def write_dataset(conversations: list[Conversation], path: str | Path) -> None:
-    """Write one conversation per line; key order is canonical so equal
-    datasets are byte-identical."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for conversation in conversations:
-            fh.write(
-                json.dumps(conversation.to_record(), sort_keys=True, ensure_ascii=False)
-                + "\n"
-            )
+def write_dataset(conversations: Iterable[Conversation], path: str | Path) -> None:
+    """Write one conversation per line, each as soon as ``conversations``
+    yields it; key order is canonical so equal datasets are byte-identical.
+    The lines go to a partial file beside ``path`` that replaces it only
+    once the last one is written, so a run that fails leaves no truncated
+    dataset."""
+    path = Path(path)
+    partial = path.with_name(path.name + ".partial")
+    try:
+        with open(partial, "w", encoding="utf-8") as fh:
+            for conversation in conversations:
+                fh.write(
+                    json.dumps(conversation.to_record(), sort_keys=True, ensure_ascii=False)
+                    + "\n"
+                )
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 # JSON values have exact types, so a field is checked with ``type(x) is``,
@@ -125,22 +136,20 @@ def conversation_from_record(record: dict) -> Conversation:
     )
 
 
-def read_dataset(path: str | Path) -> list[Conversation]:
-    conversations = []
-    with decoding(path), open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                record = _object(json.loads(line), "line")
-                if record.get("schema_version") != 1:
-                    raise ValueError(
-                        f"unsupported schema_version {record.get('schema_version')}"
-                    )
-                conversations.append(conversation_from_record(record))
-            except (ValueError, KeyError, TypeError, OverflowError) as exc:
-                raise SchemaViolationError(line_no, str(exc)) from exc
-    return conversations
+def read_dataset(path: str | Path) -> Iterator[Conversation]:
+    """The conversations of a dataset file, one at a time in file order;
+    a line that is not one raises SchemaViolationError naming it."""
+    for line_no, line in read_lines(path):
+        try:
+            record = _object(json.loads(line), "line")
+            if record.get("schema_version") != 1:
+                raise ValueError(
+                    f"unsupported schema_version {record.get('schema_version')}"
+                )
+            conversation = conversation_from_record(record)
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
+            raise SchemaViolationError(line_no, str(exc)) from exc
+        yield conversation
 
 
 @dataclass
@@ -177,13 +186,14 @@ def validate(
     templates: Optional[list[ConversationTemplate]] = None,
 ) -> ValidationReport:
     """Apply all six rules to every conversation, re-deriving every check
-    from the corpus world rather than trusting generator metadata."""
-    conversations = read_dataset(dataset_path)
+    from the corpus world rather than trusting generator metadata.  The
+    conversations are read one at a time, in file order; the violations
+    are sorted at the end, so the report does not depend on that order."""
     template_map = {
         t.id: t for t in (templates if templates is not None else builtin_templates())
     }
     report = ValidationReport()
-    for conversation in sorted(conversations, key=lambda c: c.id):
+    for conversation in read_dataset(dataset_path):
         report.conversations_checked += 1
         _check_alternation(conversation, report)
         _check_template(conversation, template_map, report)
@@ -277,6 +287,13 @@ def _check_grounding(
             )
             continue
         for ref in turn.grounding:
+            if ref.feature != turn.feature:
+                report.add(
+                    conversation.id,
+                    RULE_GROUNDING,
+                    f"turn {i}: grounding ref feature {ref.feature!r} != "
+                    f"turn feature {turn.feature!r}",
+                )
             review = store.get(ref.review_id)
             if review is None:
                 report.add(
@@ -445,13 +462,13 @@ class DatasetStats:
 
 
 def stats(dataset_path: str | Path) -> DatasetStats:
-    """Aggregate counts over a dataset file."""
-    conversations = read_dataset(dataset_path)
-    result = DatasetStats(conversations=len(conversations))
+    """Aggregate counts over a dataset file, in one pass."""
+    result = DatasetStats()
     products: set[str] = set()
     features: set[str] = set()
     total_turns = 0
-    for conversation in conversations:
+    for conversation in read_dataset(dataset_path):
+        result.conversations += 1
         result.per_template[conversation.template_id] = (
             result.per_template.get(conversation.template_id, 0) + 1
         )
@@ -470,7 +487,7 @@ def stats(dataset_path: str | Path) -> DatasetStats:
                 if ref.identity in seen:
                     result.span_reuse += 1
                 seen.add(ref.identity)
-    result.mean_turns = total_turns / len(conversations) if conversations else 0.0
+    result.mean_turns = total_turns / result.conversations if result.conversations else 0.0
     result.distinct_products = len(products)
     result.distinct_features = len(features)
     return result

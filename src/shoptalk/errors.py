@@ -55,6 +55,16 @@ def read_text(path) -> str:
         return Path(path).read_text(encoding="utf-8")
 
 
+def read_lines(path):
+    """(line number, line) for each non-blank line of the UTF-8 text file
+    ``path``, one at a time.  Lines end at ``\\n`` only: a bare ``\\r`` is
+    JSON whitespace, not the end of a record.  See decoding."""
+    with decoding(path), open(path, "r", encoding="utf-8", newline="\n") as fh:
+        for line_no, line in enumerate(fh, 1):
+            if line.strip():
+                yield line_no, line
+
+
 class InvalidLexiconError(ShoptalkError):
     """A lexicon violates its bounds (weights, multipliers, casing)."""
 

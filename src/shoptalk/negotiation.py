@@ -113,13 +113,14 @@ class DialogState:
     def check(self, catalog: ProductCatalog) -> None:
         if self.current_product not in self.visited_products:
             raise InvalidStateError("current product not in visited set")
-        allowed = set(self.alternatives.members)
+        members = self.alternatives.member_set
+        also_viewed: set[str] = set()
         for pid in self.visited_products:
-            if pid not in allowed:
+            if pid not in members and pid not in also_viewed:
                 raise InvalidStateError(f"visited product {pid!r} outside product pool")
             product = catalog.get(pid)
             if product is not None:
-                allowed.update(product.also_viewed)
+                also_viewed.update(product.also_viewed)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ preference.  Filtering is case-insensitive exact match.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .corpus import SEARCHABLE_FEATURES, ProductCatalog
@@ -52,9 +52,12 @@ class PreferenceProfile:
 class AlternativesSet:
     seed_product: str
     members: tuple[str, ...]
+    # the members again, for membership tests; built once, here
+    member_set: frozenset[str] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.seed_product not in self.members:
+        object.__setattr__(self, "member_set", frozenset(self.members))
+        if self.seed_product not in self.member_set:
             raise ValueError("seed product must be a member of its alternatives set")
 
     def to_record(self) -> dict:

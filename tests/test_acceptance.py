@@ -42,6 +42,7 @@ def full_run(world, tmp_path_factory):
         builtin_templates(), 20240817, world, phrasebank=default_phrasebank(),
         settings=GenerationSettings(per_template=10),
     )
+    conversations = list(conversations)  # generation runs as this consumes it
     elapsed = time.monotonic() - started
     path = tmp_path_factory.mktemp("acceptance") / "dataset.jsonl"
     write_dataset(conversations, path)
@@ -138,6 +139,7 @@ def test_criterion_4_product_pool(world, full_run):
         [chained], 7, world, phrasebank=default_phrasebank(),
         settings=GenerationSettings(per_template=5),
     )
+    conversations = list(conversations)
     assert chain_report.successes >= 1
     import tempfile
     with tempfile.TemporaryDirectory() as tmp:
@@ -148,7 +150,7 @@ def test_criterion_4_product_pool(world, full_run):
     chains = [c for c in conversations if len(c.product_trajectory) == 3]
     assert chains, "no conversation exercised a two-step switch chain"
     print(
-        f"\nPASS criterion 4 (product pool): 0 violations over {len(read_dataset(path))} "
+        f"\nPASS criterion 4 (product pool): 0 violations over {len(list(read_dataset(path)))} "
         f"conversations plus {len(chains)} chained-switch conversations"
     )
 

@@ -474,6 +474,18 @@ class TestImportAnnotations:
             import_annotations(path, self._sentences(), strict=True)
         assert exc_info.value.line_no == 1
 
+    @pytest.mark.parametrize("content", [b"0\r0\n", b" \r0\n"],
+                             ids=["between-values", "before-a-value"])
+    def test_bare_carriage_return_does_not_end_a_line(self, tmp_path, content):
+        # "\r" is JSON whitespace: one record, at line 1
+        path = tmp_path / "ann.jsonl"
+        path.write_bytes(content)
+        result = import_annotations(path, self._sentences())
+        assert (result.spans, result.skipped) == ([], 1)
+        with pytest.raises(MalformedRecordError) as exc_info:
+            import_annotations(path, self._sentences(), strict=True)
+        assert exc_info.value.line_no == 1
+
     @settings(max_examples=300)
     @given(
         st.dictionaries(
@@ -482,7 +494,7 @@ class TestImportAnnotations:
             JSON_VALUES, max_size=4,
         ).map(lambda extra: {"review_id": "r1", "sentence_ordinal": 0,
                              "feature": "battery", "score": 0.5, **extra})
-        | st.text(max_size=30).map(lambda text: re.sub(r"[\r\n]", " ", text))
+        | st.text(max_size=30).map(lambda text: text.replace("\n", " "))
     )
     def test_any_line_is_a_span_or_a_counted_skip(self, tmp_path_factory, line):
         path = tmp_path_factory.mktemp("ann") / "ann.jsonl"

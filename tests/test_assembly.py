@@ -282,6 +282,7 @@ class TestGenerateDataset:
             phrasebank=default_phrasebank(),
             settings=GenerationSettings(per_template=2),
         )
+        conversations = list(conversations)
         assert report.successes == 6
         assert report.per_template == {1: 2, 9: 2, 10: 2}
         assert [c.id for c in conversations] == [
@@ -346,6 +347,7 @@ class TestGenerateDataset:
             phrasebank=default_phrasebank(),
             settings=GenerationSettings(per_template=1, retry_budget=5),
         )
+        conversations = list(conversations)
         assert report.successes == 1
         assert [c.template_id for c in conversations] == [9]
         assert len(report.exhausted) == 1
@@ -384,6 +386,7 @@ class TestSearchCost:
             builtin_templates(), 7, fresh, phrasebank=default_phrasebank(),
             settings=GenerationSettings(per_template=2, p_skip=p_skip),
         )
+        conversations = list(conversations)
         assert report.successes == len(conversations) == 28
         assert walks == []
         assert valued and valued <= seeds

@@ -7,8 +7,9 @@ from collections import Counter
 
 import pytest
 
-from shoptalk import annotate
+from shoptalk import annotate, assembly
 from shoptalk.cli import main
+from shoptalk.errors import UnboundSlotError
 
 from conftest import load_corpus_script, write_jsonl
 
@@ -164,6 +165,39 @@ class TestGenerate:
                      "--seed", "7", "--per-template", "10"]) == 0
         digest = hashlib.sha256((out / "dataset.jsonl").read_bytes()).hexdigest()
         assert digest == "fec8c785e24767bd8eb92860741796571dd9de341187b7a59e00d752099d950c"
+
+    def test_golden_report_digest(self, tmp_path, snapshot_dir):
+        # report.json is filled in while the dataset is written, and
+        # written after it
+        out = tmp_path / "run"
+        assert main(["generate", "--snapshot", str(snapshot_dir), "--out", str(out),
+                     "--seed", "7", "--per-template", "10"]) == 0
+        digest = hashlib.sha256((out / "report.json").read_bytes()).hexdigest()
+        assert digest == "46c70f9f9617ceb72ad54d198080837966ca70bd833b287e91a6ba02a06fd20a"
+
+    def test_failed_run_leaves_no_dataset(self, tmp_path, snapshot_dir, monkeypatch,
+                                          capsys):
+        # the dataset is written as it is generated; an error part-way
+        # must not leave the lines written so far
+        generate = assembly.generate_conversation
+        calls = []
+
+        def failing_third(*args, **kwargs):
+            calls.append(kwargs["conversation_id"])
+            if len(calls) == 3:
+                raise UnboundSlotError("slot {feature} left unbound")
+            return generate(*args, **kwargs)
+
+        monkeypatch.setattr(assembly, "generate_conversation", failing_third)
+        out = tmp_path / "run"
+        assert main(["generate", "--snapshot", str(snapshot_dir), "--out", str(out),
+                     "--seed", "7", "--per-template", "10"]) == 1
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if line] == [
+            "error: slot {feature} left unbound"
+        ]
+        assert "Traceback" not in err
+        assert list(out.iterdir()) == []
 
 
 class TestGoldenAtScale:

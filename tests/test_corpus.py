@@ -86,6 +86,15 @@ class TestIngestMetadata:
         assert catalog.report.malformed == 2
         assert catalog.report.malformed_lines == [2, 3]
 
+    def test_bare_carriage_return_is_whitespace(self, tmp_path):
+        # "\r" is JSON whitespace, so only "\n" ends a record
+        path = tmp_path / "meta.jsonl"
+        path.write_bytes(b'{"id": "p1",\r "title": "x"}\nnot json\n')
+        catalog = ingest_metadata(path)
+        assert catalog.get("p1").title == "x"
+        assert catalog.report.records_read == 2
+        assert catalog.report.malformed_lines == [2]
+
     def test_malformed_aborts_strict(self, tmp_path):
         path = tmp_path / "meta.jsonl"
         path.write_text('{"id": "B1", "title": "A"}\nnot json\n')

@@ -3,11 +3,14 @@ mutation each), and dataset statistics."""
 
 import copy
 import json
+import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shoptalk import assembly, dataset_io
 from shoptalk.assembly import GenerationSettings, builtin_templates, generate_dataset
 from shoptalk.dataset_io import (
     read_dataset,
@@ -27,7 +30,7 @@ def generated(world):
         builtin_templates(), 4242, world, phrasebank=default_phrasebank(),
         settings=GenerationSettings(per_template=2),
     )
-    return conversations, report
+    return list(conversations), report
 
 
 class TestRoundTrip:
@@ -35,13 +38,13 @@ class TestRoundTrip:
         path = tmp_path / "empty.jsonl"
         write_dataset([], path)
         assert path.read_text() == ""
-        assert read_dataset(path) == []
+        assert list(read_dataset(path)) == []
 
     def test_single_conversation_round_trips(self, tmp_path, generated):
         conversations, _ = generated
         path = tmp_path / "one.jsonl"
         write_dataset(conversations[:1], path)
-        again = read_dataset(path)
+        again = list(read_dataset(path))
         assert again == conversations[:1]
 
     def test_full_run_round_trips_with_unique_ids(self, tmp_path, generated):
@@ -52,13 +55,20 @@ class TestRoundTrip:
         assert len(lines) == len(conversations)
         ids = [json.loads(line)["id"] for line in lines]
         assert len(set(ids)) == len(ids)
-        assert read_dataset(path) == conversations
+        assert list(read_dataset(path)) == conversations
+
+    def test_bare_carriage_return_is_whitespace(self, tmp_path, generated):
+        conversations, _ = generated
+        path = tmp_path / "cr.jsonl"
+        record = conversations[0].to_record()
+        path.write_text(json.dumps(record, separators=(",\r", ":\r")) + "\n")
+        assert list(read_dataset(path)) == conversations[:1]
 
     def test_bad_schema_version_raises(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"schema_version": 99, "id": "x"}\n')
         with pytest.raises(SchemaViolationError) as exc_info:
-            read_dataset(path)
+            list(read_dataset(path))
         assert exc_info.value.line_no == 1
 
     def test_garbage_line_raises_with_line_number(self, tmp_path, generated):
@@ -68,7 +78,7 @@ class TestRoundTrip:
         with open(path, "a", encoding="utf-8") as fh:
             fh.write("not json\n")
         with pytest.raises(SchemaViolationError) as exc_info:
-            read_dataset(path)
+            list(read_dataset(path))
         assert exc_info.value.line_no == 3
 
     def test_non_object_pair_trace_entry_raises_with_line_number(self, tmp_path, generated):
@@ -80,7 +90,7 @@ class TestRoundTrip:
         with open(path, "a", encoding="utf-8") as fh:
             fh.write(json.dumps(record) + "\n")
         with pytest.raises(SchemaViolationError) as exc_info:
-            read_dataset(path)
+            list(read_dataset(path))
         assert exc_info.value.line_no == 2
         assert "pair_trace" in str(exc_info.value)
 
@@ -109,7 +119,7 @@ class TestReadDatasetTypes:
         with open(path, "a", encoding="utf-8") as fh:
             fh.write(json.dumps(record).replace('"PLACEHOLDER"', literal) + "\n")
         with pytest.raises(SchemaViolationError) as exc_info:
-            read_dataset(path)
+            list(read_dataset(path))
         assert exc_info.value.line_no == 2
 
 
@@ -157,13 +167,13 @@ class TestReadDatasetFuzz:
     @given(st.text(max_size=60))
     def test_arbitrary_line(self, directory, world, line):
         path = directory / "dataset.jsonl"
-        path.write_text(line.replace("\n", " ").replace("\r", " ") + "\n", encoding="utf-8")
+        path.write_text(line.replace("\n", " ") + "\n", encoding="utf-8")
         self._check(path, world)
 
     @staticmethod
     def _check(path, world):
         try:
-            conversations = read_dataset(path)
+            conversations = list(read_dataset(path))
         except SchemaViolationError as exc:
             assert exc.line_no == 1
             return
@@ -265,6 +275,19 @@ class TestValidate:
         assert {v[1] for v in report.violations} == {"product_pool"}
         assert len(report.violations) == 1
 
+    def test_mutation_turn_feature_flags_grounding_only(self, tmp_path, world, generated):
+        conversations, _ = generated
+
+        def rename(record):
+            turn = next(t for t in record["turns"]
+                        if t["speaker"] == "assistant" and t["grounding"])
+            turn["feature"] = "zzz-other"
+
+        path = mutate_dataset(tmp_path, conversations, rename)
+        report = validate(path, world)
+        assert [v[:2] for v in report.violations] == [(conversations[0].id, "grounding")]
+        assert "zzz-other" in report.violations[0][2]
+
     def test_mutation_duplicate_ref_flags_reuse_only(self, tmp_path, world, generated):
         conversations, _ = generated
 
@@ -292,6 +315,24 @@ class TestValidate:
         path = mutate_dataset(tmp_path, conversations, swap)
         report = validate(path, world)
         assert {v[1] for v in report.violations} == {"alternation"}
+
+    def test_report_independent_of_line_order(self, tmp_path, world, generated):
+        conversations, _ = generated
+        records = copy.deepcopy([c.to_record() for c in conversations])
+        first_grounded_turn(records[0])["text"] = "completely replaced text"
+        records[3]["pair_trace"][0]["kind"] = "Bogus"
+        ref = first_grounded_turn(records[7])["grounding"][0]
+        ref["label"] = "negative" if ref["label"] == "positive" else "positive"
+        lines = [json.dumps(record, sort_keys=True) + "\n" for record in records]
+        shuffled_lines = random.Random(3).sample(lines, len(lines))
+        assert shuffled_lines != lines
+        paths = tmp_path / "ordered.jsonl", tmp_path / "shuffled.jsonl"
+        for path, content in zip(paths, (lines, shuffled_lines)):
+            path.write_text("".join(content), encoding="utf-8")
+        ordered, shuffled = (validate(path, world) for path in paths)
+        assert len(ordered.violations) >= 3
+        assert shuffled.summary() == ordered.summary()
+        assert shuffled.to_records() == ordered.to_records()
 
     def test_report_ordering_deterministic(self, tmp_path, world, generated):
         conversations, _ = generated
@@ -345,3 +386,69 @@ class TestStats:
         assert total_pairs == sum(
             len(c.pair_trace) for c in conversations
         )
+
+
+class LiveConversations:
+    """Counts the Conversation objects handed to ``track`` and the most of
+    them alive at one time."""
+
+    def __init__(self):
+        self.made = self.alive = self.peak = 0
+
+    def track(self, conversation):
+        self.made += 1
+        self.alive += 1
+        self.peak = max(self.peak, self.alive)
+        weakref.finalize(conversation, self._released)
+        return conversation
+
+    def _released(self):
+        self.alive -= 1
+
+
+@pytest.fixture(scope="module")
+def streamed(world, tmp_path_factory):
+    """A 140-conversation dataset written as it is generated, with the
+    live-conversation count of its generation."""
+    live = LiveConversations()
+    generate = assembly.generate_conversation
+
+    def tracked(*args, **kwargs):
+        conversation, attempts = generate(*args, **kwargs)
+        return live.track(conversation), attempts
+
+    path = tmp_path_factory.mktemp("streamed") / "dataset.jsonl"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(assembly, "generate_conversation", tracked)
+        conversations, report = generate_dataset(
+            builtin_templates(), 7, world, phrasebank=default_phrasebank(),
+            settings=GenerationSettings(per_template=10),
+        )
+        write_dataset(conversations, path)
+    return path, report, live
+
+
+class TestStreaming:
+    """generate, validate and stats hold one conversation at a time (two
+    while the next one is made), whatever the size of the dataset."""
+
+    def test_generation_writes_as_it_goes(self, streamed):
+        path, report, live = streamed
+        assert report.successes == live.made == 140
+        assert len(path.read_text(encoding="utf-8").splitlines()) == 140
+        assert live.peak <= 2
+
+    @pytest.mark.parametrize("command", ["validate", "stats"])
+    def test_reading_holds_at_most_two(self, streamed, world, monkeypatch, command):
+        path, _, _ = streamed
+        live = LiveConversations()
+        read = dataset_io.conversation_from_record
+        monkeypatch.setattr(dataset_io, "conversation_from_record",
+                            lambda record: live.track(read(record)))
+        if command == "validate":
+            report = validate(path, world)
+            assert (report.conversations_checked, report.violations) == (140, [])
+        else:
+            assert stats(path).conversations == 140
+        assert live.made == 140
+        assert live.peak <= 2

@@ -308,6 +308,39 @@ class TestPairKinds:
             instantiate_pair(PairKind.REQUEST_INFORM, bad, index, catalog, random.Random(0))
 
 
+class Untouchable:
+    """Stands in for a members tuple that must not be walked."""
+
+    def __iter__(self):
+        raise AssertionError("members iterated")
+
+    def __contains__(self, item):
+        raise AssertionError("members searched")
+
+
+class TestStateCheck:
+    def _state(self, visited):
+        alternatives = AlternativesSet(seed_product="p1", members=("p1", "p2"))
+        object.__setattr__(alternatives, "members", Untouchable())
+        return DialogState(
+            current_product=visited[-1], alternatives=alternatives,
+            visited_products=visited, used_spans=frozenset(),
+            discussed_features=frozenset(),
+        )
+
+    def test_check_never_walks_the_members(self):
+        # alternatives sets reach 15,000 members: check looks them up in
+        # the member set built once, and walks only the visited products
+        catalog, _, _, _, _ = build_world(
+            {"p1": {}, "p2": {}, "p3": {}, "p4": {}}, also_viewed={"p2": ["p3"]},
+        )
+        self._state(("p1", "p2", "p3")).check(catalog)
+        with pytest.raises(InvalidStateError):
+            self._state(("p1", "p3")).check(catalog)
+        with pytest.raises(InvalidStateError):
+            self._state(("p1", "p2", "p4")).check(catalog)
+
+
 def random_world(rng):
     n_products = rng.randrange(2, 8)
     features = ["battery", "screen", "camera", "sound", "design"]
