@@ -4,7 +4,8 @@ Spans come from either the built-in lexicon scorer or an imported
 annotations file (``annotations.jsonl`` with keys review_id,
 sentence_ordinal, feature, score).  Imported spans override lexicon spans
 for the same (sentence, canonical feature).  Both read a sentence map
-(review id -> sentences) that the caller splits once; see world.build_world.
+(review id -> tuple of sentence texts, a sentence's ordinal being its
+position) that the caller splits once; see world.build_world.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Optional
 
-from .corpus import Review, ReviewStore, Sentence
+from .corpus import Review, ReviewStore
 from .errors import (
     InvalidConfigError,
     InvalidLexiconError,
@@ -145,26 +146,23 @@ class Lexicons:
         object.__setattr__(self, "phrase_lengths", lengths)
 
 
-def split_sentences(review: Review) -> list[Sentence]:
+def split_sentences(review: Review) -> tuple[str, ...]:
     """Split normalized review text on sentence-final . ! ? with an
-    abbreviation guard; returns ordered, disjoint sentences."""
+    abbreviation guard; returns the sentence texts in order.  A sentence's
+    ordinal is its position in the result."""
     text = review.normalized_text
-    sentences: list[Sentence] = []
+    sentences = []
     start = 0
     for mark in _SENTENCE_END.finditer(text):
         end = mark.end()
         single_period = end - mark.start() == 1 and text[end - 1] == "."
         if single_period and _abbreviation_before(text, end - 1):
             continue
-        segment = text[start:end]
-        if segment.strip():
-            sentences.append(Sentence(review.id, len(sentences), start, end, segment))
-        start = min(end + 1, len(text))
+        sentences.append(text[start:end])  # holds its marks: never blank
+        start = end + 1
     if text[start:].strip():
-        sentences.append(
-            Sentence(review.id, len(sentences), start, len(text), text[start:])
-        )
-    return sentences
+        sentences.append(text[start:])
+    return tuple(sentences)
 
 
 def _abbreviation_before(text: str, period_pos: int) -> bool:
@@ -237,11 +235,16 @@ def _score_window(
 
 
 def extract_opinions(
-    sentence: Sentence, lexicons: Lexicons, config: PolarityConfig = PolarityConfig()
+    review_id: str,
+    ordinal: int,
+    text: str,
+    lexicons: Lexicons,
+    config: PolarityConfig = PolarityConfig(),
 ) -> list[OpinionSpan]:
-    """Emit one span per feature-phrase occurrence, scored over a word
-    window with intensifier chaining and negation flipping."""
-    parts = _split_words(sentence.text)
+    """Emit one span per feature-phrase occurrence in sentence ``ordinal``
+    of review ``review_id``, scored over a word window with intensifier
+    chaining and negation flipping."""
+    parts = _split_words(text)
     words = parts[1::2]
     spans = []
     for first, last, canonical in _find_features(words, lexicons):
@@ -249,9 +252,9 @@ def extract_opinions(
         score = round(_score_window(words, first, last, lexicons, config), 6)
         spans.append(
             OpinionSpan(
-                review_id=sentence.review_id,
-                sentence_ordinal=sentence.ordinal,
-                feature_surface=sentence.text[start:end],
+                review_id=review_id,
+                sentence_ordinal=ordinal,
+                feature_surface=text[start:end],
                 feature_canonical=canonical,
                 polarity_score=score,
                 polarity_label=config.label(score),
@@ -261,22 +264,22 @@ def extract_opinions(
     return spans
 
 
-def sentence_map(store: ReviewStore) -> dict[str, list[Sentence]]:
-    """Sentences of every stored review, keyed by review id."""
+def sentence_map(store: ReviewStore) -> dict[str, tuple[str, ...]]:
+    """Sentence texts of every stored review, keyed by review id."""
     return {review.id: split_sentences(review) for review in store}
 
 
 def annotate_store(
-    sentences: dict[str, list[Sentence]],
+    sentences: dict[str, tuple[str, ...]],
     lexicons: Lexicons,
     config: PolarityConfig = PolarityConfig(),
 ) -> list[OpinionSpan]:
     """Run the lexicon extractor over a sentence map (see sentence_map) in
     its review-id order."""
     spans: list[OpinionSpan] = []
-    for review_sentences in sentences.values():
-        for sentence in review_sentences:
-            spans.extend(extract_opinions(sentence, lexicons, config))
+    for review_id, texts in sentences.items():
+        for ordinal, text in enumerate(texts):
+            spans.extend(extract_opinions(review_id, ordinal, text, lexicons, config))
     return spans
 
 
@@ -289,7 +292,7 @@ class ImportResult:
 
 def import_annotations(
     path: str | Path,
-    sentences: dict[str, list[Sentence]],
+    sentences: dict[str, tuple[str, ...]],
     config: PolarityConfig = PolarityConfig(),
     strict: bool = False,
 ) -> ImportResult:
@@ -310,8 +313,7 @@ def import_annotations(
         if review_sentences is None or not 0 <= ordinal < len(review_sentences):
             result.skipped += 1
             continue
-        sentence = review_sentences[ordinal]
-        surface = _locate_surface(sentence.text, feature)
+        surface = _locate_surface(review_sentences[ordinal], feature)
         if surface is None:
             result.skipped += 1
             continue

@@ -102,18 +102,6 @@ class Review:
         return record
 
 
-@dataclass(frozen=True)
-class Sentence:
-    """One sentence of a normalized review; ``text`` equals the substring
-    of ``normalized_text`` at [start, end)."""
-
-    review_id: str
-    ordinal: int
-    start: int
-    end: int
-    text: str
-
-
 @dataclass
 class IngestReport:
     records_read: int = 0
@@ -233,13 +221,14 @@ def _parse_product(record: dict) -> Product:
         raise ValueError("missing or empty id")
     if title is None or not isinstance(title, str):
         raise ValueError("missing title")
-    for key in SEARCHABLE_FEATURES:
+    for key in (*SEARCHABLE_FEATURES, "description"):
         value = record.get(key)
         if value is not None and not isinstance(value, str):
             raise ValueError(f"{key} must be a string")
     for key in ("category_path", "also_viewed"):
-        if not isinstance(record.get(key, []), list):
-            raise ValueError(f"{key} must be a list")
+        values = record.get(key, [])
+        if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
+            raise ValueError(f"{key} must be a list of strings")
     price = record.get("price")
     if price is not None:
         if isinstance(price, bool) or not isinstance(price, (int, float)):
@@ -252,18 +241,16 @@ def _parse_product(record: dict) -> Product:
             raise ValueError("non-finite price")
         if price < 0:
             raise ValueError("negative price")
-    category_path = tuple(str(c) for c in record.get("category_path", []))
-    also_viewed = tuple(str(a) for a in record.get("also_viewed", []))
     return Product(
         id=product_id,
         title=title,
-        category_path=category_path,
+        category_path=tuple(record.get("category_path", [])),
         brand=record.get("brand"),
         os=record.get("os"),
         memory=record.get("memory"),
         color=record.get("color"),
         price=price,
-        also_viewed=also_viewed,
+        also_viewed=tuple(record.get("also_viewed", [])),
         description=record.get("description"),
     )
 

@@ -114,8 +114,8 @@ def conversation_from_record(record: dict) -> Conversation:
     """A conversation from its JSON record; raises ValueError, KeyError or
     OverflowError when a field is missing or of the wrong type."""
     turns = [_turn_from_record(_object(t, "turn")) for t in _field(record, "turns", list)]
-    search_turns = tuple(t for t in turns if t.act in SEARCH_ACTS)
-    evaluation_turns = tuple(t for t in turns if t.act not in SEARCH_ACTS)
+    # the search turns lead; every turn after them is an evaluation turn
+    n_search = next((i for i, t in enumerate(turns) if t.act not in SEARCH_ACTS), len(turns))
     alternatives = _object(record["alternatives"], "alternatives")
     pair_trace = tuple(_field(record, "pair_trace", list, optional=True) or ())
     for entry in pair_trace:
@@ -125,8 +125,8 @@ def conversation_from_record(record: dict) -> Conversation:
         id=_field(record, "id", str),
         template_id=_field(record, "template_id", int),
         master_seed=_field(record, "master_seed", int),
-        search_turns=search_turns,
-        evaluation_turns=evaluation_turns,
+        search_turns=tuple(turns[:n_search]),
+        evaluation_turns=tuple(turns[n_search:]),
         pair_trace=pair_trace,
         product_trajectory=_strings(record, "product_trajectory"),
         alternatives=AlternativesSet(
@@ -310,8 +310,7 @@ def _check_grounding(
                     f"turn {i}: sentence ordinal {ref.sentence_ordinal} out of range",
                 )
                 continue
-            sentence_text = review_sentences[ref.sentence_ordinal].text
-            if sentence_text not in turn.text:
+            if review_sentences[ref.sentence_ordinal] not in turn.text:
                 report.add(
                     conversation.id,
                     RULE_GROUNDING,

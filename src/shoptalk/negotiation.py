@@ -17,7 +17,7 @@ from string import Formatter
 from typing import Optional
 
 from .annotate import NEGATIVE, POSITIVE, OpinionSpan
-from .corpus import ProductCatalog, Sentence
+from .corpus import ProductCatalog
 from .errors import (
     InvalidConfigError, InvalidStateError, PhrasebankError, UnboundSlotError, read_text,
 )
@@ -379,7 +379,7 @@ def realize(
     phrasebank: Phrasebank,
     rng: random.Random,
     catalog: ProductCatalog,
-    sentences: dict[str, list[Sentence]],
+    sentences: dict[str, tuple[str, ...]],
 ) -> tuple[str, str]:
     """Render the customer and assistant texts; grounded sentences are
     embedded verbatim."""
@@ -417,13 +417,13 @@ def _render(phrasebank, kind, speaker, rng, *, feature, product_title, span, sen
     return template.format(feature=feature, product_title=product_title, opinion=opinion)
 
 
-def _sentence_text(sentences: dict[str, list[Sentence]], span: OpinionSpan) -> str:
+def _sentence_text(sentences: dict[str, tuple[str, ...]], span: OpinionSpan) -> str:
     review_sentences = sentences.get(span.review_id)
     if review_sentences is None or not 0 <= span.sentence_ordinal < len(review_sentences):
         raise UnboundSlotError(
             f"span references missing sentence {span.review_id}#{span.sentence_ordinal}"
         )
-    return review_sentences[span.sentence_ordinal].text
+    return review_sentences[span.sentence_ordinal]
 
 
 def build_pair(
@@ -433,7 +433,7 @@ def build_pair(
     catalog: ProductCatalog,
     rng: random.Random,
     phrasebank: Phrasebank,
-    sentences: dict[str, list[Sentence]],
+    sentences: dict[str, tuple[str, ...]],
     k: int = 3,
 ) -> Optional[DialogPair]:
     """Instantiate and realize one pair; None when unsatisfiable."""

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .annotate import NEGATIVE, NEUTRAL, POSITIVE, OpinionSpan
-from .corpus import ReviewStore, Sentence
+from .corpus import ReviewStore
 from .errors import DanglingSpanError
 
 SpanIdentity = tuple[str, int, str]
@@ -41,7 +41,7 @@ class OpinionIndex:
 
 def build_index(
     store: ReviewStore,
-    sentences: dict[str, list[Sentence]],
+    sentences: dict[str, tuple[str, ...]],
     spans: Iterable[OpinionSpan],
 ) -> OpinionIndex:
     """Group spans by (product, feature, label); rejects spans whose review

@@ -1,5 +1,5 @@
-"""The derived corpus "world": catalog, review store, sentences and opinion
-index, built in one place.
+"""The derived corpus "world": catalog, review store, sentence texts and
+opinion index, built in one place.
 
 Generation grounds every opinion in this derivation; the validator calls
 the same builder on the snapshot instead of reading anything the
@@ -14,7 +14,7 @@ from typing import Optional
 
 from . import annotate, opinion_index
 from .annotate import Lexicons, PolarityConfig
-from .corpus import ProductCatalog, ReviewStore, Sentence
+from .corpus import ProductCatalog, ReviewStore
 from .opinion_index import OpinionIndex
 
 
@@ -22,7 +22,7 @@ from .opinion_index import OpinionIndex
 class World:
     catalog: ProductCatalog
     store: ReviewStore
-    sentences: dict[str, list[Sentence]]  # review id -> ordered sentences
+    sentences: dict[str, tuple[str, ...]]  # review id -> sentence texts
     index: OpinionIndex
 
 

@@ -16,14 +16,14 @@ from shoptalk.annotate import (
     PolarityConfig,
     canonicalize_feature,
 )
-from shoptalk.corpus import Review, Sentence
+from shoptalk.corpus import Review
 
 _TOKEN = re.compile(r"[A-Za-z0-9]+(?:'[A-Za-z]+)?")
 
 
-def split_sentences(review: Review) -> list[Sentence]:
+def split_sentences(review: Review) -> list[str]:
     text = review.normalized_text
-    sentences: list[Sentence] = []
+    sentences: list[str] = []
     start = 0
     i = 0
     n = len(text)
@@ -39,15 +39,13 @@ def split_sentences(review: Review) -> list[Sentence]:
                     continue
                 segment = text[start:j]
                 if segment.strip():
-                    sentences.append(
-                        Sentence(review.id, len(sentences), start, j, segment)
-                    )
+                    sentences.append(segment)
                 start = j + 1 if not at_end else j
                 i = start
                 continue
         i += 1
     if start < n and text[start:].strip():
-        sentences.append(Sentence(review.id, len(sentences), start, n, text[start:]))
+        sentences.append(text[start:])
     return sentences
 
 
@@ -113,17 +111,21 @@ def _score_window(tokens, first, last, lexicons: Lexicons, config: PolarityConfi
 
 
 def extract_opinions(
-    sentence: Sentence, lexicons: Lexicons, config: PolarityConfig = PolarityConfig()
+    review_id: str,
+    ordinal: int,
+    text: str,
+    lexicons: Lexicons,
+    config: PolarityConfig = PolarityConfig(),
 ) -> list[OpinionSpan]:
-    tokens = _tokenize(sentence.text)
+    tokens = _tokenize(text)
     spans = []
     for first, last, canonical in _find_features(tokens, lexicons):
-        surface = sentence.text[tokens[first][1] : tokens[last][2]]
+        surface = text[tokens[first][1] : tokens[last][2]]
         score = round(_score_window(tokens, first, last, lexicons, config), 6)
         spans.append(
             OpinionSpan(
-                review_id=sentence.review_id,
-                sentence_ordinal=sentence.ordinal,
+                review_id=review_id,
+                sentence_ordinal=ordinal,
                 feature_surface=surface,
                 feature_canonical=canonical,
                 polarity_score=score,

@@ -349,8 +349,8 @@ def test_criterion_8_annotator_sanity():
         )
         spans = [
             span
-            for sentence in split_sentences(review)
-            for span in extract_opinions(sentence, lexicons, config)
+            for ordinal, text in enumerate(split_sentences(review))
+            for span in extract_opinions(review.id, ordinal, text, lexicons, config)
             if span.feature_canonical == entry["feature"]
         ]
         predicted = (

@@ -27,7 +27,7 @@ from shoptalk.annotate import (
     sentence_map,
     split_sentences,
 )
-from shoptalk.corpus import Review, Sentence
+from shoptalk.corpus import Review
 from shoptalk.errors import InvalidLexiconError, MalformedRecordError
 
 from conftest import JSON_VALUES, load_corpus_script, make_review, make_store, write_jsonl
@@ -78,50 +78,48 @@ def brute_force_score(text: str, feature_first: int, feature_last: int,
     return max(-1.0, min(1.0, total))
 
 
-def sentence_of(text: str):
+def sentence_of(text: str) -> str:
     review = make_review("r1", "p1", text)
-    sentences = split_sentences(review)
-    assert len(sentences) == 1, sentences
-    return sentences[0]
+    (sentence,) = split_sentences(review)
+    return sentence
+
+
+def opinions_of(text: str, config: PolarityConfig = PolarityConfig()):
+    """Lexicon spans of ``text`` as the only sentence of review r1."""
+    return extract_opinions("r1", 0, sentence_of(text), LEX, config)
 
 
 class TestSplitSentences:
     def test_two_sentences(self):
         review = make_review("r1", "p1", "Great phone. Bad battery.")
-        assert [s.text for s in split_sentences(review)] == [
-            "Great phone.", "Bad battery.",
-        ]
+        assert split_sentences(review) == ("Great phone.", "Bad battery.")
 
     def test_abbreviation_guard(self):
         review = make_review("r1", "p1", "It costs approx. 200 dollars. Nice.")
-        assert [s.text for s in split_sentences(review)] == [
-            "It costs approx. 200 dollars.", "Nice.",
-        ]
+        assert split_sentences(review) == ("It costs approx. 200 dollars.", "Nice.")
 
     def test_empty(self):
         review = make_review("r1", "p1", "")
-        assert split_sentences(review) == []
+        assert split_sentences(review) == ()
 
     def test_spans_index_into_normalized_text(self):
+        # the sentences rejoin into the text, so each one is the substring
+        # that starts one space after the sentences before it
         review = make_review("r1", "p1", "One. Two! Three? Dr. Four and 1.5 inches.")
         sentences = split_sentences(review)
-        for s in sentences:
-            assert review.normalized_text[s.start:s.end] == s.text
-        ordinals = [s.ordinal for s in sentences]
-        assert ordinals == list(range(len(sentences)))
+        assert sentences == ("One.", "Two!", "Three?", "Dr. Four and 1.5 inches.")
+        assert " ".join(sentences) == review.normalized_text
 
     def test_reconstruction(self):
         review = make_review("r1", "p1", "Great phone. Bad battery! Really? Yes.")
-        parts = [s.text for s in split_sentences(review)]
-        assert " ".join(parts) == review.normalized_text
+        assert " ".join(split_sentences(review)) == review.normalized_text
 
     def test_trailing_fragment_without_punctuation(self):
         # possible only via a pre-normalized override
         review = make_review("r1", "p1", "x").__class__(
             id="r1", product_id="p1", raw_text="x", normalized_text="Great. no end",
         )
-        texts = [s.text for s in split_sentences(review)]
-        assert texts == ["Great.", "no end"]
+        assert split_sentences(review) == ("Great.", "no end")
 
     def test_every_sample_corpus_span_indexes_validly(self, sample_corpus_paths):
         from shoptalk.corpus import ingest_metadata, ingest_reviews
@@ -130,16 +128,13 @@ class TestSplitSentences:
         catalog = ingest_metadata(meta)
         store = ingest_reviews(reviews, catalog)
         for review_id, sentences in sentence_map(store).items():
-            review = store.get(review_id)
-            for s in sentences:
-                assert review.normalized_text[s.start:s.end] == s.text
+            assert " ".join(sentences) == store.get(review_id).normalized_text
 
 
 class TestExtractOpinions:
     def test_paper_style_example_hand_computed(self):
         # battery life + good(0.7) * pretty(1.2) = 0.84
-        s = sentence_of("The battery life seems to be pretty good.")
-        spans = extract_opinions(s, LEX, PolarityConfig())
+        spans = opinions_of("The battery life seems to be pretty good.")
         assert len(spans) == 1
         span = spans[0]
         assert span.feature_canonical == "battery"
@@ -148,37 +143,33 @@ class TestExtractOpinions:
         assert span.polarity_label == "positive"
 
     def test_negation_flip(self):
-        s = sentence_of("The battery is not good.")
-        (span,) = extract_opinions(s, LEX, PolarityConfig())
+        (span,) = opinions_of("The battery is not good.")
         assert span.polarity_score == pytest.approx(-0.7)
         assert span.polarity_label == "negative"
 
     def test_no_feature_no_spans(self):
-        s = sentence_of("I bought this last week.")
-        assert extract_opinions(s, LEX, PolarityConfig()) == []
+        assert opinions_of("I bought this last week.") == []
 
     def test_neutral_band(self):
-        s = sentence_of("The battery is there.")
-        (span,) = extract_opinions(s, LEX, PolarityConfig())
+        (span,) = opinions_of("The battery is there.")
         assert span.polarity_label == "neutral"
         assert span.polarity_score == 0.0
 
     def test_one_span_per_occurrence(self):
-        s = sentence_of("The camera is good but the camera is slow.")
-        spans = extract_opinions(s, LEX, PolarityConfig())
+        spans = opinions_of("The camera is good but the camera is slow.")
         assert len(spans) == 2
         assert all(sp.feature_canonical == "camera" for sp in spans)
 
     def test_surface_kept_verbatim(self):
-        s = sentence_of("Battery Life is very good.")
-        (span,) = extract_opinions(s, LEX, PolarityConfig())
+        text = "Battery Life is very good."
+        (span,) = opinions_of(text)
         assert span.feature_surface == "Battery Life"
-        assert span.feature_surface in s.text
+        assert span.feature_surface in text
 
     def test_window_limit(self):
         # 'good' is 7 tokens after 'battery': outside the 6-token window
-        s = sentence_of("The battery on this one two three four five good.")
-        (span,) = extract_opinions(s, LEX, PolarityConfig(window=6))
+        (span,) = opinions_of("The battery on this one two three four five good.",
+                              PolarityConfig(window=6))
         assert span.polarity_score == 0.0
 
     @settings(max_examples=200)
@@ -195,21 +186,20 @@ class TestExtractOpinions:
         text = " ".join(words)
         s = sentence_of(text)
         config = PolarityConfig()
-        spans = extract_opinions(s, LEX, config)
-        tokens = [m.group(0).lower() for m in re.finditer(r"[A-Za-z0-9]+(?:'[A-Za-z]+)?", s.text)]
+        spans = extract_opinions("r1", 0, s, LEX, config)
+        tokens = [m.group(0).lower() for m in re.finditer(r"[A-Za-z0-9]+(?:'[A-Za-z]+)?", s)]
         # recompute every span against the independent oracle
         feature_positions = [
             i for i, tok in enumerate(tokens) if tok in LEX.feature_terms
         ]
         assert len(spans) == len(feature_positions)
         for span, pos in zip(spans, feature_positions):
-            expected = brute_force_score(s.text, pos, pos, LEX, config)
+            expected = brute_force_score(s, pos, pos, LEX, config)
             assert span.polarity_score == pytest.approx(expected, abs=1e-6)
 
     def test_determinism(self):
-        s = sentence_of("The battery is good and the screen is not bad.")
-        a = extract_opinions(s, LEX, PolarityConfig())
-        b = extract_opinions(s, LEX, PolarityConfig())
+        a = opinions_of("The battery is good and the screen is not bad.")
+        b = opinions_of("The battery is good and the screen is not bad.")
         assert a == b
 
 
@@ -266,7 +256,7 @@ class TestReferenceEquivalence:
     @example("İ. İß.  x?! ")
     def test_split_sentences_matches_reference(self, text):
         review = Review(id="r1", product_id="p1", raw_text=text, normalized_text=text)
-        assert split_sentences(review) == reference.split_sentences(review)
+        assert list(split_sentences(review)) == reference.split_sentences(review)
 
     @settings(max_examples=400)
     @given(
@@ -279,10 +269,9 @@ class TestReferenceEquivalence:
     @example("The battery is not good.", 6, 1)
     @example("The Screens and touch screen, OS-systems: apps; cases!", 6, 3)
     def test_extract_opinions_matches_reference(self, text, window, lookback):
-        sentence = Sentence("r1", 0, 0, len(text), text)
         config = PolarityConfig(window=window, negation_lookback=lookback)
-        assert extract_opinions(sentence, PHRASE_LEX, config) == (
-            reference.extract_opinions(sentence, PHRASE_LEX, config)
+        assert extract_opinions("r1", 0, text, PHRASE_LEX, config) == (
+            reference.extract_opinions("r1", 0, text, PHRASE_LEX, config)
         )
 
     def test_phrase_table_keeps_the_plural_rule(self):
@@ -532,8 +521,8 @@ class TestImportAnnotations:
         store = self._store()
         review = store.get("r1")
         lexicon_spans = []
-        for sentence in split_sentences(review):
-            lexicon_spans.extend(extract_opinions(sentence, LEX, PolarityConfig()))
+        for ordinal, text in enumerate(split_sentences(review)):
+            lexicon_spans.extend(extract_opinions("r1", ordinal, text, LEX))
         assert any(s.feature_canonical == "battery" for s in lexicon_spans)
         path = write_jsonl(tmp_path / "ann.jsonl", [
             {"review_id": "r1", "sentence_ordinal": 0, "feature": "battery", "score": -0.9},

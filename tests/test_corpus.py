@@ -120,9 +120,14 @@ class TestIngestMetadata:
         ("price", 10 ** 400),
         ("also_viewed", "p1x"),
         ("category_path", "Phones"),
+        ("also_viewed", [None]),
+        ("also_viewed", ["B1", 2]),
+        ("category_path", [True]),
+        ("description", 5),
     ], ids=["brand-int", "os-list", "price-nan", "price-inf", "price-bool",
             "price-string", "price-huge-int", "also-viewed-string",
-            "category-path-string"])
+            "category-path-string", "also-viewed-null", "also-viewed-int",
+            "category-path-bool", "description-int"])
     def test_ill_typed_field_is_malformed(self, tmp_path, key, value):
         path = write_jsonl(tmp_path / "meta.jsonl", [
             {"id": "B1", "title": "A", "brand": "LG"},

@@ -316,6 +316,23 @@ class TestValidate:
         report = validate(path, world)
         assert {v[1] for v in report.violations} == {"alternation"}
 
+    def test_mutation_moved_search_turns_flag_template(self, tmp_path, world, generated):
+        conversations, _ = generated
+
+        def move(record):
+            # the last search question and answer, after the first evaluation pair
+            turns = record["turns"]
+            n = sum(t["act"] in ("search_question", "search_answer") for t in turns)
+            moved = turns[n - 2 : n]
+            del turns[n - 2 : n]
+            turns[n:n] = moved
+
+        path = mutate_dataset(tmp_path, conversations, move)
+        report = validate(path, world)
+        assert (conversations[0].id, "template_conformance") in {
+            v[:2] for v in report.violations
+        }
+
     def test_report_independent_of_line_order(self, tmp_path, world, generated):
         conversations, _ = generated
         records = copy.deepcopy([c.to_record() for c in conversations])

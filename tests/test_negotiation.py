@@ -476,7 +476,7 @@ class TestRealize:
             bound.binding, bank, random.Random(1), catalog, sentences
         )
         assert customer_text == "Can you give me your thoughts on its camera quality?"
-        assert assistant_text == sentences["rev-p1"][1].text
+        assert assistant_text == sentences["rev-p1"][1]
 
     def test_deny_switch_product_golden_surface(self):
         catalog, _, index, sentences, _ = self._world()
@@ -527,11 +527,11 @@ class TestRealize:
                 if bound.binding.customer_span is not None:
                     grounded = sentences[bound.binding.customer_span.review_id][
                         bound.binding.customer_span.sentence_ordinal
-                    ].text
+                    ]
                     assert grounded in customer_text
                 grounded = sentences[bound.binding.assistant_span.review_id][
                     bound.binding.assistant_span.sentence_ordinal
-                ].text
+                ]
                 assert grounded in assistant_text
 
     def test_build_pair_turn_contract(self):
