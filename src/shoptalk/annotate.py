@@ -10,7 +10,6 @@ position) that the caller splits once; see world.build_world.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 import string
@@ -24,6 +23,7 @@ from .errors import (
     InvalidConfigError,
     InvalidLexiconError,
     MalformedRecordError,
+    parse_json,
     read_lines,
     read_text,
 )
@@ -303,7 +303,7 @@ def import_annotations(
     result = ImportResult(spans=[])
     for line_no, line in read_lines(path):
         try:
-            review_id, ordinal, feature, score = _annotation_fields(json.loads(line))
+            review_id, ordinal, feature, score = _annotation_fields(parse_json(line))
         except (ValueError, KeyError, TypeError) as exc:
             if strict:
                 raise MalformedRecordError(line_no, str(exc)) from exc

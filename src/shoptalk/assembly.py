@@ -8,14 +8,19 @@ global (re-roll the seed product), bounded by a retry budget.
 All randomness flows through per-conversation streams derived from
 (master_seed, template_id, instance ordinal), so removing one template
 from a run leaves every other conversation byte-identical.
+
+The built-in templates are the bundled ``data/templates.json``, read by
+the same loader as a ``--templates`` file.  The field defaults of
+GenerationSettings are the only defaults of the generation settings; the
+functions below them take each setting as a required argument.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from importlib.resources import files
 from pathlib import Path
 from typing import Iterator, Optional
 
@@ -24,6 +29,7 @@ from .errors import (
     InvalidConfigError,
     InvalidStateError,
     NoEligibleProductError,
+    parse_json,
     read_text,
 )
 from .negotiation import (
@@ -69,47 +75,16 @@ class ConversationTemplate:
             )
 
 
-_RI = PairKind.REQUEST_INFORM
-_DD = PairKind.DENY_DISAGREEMENT
-_DSP = PairKind.DENY_SWITCH_PRODUCT
-_DSF = PairKind.DENY_SWITCH_FEATURE
-_SA = PairKind.SEARCH_AGREEMENT
-_SSF = PairKind.SEARCH_SWITCH_FEATURE
-_SW = PairKind.SEARCH_WARNING
-
-# Built-in conversation plans.  Ids 2/3 and 1/11 intentionally share a
-# sequence; they are distinct entries in the shipped set of fourteen.
-_BUILTIN_SEQUENCES: dict[int, tuple[PairKind, ...]] = {
-    1: (_RI, _DD, _RI),
-    2: (_DSP, _DSF, _RI),
-    3: (_DSP, _DSF, _RI),
-    4: (_DD, _RI, _SW),
-    5: (_RI, _SW, _DD),
-    6: (_DSF, _RI, _SA, _RI),
-    7: (_DSF, _RI, _SSF, _RI),
-    8: (_RI, _DSP, _RI),
-    9: (_SA, _RI),
-    10: (_SSF, _RI),
-    11: (_RI, _DD, _RI),
-    12: (_SSF, _DSP, _RI),
-    13: (_RI, _DSF, _SW, _RI),
-    14: (_DSP, _RI, _SSF, _RI),
-}
-
-
 def builtin_templates() -> list[ConversationTemplate]:
-    """The fourteen shipped conversation templates."""
-    return [
-        ConversationTemplate(id=tid, sequence=seq)
-        for tid, seq in sorted(_BUILTIN_SEQUENCES.items())
-    ]
+    """The fourteen bundled conversation templates, data/templates.json."""
+    return load_templates(files("shoptalk").joinpath("data/templates.json"))
 
 
 def load_templates(path: str | Path) -> list[ConversationTemplate]:
     """Read template config: a JSON list of {id, pairs: [kind names]} with
     integer ids; raises InvalidConfigError naming the file and the entry."""
     try:
-        data = json.loads(read_text(path))
+        data = parse_json(read_text(path))
     except ValueError as exc:
         raise InvalidConfigError(f"templates {path}: invalid JSON: {exc}") from None
     if not isinstance(data, list):
@@ -331,14 +306,7 @@ def generate_dataset(
     report is complete once the iterator is exhausted."""
     report = GenerationReport(
         requested=len(templates) * settings.per_template,
-        settings={
-            "master_seed": master_seed,
-            "per_template": settings.per_template,
-            "retry_budget": settings.retry_budget,
-            "top_k": settings.top_k,
-            "p_skip": settings.p_skip,
-            "min_opinions": settings.min_opinions,
-        },
+        settings={"master_seed": master_seed, **asdict(settings)},
     )
 
     def conversations() -> Iterator[Conversation]:

@@ -10,30 +10,23 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import annotate, assembly, dataset_io
-from .corpus import (
-    IngestOptions,
-    ingest_metadata,
-    ingest_reviews,
-    write_catalog,
-    write_reviews,
-)
-from .errors import InvalidConfigError, ShoptalkError, read_text
+from .corpus import ingest_metadata, ingest_reviews, write_catalog, write_reviews
+from .errors import InvalidConfigError, ShoptalkError, parse_json, read_text
 from .negotiation import default_phrasebank, load_phrasebank
 from .world import World, build_world
 
 SCHEMA_NOTE = "dataset schema: one JSON conversation per line, schema_version 1"
 
+# Every config key with its default: the generation settings and the
+# polarity thresholds default as their dataclass fields do.
 DEFAULTS = {
-    "per_template": 10,
-    "p_skip": 0.25,
-    "retry_budget": 25,
-    "top_k": 3,
-    "t_pos": 0.1,
-    "t_neg": -0.1,
-    "min_opinions": 2,
+    **asdict(assembly.GenerationSettings()),
+    "t_pos": annotate.PolarityConfig.t_pos,
+    "t_neg": annotate.PolarityConfig.t_neg,
     "strict": False,
 }
 
@@ -54,7 +47,7 @@ def _read_config(path: str) -> dict:
     """A config file's settings, each of its default's JSON type (a float
     setting also takes an integer, an integer setting no boolean)."""
     try:
-        file_config = json.loads(read_text(path))
+        file_config = parse_json(read_text(path))
     except ValueError as exc:
         raise InvalidConfigError(f"config {path}: invalid JSON: {exc}") from None
     if not isinstance(file_config, dict):
@@ -74,9 +67,8 @@ def _read_config(path: str) -> dict:
 def _load_world(args: argparse.Namespace, config: dict) -> World:
     """Snapshot, lexicon and optional annotations -> the derived world."""
     snapshot = Path(args.snapshot)
-    options = IngestOptions(strict=config["strict"])
-    catalog = ingest_metadata(snapshot / "catalog.jsonl", options)
-    store = ingest_reviews(snapshot / "reviews.jsonl", catalog, options)
+    catalog = ingest_metadata(snapshot / "catalog.jsonl", strict=config["strict"])
+    store = ingest_reviews(snapshot / "reviews.jsonl", catalog, strict=config["strict"])
     lexicons = (
         annotate.load_lexicons(args.lexicon) if args.lexicon
         else annotate.default_lexicons()
@@ -95,11 +87,10 @@ def _templates(args: argparse.Namespace) -> list[assembly.ConversationTemplate]:
 
 def cmd_ingest(args: argparse.Namespace) -> int:
     config = _effective_config(args, ["strict"])
-    options = IngestOptions(strict=config["strict"])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    catalog = ingest_metadata(args.meta, options)
-    store = ingest_reviews(args.reviews, catalog, options)
+    catalog = ingest_metadata(args.meta, strict=config["strict"])
+    store = ingest_reviews(args.reviews, catalog, strict=config["strict"])
     write_catalog(catalog, out / "catalog.jsonl")
     write_reviews(store, out / "reviews.jsonl")
     report = {
@@ -123,17 +114,9 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    keys = [
-        "per_template", "p_skip", "retry_budget", "top_k",
-        "t_pos", "t_neg", "min_opinions", "strict",
-    ]
-    config = _effective_config(args, keys)
+    config = _effective_config(args, list(DEFAULTS))
     settings = assembly.GenerationSettings(
-        per_template=config["per_template"],
-        retry_budget=config["retry_budget"],
-        top_k=config["top_k"],
-        p_skip=config["p_skip"],
-        min_opinions=config["min_opinions"],
+        **{f.name: config[f.name] for f in fields(assembly.GenerationSettings)}
     )
     templates = _templates(args)
     out = Path(args.out)
@@ -203,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--out", required=True, help="output directory")
     p_gen.add_argument("--seed", required=True, type=int, help="master seed (mandatory)")
     p_gen.add_argument("--per-template", dest="per_template", type=int)
-    p_gen.add_argument("--templates", help="template config JSON (default: built-in 14)")
+    p_gen.add_argument("--templates", help="template config JSON (default: bundled)")
     p_gen.add_argument("--lexicon", help="lexicon file (default: bundled)")
     p_gen.add_argument("--phrasebank", help="phrasebank file (default: bundled)")
     p_gen.add_argument("--annotations", help="imported annotations jsonl")

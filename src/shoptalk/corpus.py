@@ -7,6 +7,11 @@ Input formats (one UTF-8 JSON object per line):
   reviews.jsonl id, product_id, text, rating (optional),
                 normalized_text (optional override)
 
+A line that is not such an object, with each field of its type, is
+malformed; so is JSON nested too deeply to parse.  Both ingesters count
+and skip a malformed line, or, with ``strict=True``, raise
+MalformedRecordError naming it.
+
 Text normalization is rule-based and idempotent; callers that want model
 based punctuation restoration can pre-fill ``normalized_text`` upstream.
 """
@@ -18,9 +23,9 @@ import math
 import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
-from .errors import DuplicateIdError, MalformedRecordError, read_lines
+from .errors import DuplicateIdError, MalformedRecordError, parse_json, read_lines
 
 SEARCHABLE_FEATURES = ("brand", "os", "memory", "color")
 
@@ -114,11 +119,6 @@ class IngestReport:
     duplicate_reviews: int = 0
 
 
-@dataclass(frozen=True)
-class IngestOptions:
-    strict: bool = False
-
-
 class ProductCatalog:
     """Immutable product collection keyed by id.
 
@@ -198,20 +198,25 @@ class ReviewStore:
         return self._reviews.get(review_id)
 
 
-def _iter_records(path: Path, report: IngestReport, strict: bool):
+def _iter_records(path: Path, report: IngestReport, strict: bool, parse: Callable):
+    """(line number, ``parse(record)``) for each record of ``path`` that
+    parses.  A malformed line, whether its JSON or its fields, raises
+    MalformedRecordError in strict mode and is counted and skipped
+    otherwise."""
     for line_no, line in read_lines(path):
         report.records_read += 1
         try:
-            record = json.loads(line)
+            record = parse_json(line)
             if not isinstance(record, dict):
                 raise ValueError("record is not an object")
-        except ValueError as exc:
+            parsed = parse(record)
+        except (ValueError, TypeError) as exc:
             if strict:
                 raise MalformedRecordError(line_no, str(exc)) from exc
             report.malformed += 1
             report.malformed_lines.append(line_no)
             continue
-        yield line_no, record
+        yield line_no, parsed
 
 
 def _parse_product(record: dict) -> Product:
@@ -255,9 +260,7 @@ def _parse_product(record: dict) -> Product:
     )
 
 
-def ingest_metadata(
-    path: str | Path, options: IngestOptions = IngestOptions()
-) -> ProductCatalog:
+def ingest_metadata(path: str | Path, *, strict: bool = False) -> ProductCatalog:
     """Read meta.jsonl into an immutable catalog.
 
     Malformed records are counted and skipped (raised in strict mode);
@@ -266,15 +269,7 @@ def ingest_metadata(
     """
     report = IngestReport()
     products: dict[str, Product] = {}
-    for line_no, record in _iter_records(Path(path), report, options.strict):
-        try:
-            product = _parse_product(record)
-        except (ValueError, TypeError) as exc:
-            if options.strict:
-                raise MalformedRecordError(line_no, str(exc)) from exc
-            report.malformed += 1
-            report.malformed_lines.append(line_no)
-            continue
+    for line_no, product in _iter_records(Path(path), report, strict, _parse_product):
         if product.id in products:
             raise DuplicateIdError(product.id, line_no)
         if product.id in product.also_viewed:
@@ -313,9 +308,7 @@ def _parse_review(record: dict) -> tuple[str, str, str, Optional[int], Optional[
 
 
 def ingest_reviews(
-    path: str | Path,
-    catalog: ProductCatalog,
-    options: IngestOptions = IngestOptions(),
+    path: str | Path, catalog: ProductCatalog, *, strict: bool = False
 ) -> ReviewStore:
     """Read reviews.jsonl into an immutable store.
 
@@ -324,21 +317,14 @@ def ingest_reviews(
     """
     report = IngestReport()
     reviews: dict[str, Review] = {}
-    for line_no, record in _iter_records(Path(path), report, options.strict):
-        try:
-            review_id, product_id, text, rating, normalized = _parse_review(record)
-        except (ValueError, TypeError) as exc:
-            if options.strict:
-                raise MalformedRecordError(line_no, str(exc)) from exc
-            report.malformed += 1
-            report.malformed_lines.append(line_no)
-            continue
+    records = _iter_records(Path(path), report, strict, _parse_review)
+    for line_no, (review_id, product_id, text, rating, normalized) in records:
         if product_id not in catalog:
             report.orphans += 1
             report.orphan_ids.append(review_id)
             continue
         if review_id in reviews:
-            if options.strict:
+            if strict:
                 raise MalformedRecordError(line_no, f"duplicate review id {review_id!r}")
             report.duplicate_reviews += 1
             continue

@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Optional
 
 from .assembly import Conversation, ConversationTemplate, builtin_templates
 from .corpus import ProductCatalog, ReviewStore
-from .errors import SchemaViolationError, read_lines
+from .errors import SchemaViolationError, parse_json, read_lines
 from .negotiation import KIND_BY_ACT, SIGNATURES
 from .opinion_index import OpinionIndex
 from .search_dialog import AlternativesSet
@@ -141,7 +141,7 @@ def read_dataset(path: str | Path) -> Iterator[Conversation]:
     a line that is not one raises SchemaViolationError naming it."""
     for line_no, line in read_lines(path):
         try:
-            record = _object(json.loads(line), "line")
+            record = _object(parse_json(line), "line")
             if record.get("schema_version") != 1:
                 raise ValueError(
                     f"unsupported schema_version {record.get('schema_version')}"

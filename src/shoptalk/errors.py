@@ -1,5 +1,7 @@
-"""Exception types shared across the pipeline."""
+"""Exception types shared across the pipeline, and the readers that
+raise them."""
 
+import json
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -63,6 +65,15 @@ def read_lines(path):
         for line_no, line in enumerate(fh, 1):
             if line.strip():
                 yield line_no, line
+
+
+def parse_json(text: str):
+    """``json.loads(text)``; JSON nested too deeply for the parser raises
+    ValueError, as any other malformed JSON does, not RecursionError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
 
 
 class InvalidLexiconError(ShoptalkError):

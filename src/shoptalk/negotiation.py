@@ -21,7 +21,7 @@ from .corpus import ProductCatalog
 from .errors import (
     InvalidConfigError, InvalidStateError, PhrasebankError, UnboundSlotError, read_text,
 )
-from .opinion_index import OpinionIndex, SpanIdentity, features_of
+from .opinion_index import OpinionIndex, SpanIdentity, eligible_spans, features_of
 from .search_dialog import AlternativesSet
 from .turns import ASSISTANT, CUSTOMER, GroundingRef, Turn
 
@@ -150,20 +150,6 @@ class DialogPair:
     state_after: DialogState
 
 
-def _eligible_spans(
-    index: OpinionIndex,
-    product: str,
-    feature: str,
-    label: str,
-    exclude: frozenset[SpanIdentity],
-) -> list[OpinionSpan]:
-    return [
-        span
-        for span in index.spans_for((product, feature, label))
-        if span.identity not in exclude
-    ]
-
-
 def _seeded_candidates(
     pool: list[OpinionSpan], rng: random.Random, k: int
 ) -> list[OpinionSpan]:
@@ -216,7 +202,7 @@ def instantiate_pair(
     index: OpinionIndex,
     catalog: ProductCatalog,
     rng: random.Random,
-    k: int = 3,
+    k: int,
 ) -> Optional[BoundPair]:
     """Bind all slots of one pair, or None when no assignment exists.
 
@@ -234,7 +220,7 @@ def instantiate_pair(
         if sig.customer_label is None:
             customer_options: list[Optional[OpinionSpan]] = [None]
         else:
-            pool = _eligible_spans(index, p1, fa, sig.customer_label, state.used_spans)
+            pool = eligible_spans(index, p1, fa, sig.customer_label, state.used_spans)
             customer_options = list(_seeded_candidates(pool, rng, k))
         for customer_span in customer_options:
             used = state.used_spans
@@ -252,7 +238,7 @@ def instantiate_pair(
             else:
                 targets = [(p1, fa)]
             for p2, fb in targets:
-                pool = _eligible_spans(index, p2, fb, sig.assistant_label, used)
+                pool = eligible_spans(index, p2, fb, sig.assistant_label, used)
                 if pool:
                     assistant_span = _seeded_candidates(pool, rng, k)[0]
                     binding = PairBinding(kind, p1, p2, fa, fb, customer_span, assistant_span)
@@ -434,7 +420,7 @@ def build_pair(
     rng: random.Random,
     phrasebank: Phrasebank,
     sentences: dict[str, tuple[str, ...]],
-    k: int = 3,
+    k: int,
 ) -> Optional[DialogPair]:
     """Instantiate and realize one pair; None when unsatisfiable."""
     bound = instantiate_pair(kind, state, index, catalog, rng, k)

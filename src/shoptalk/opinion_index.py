@@ -9,7 +9,7 @@ also ranks the features by span count, descending, ties by name.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .annotate import NEGATIVE, NEUTRAL, POSITIVE, OpinionSpan
 from .corpus import ReviewStore
@@ -78,21 +78,23 @@ def build_index(
     )
 
 
-def query(
+def eligible_spans(
     index: OpinionIndex,
     product_id: str,
     feature: str,
     label: str,
-    exclude: frozenset[SpanIdentity] | set[SpanIdentity] = frozenset(),
-) -> Optional[OpinionSpan]:
-    """First non-excluded span for the key, or None.  Neutral queries are a
-    caller error; neutral spans are never returned."""
+    exclude: frozenset[SpanIdentity] | set[SpanIdentity],
+) -> list[OpinionSpan]:
+    """The spans for the key in rank order, less those whose identity is in
+    ``exclude``.  Neutral queries are a caller error; neutral spans are
+    never returned."""
     if label not in (POSITIVE, NEGATIVE):
         raise ValueError(f"query label must be positive or negative, got {label!r}")
-    for span in index.spans_for((product_id, feature, label)):
-        if span.identity not in exclude:
-            return span
-    return None
+    return [
+        span
+        for span in index.spans_for((product_id, feature, label))
+        if span.identity not in exclude
+    ]
 
 
 def features_of(

@@ -68,7 +68,7 @@ def sample_seed(
     catalog: ProductCatalog,
     index: OpinionIndex,
     rng: random.Random,
-    min_opinions: int = 2,
+    min_opinions: int,
 ) -> str:
     """Uniform seeded choice among catalog products, in id order, with at
     least ``min_opinions`` non-neutral indexed spans.
@@ -109,7 +109,7 @@ def generate_search_dialog(
     seed_product: str,
     catalog: ProductCatalog,
     rng: random.Random,
-    p_skip: float = 0.25,
+    p_skip: float,
 ) -> tuple[list[Turn], AlternativesSet]:
     """One question/answer exchange per searchable feature (8 turns); the
     customer answers with the seed's value or skips with probability

@@ -452,8 +452,10 @@ class TestImportAnnotations:
         '{"review_id": "r1", "sentence_ordinal": 0, "feature": 7, "score": 0.5}',
         '{"review_id": "r1", "sentence_ordinal": 0, "feature": "battery", "score": true}',
         '["r1", 0, "battery", 0.5]',
+        "[" * 100_000,
     ], ids=["list-review-id", "score-400-digits", "ordinal-true", "ordinal-string",
-            "score-nan", "feature-number", "score-true", "not-an-object"])
+            "score-nan", "feature-number", "score-true", "not-an-object",
+            "nested-too-deeply"])
     def test_ill_typed_record_skipped_or_named(self, tmp_path, line):
         path = tmp_path / "ann.jsonl"
         path.write_text(line + "\n")

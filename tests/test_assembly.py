@@ -69,13 +69,6 @@ class TestBuiltinTemplates:
         assert by_id[1] == by_id[11]
         assert len(by_id) == 14
 
-    def test_config_file_matches_builtins(self):
-        from importlib.resources import files
-
-        path = files("shoptalk").joinpath("data/templates.json")
-        loaded = load_templates(str(path))
-        assert loaded == builtin_templates()
-
     def test_length_bounds(self):
         with pytest.raises(ValueError):
             ConversationTemplate(id=99, sequence=())

@@ -307,11 +307,12 @@ class TestStatsCommand:
 
     def test_non_object_line_is_schema_violation(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
-        bad.write_text("[1, 2]\n")
-        assert main(["stats", "--dataset", str(bad)]) == 1
-        err = capsys.readouterr().err
-        assert "schema violation at line 1" in err
-        assert "Traceback" not in err
+        for line in ("[1, 2]", TOO_DEEP):
+            bad.write_text(line + "\n")
+            assert main(["stats", "--dataset", str(bad)]) == 1
+            err = capsys.readouterr().err
+            assert "schema violation at line 1" in err
+            assert "Traceback" not in err
 
     def test_non_object_pair_trace_entry_exits_one(self, tmp_path, snapshot_dir, capsys):
         out = tmp_path / "run"
@@ -338,6 +339,9 @@ def _write(path, content):
     return str(path)
 
 
+# JSON nested far deeper than the parser's recursion limit
+TOO_DEEP = "[" * 100_000
+
 # (generate flags, a word the error line must hold): each input stops the
 # command before it generates anything
 BAD_GENERATE_INPUTS = {
@@ -360,6 +364,8 @@ BAD_GENERATE_INPUTS = {
         ["--templates", _write(tmp / "t.json", "[{")], "t.json"),
     "templates-not-utf8": lambda tmp: (
         ["--templates", _write(tmp / "t.json", b'["\xff"]')], "t.json"),
+    "templates-too-deep": lambda tmp: (
+        ["--templates", _write(tmp / "t.json", TOO_DEEP)], "t.json"),
     "config-invalid-json": lambda tmp: (
         ["--config", _write(tmp / "c.json", "{bad")], "c.json"),
     "config-not-an-object": lambda tmp: (
@@ -370,6 +376,8 @@ BAD_GENERATE_INPUTS = {
         ["--config", _write(tmp / "c.json", '{"top_k": true}')], "top_k"),
     "config-not-utf8": lambda tmp: (
         ["--config", _write(tmp / "c.json", b'{"\xff": 1}')], "c.json"),
+    "config-too-deep": lambda tmp: (
+        ["--config", _write(tmp / "c.json", TOO_DEEP)], "c.json"),
     "lexicon-not-utf8": lambda tmp: (
         ["--lexicon", _write(tmp / "lex.txt", b"[features]\nbattery\t\xe9\n")], "lex.txt"),
     "phrasebank-not-utf8": lambda tmp: (
@@ -377,6 +385,9 @@ BAD_GENERATE_INPUTS = {
     "annotations-not-utf8": lambda tmp: (
         ["--annotations", _write(tmp / "ann.jsonl", b'{"review_id": "\xff"}\n')],
         "ann.jsonl"),
+    "annotations-too-deep-strict": lambda tmp: (
+        ["--strict", "--annotations", _write(tmp / "ann.jsonl", TOO_DEEP + "\n")],
+        "line 1"),
 }
 
 

@@ -7,7 +7,7 @@ import random
 import weakref
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shoptalk import assembly, dataset_io
@@ -165,6 +165,7 @@ class TestReadDatasetFuzz:
 
     @settings(max_examples=200, deadline=None)
     @given(st.text(max_size=60))
+    @example("[" * 100_000)
     def test_arbitrary_line(self, directory, world, line):
         path = directory / "dataset.jsonl"
         path.write_text(line.replace("\n", " ") + "\n", encoding="utf-8")

@@ -6,7 +6,7 @@ import pytest
 
 from shoptalk.annotate import OpinionSpan, PolarityConfig, sentence_map
 from shoptalk.errors import DanglingSpanError
-from shoptalk.opinion_index import build_index, features_of, query
+from shoptalk.opinion_index import build_index, eligible_spans, features_of
 
 from conftest import make_review, make_store
 
@@ -114,6 +114,9 @@ class TestBuildIndex:
 
 
 class TestQuery:
+    """eligible_spans: the spans of one key, in rank order, less the used
+    ones; the lookup negotiation runs for every slot."""
+
     def _index(self):
         store = tiny_store()
         self.spans = [
@@ -126,19 +129,19 @@ class TestQuery:
 
     def test_single_span_returned(self):
         index = self._index()
-        result = query(index, "p1", "battery", "positive")
-        assert result.identity == ("r1", 0, "battery")
+        result = eligible_spans(index, "p1", "battery", "positive", frozenset())
+        assert result[0].identity == ("r1", 0, "battery")
 
     def test_excluding_only_span_yields_none(self):
         store = tiny_store()
         index = index_of(store, [span("r1", 0, "battery", 0.9)])
-        only = query(index, "p1", "battery", "positive")
-        assert query(index, "p1", "battery", "positive", {only.identity}) is None
+        [only] = eligible_spans(index, "p1", "battery", "positive", frozenset())
+        assert eligible_spans(index, "p1", "battery", "positive", {only.identity}) == []
 
     def test_exclusion_advances_by_tie_break_order(self):
         index = self._index()
-        first = query(index, "p1", "battery", "positive")
-        second = query(index, "p1", "battery", "positive", {first.identity})
+        first = eligible_spans(index, "p1", "battery", "positive", frozenset())[0]
+        second = eligible_spans(index, "p1", "battery", "positive", {first.identity})[0]
         # hand enumeration: 0.9 first, then the 0.5 tie broken by review id
         assert first.identity == ("r1", 0, "battery")
         assert second.identity == ("r1", 1, "battery")
@@ -146,18 +149,18 @@ class TestQuery:
     def test_neutral_never_returned(self):
         index = self._index()
         exclude = {("r1", 0, "battery"), ("r1", 1, "battery"), ("r2", 2, "battery")}
-        assert query(index, "p1", "battery", "positive", exclude) is None
+        assert eligible_spans(index, "p1", "battery", "positive", exclude) == []
 
     def test_neutral_label_rejected(self):
         index = self._index()
         with pytest.raises(ValueError):
-            query(index, "p1", "battery", "neutral")
+            eligible_spans(index, "p1", "battery", "neutral", frozenset())
 
     def test_query_is_pure(self):
         index = self._index()
         exclude = {("r1", 0, "battery")}
-        a = query(index, "p1", "battery", "positive", exclude)
-        b = query(index, "p1", "battery", "positive", exclude)
+        a = eligible_spans(index, "p1", "battery", "positive", exclude)
+        b = eligible_spans(index, "p1", "battery", "positive", exclude)
         assert a == b
 
     def test_matches_linear_scan_oracle(self):
@@ -188,7 +191,7 @@ class TestQuery:
                 eligible.append(s)
             eligible.sort(key=lambda s: (-abs(s.polarity_score), s.review_id,
                                          s.sentence_ordinal, s.feature_surface))
-            return eligible[0] if eligible else None
+            return eligible
 
         mismatches = 0
         for _ in range(300):
@@ -198,7 +201,7 @@ class TestQuery:
             excl = {
                 s.identity for s in rng.sample(spans, rng.randrange(0, 20))
             }
-            got = query(index, pid, feature, label, excl)
+            got = eligible_spans(index, pid, feature, label, excl)
             want = oracle(pid, feature, label, excl)
             if got != want:
                 mismatches += 1
@@ -209,12 +212,12 @@ class TestQuery:
         seen = set()
         results = []
         while True:
-            result = query(index, "p1", "battery", "positive", seen)
-            if result is None:
+            result = eligible_spans(index, "p1", "battery", "positive", seen)
+            if not result:
                 break
-            assert result.identity not in seen
-            results.append(result)
-            seen.add(result.identity)
+            assert result[0].identity not in seen
+            results.append(result[0])
+            seen.add(result[0].identity)
         assert len(results) == 3
 
 

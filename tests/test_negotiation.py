@@ -159,7 +159,7 @@ class TestPairKinds:
         )
         state = fresh_state(catalog, "p1")
         bound = instantiate_pair(
-            PairKind.DENY_DISAGREEMENT, state, index, catalog, random.Random(0)
+            PairKind.DENY_DISAGREEMENT, state, index, catalog, random.Random(0), k=3
         )
         assert bound is not None
         b = bound.binding
@@ -174,7 +174,7 @@ class TestPairKinds:
         )
         state = fresh_state(catalog, "p1")
         bound = instantiate_pair(
-            PairKind.SEARCH_WARNING, state, index, catalog, random.Random(0)
+            PairKind.SEARCH_WARNING, state, index, catalog, random.Random(0), k=3
         )
         assert bound is not None
         b = bound.binding
@@ -189,7 +189,7 @@ class TestPairKinds:
         )
         state = fresh_state(catalog, "p1")
         bound = instantiate_pair(
-            PairKind.DENY_SWITCH_PRODUCT, state, index, catalog, random.Random(0)
+            PairKind.DENY_SWITCH_PRODUCT, state, index, catalog, random.Random(0), k=3
         )
         assert bound is None
 
@@ -199,7 +199,7 @@ class TestPairKinds:
         )
         state = fresh_state(catalog, "p1")
         bound = instantiate_pair(
-            PairKind.DENY_SWITCH_PRODUCT, state, index, catalog, random.Random(0)
+            PairKind.DENY_SWITCH_PRODUCT, state, index, catalog, random.Random(0), k=3
         )
         assert bound is not None
         assert bound.binding.product_b == "p2"
@@ -214,7 +214,7 @@ class TestPairKinds:
         )
         state = fresh_state(catalog, "p1", members={"p1"})
         bound = instantiate_pair(
-            PairKind.DENY_SWITCH_PRODUCT, state, index, catalog, random.Random(0)
+            PairKind.DENY_SWITCH_PRODUCT, state, index, catalog, random.Random(0), k=3
         )
         assert bound is not None
         assert bound.binding.product_b == "p2"
@@ -223,12 +223,12 @@ class TestPairKinds:
         catalog, _, index, _, _ = build_world({"p1": {"battery": [0.8]}})
         state = fresh_state(catalog, "p1")
         assert instantiate_pair(
-            PairKind.SEARCH_AGREEMENT, state, index, catalog, random.Random(0)
+            PairKind.SEARCH_AGREEMENT, state, index, catalog, random.Random(0), k=3
         ) is None
         catalog2, _, index2, _, _ = build_world({"p1": {"battery": [0.8, 0.6]}})
         bound = instantiate_pair(
             PairKind.SEARCH_AGREEMENT, fresh_state(catalog2, "p1"),
-            index2, catalog2, random.Random(0),
+            index2, catalog2, random.Random(0), k=3,
         )
         assert bound is not None
         assert bound.binding.customer_span.identity != bound.binding.assistant_span.identity
@@ -237,7 +237,7 @@ class TestPairKinds:
         catalog, _, index, _, _ = build_world({"p1": {"camera": [0.9]}})
         state = fresh_state(catalog, "p1")
         bound = instantiate_pair(
-            PairKind.REQUEST_INFORM, state, index, catalog, random.Random(0)
+            PairKind.REQUEST_INFORM, state, index, catalog, random.Random(0), k=3
         )
         assert bound.binding.customer_span is None
         assert bound.binding.assistant_span.polarity_label == POSITIVE
@@ -253,7 +253,7 @@ class TestPairKinds:
             discussed_features=frozenset(),
         )
         assert instantiate_pair(
-            PairKind.REQUEST_INFORM, used, index, catalog, random.Random(0)
+            PairKind.REQUEST_INFORM, used, index, catalog, random.Random(0), k=3
         ) is None
 
     def test_prefers_undiscussed_features(self):
@@ -268,7 +268,7 @@ class TestPairKinds:
         )
         for seed in range(10):
             bound = instantiate_pair(
-                PairKind.REQUEST_INFORM, discussed, index, catalog, random.Random(seed)
+                PairKind.REQUEST_INFORM, discussed, index, catalog, random.Random(seed), k=3
             )
             assert bound.binding.feature_a == "screen"
 
@@ -281,7 +281,7 @@ class TestPairKinds:
             discussed_features=frozenset({"camera"}),
         )
         bound = instantiate_pair(
-            PairKind.REQUEST_INFORM, discussed, index, catalog, random.Random(0)
+            PairKind.REQUEST_INFORM, discussed, index, catalog, random.Random(0), k=3
         )
         assert bound is not None
         assert bound.binding.feature_a == "camera"
@@ -305,7 +305,7 @@ class TestPairKinds:
             discussed_features=frozenset(),
         )
         with pytest.raises(InvalidStateError):
-            instantiate_pair(PairKind.REQUEST_INFORM, bad, index, catalog, random.Random(0))
+            instantiate_pair(PairKind.REQUEST_INFORM, bad, index, catalog, random.Random(0), k=3)
 
 
 class Untouchable:
@@ -428,7 +428,7 @@ class TestStateAdvance:
         )
         state = fresh_state(catalog, "p1")
         bound = instantiate_pair(
-            PairKind.DENY_SWITCH_PRODUCT, state, index, catalog, random.Random(0)
+            PairKind.DENY_SWITCH_PRODUCT, state, index, catalog, random.Random(0), k=3
         )
         after = bound.state_after
         assert bound.binding.customer_span.identity in after.used_spans
@@ -470,7 +470,7 @@ class TestRealize:
         bank = self._single_variant_bank()
         state = fresh_state(catalog, "p1")
         bound = instantiate_pair(
-            PairKind.REQUEST_INFORM, state, index, catalog, random.Random(1)
+            PairKind.REQUEST_INFORM, state, index, catalog, random.Random(1), k=3
         )
         customer_text, assistant_text = realize(
             bound.binding, bank, random.Random(1), catalog, sentences
@@ -483,7 +483,7 @@ class TestRealize:
         bank = self._single_variant_bank()
         state = fresh_state(catalog, "p1")
         bound = instantiate_pair(
-            PairKind.DENY_SWITCH_PRODUCT, state, index, catalog, random.Random(1)
+            PairKind.DENY_SWITCH_PRODUCT, state, index, catalog, random.Random(1), k=3
         )
         _, assistant_text = realize(
             bound.binding, bank, random.Random(1), catalog, sentences
@@ -514,7 +514,7 @@ class TestRealize:
 
         for kind in PairKind:
             state = fresh_state(catalog, "p1")
-            bound = instantiate_pair(kind, state, index, catalog, random.Random(3))
+            bound = instantiate_pair(kind, state, index, catalog, random.Random(3), k=3)
             if bound is None:
                 continue
             n_variants = max(
@@ -539,7 +539,7 @@ class TestRealize:
         state = fresh_state(catalog, "p1")
         pair = build_pair(
             PairKind.DENY_SWITCH_PRODUCT, state, index, catalog,
-            random.Random(5), default_phrasebank(), sentences,
+            random.Random(5), default_phrasebank(), sentences, k=3,
         )
         assert pair.customer_turn.speaker == CUSTOMER
         assert pair.assistant_turn.speaker == ASSISTANT
@@ -618,7 +618,7 @@ class TestPhrasebank:
         sections[("request_inform", CUSTOMER)] = ["Is the {feature} {{opinion}}?"]
         pair = build_pair(
             PairKind.REQUEST_INFORM, fresh_state(catalog, "p1"), index, catalog,
-            random.Random(1), Phrasebank(sections), sentences,
+            random.Random(1), Phrasebank(sections), sentences, k=3,
         )
         assert pair.customer_turn.text == "Is the battery {opinion}?"
 
