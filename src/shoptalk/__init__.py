@@ -2,11 +2,11 @@
 product metadata and reviews.
 
 Pipeline: ingest a catalog and reviews (corpus), extract feature/opinion
-spans (annotate), index them (opinion_index) -- the last two derived once
-per command by world.build_world -- run the feature/value search dialog
-(search_dialog), instantiate negotiation dialog pairs (negotiation),
-compose conversations from templates (assembly), and serialize/validate
-datasets (dataset_io).
+spans (annotate), index them (opinion_index) -- the last two derived by
+world.build_world, each review at most once per command -- run the
+feature/value search dialog (search_dialog), instantiate negotiation
+dialog pairs (negotiation), compose conversations from templates
+(assembly), and serialize/validate datasets (dataset_io).
 """
 
 __version__ = "0.1.0"

@@ -2,10 +2,11 @@
 
 Spans come from either the built-in lexicon scorer or an imported
 annotations file (``annotations.jsonl`` with keys review_id,
-sentence_ordinal, feature, score).  Imported spans override lexicon spans
-for the same (sentence, canonical feature).  Both read a sentence map
-(review id -> tuple of sentence texts, a sentence's ordinal being its
-position) that the caller splits once; see world.build_world.
+sentence_ordinal, feature, score), parsed once by read_annotations.
+Imported spans override lexicon spans for the same (sentence, canonical
+feature).  Both read a sentence map (review id -> tuple of sentence
+texts, a sentence's ordinal being its position) that the caller splits
+once, for all reviews or a batch of them; see world.Derivation.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ import string
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional
 
-from .corpus import Review, ReviewStore
+from .corpus import Review
 from .errors import (
     InvalidConfigError,
     InvalidLexiconError,
@@ -264,9 +265,10 @@ def extract_opinions(
     return spans
 
 
-def sentence_map(store: ReviewStore) -> dict[str, tuple[str, ...]]:
-    """Sentence texts of every stored review, keyed by review id."""
-    return {review.id: split_sentences(review) for review in store}
+def sentence_map(reviews: Iterable[Review]) -> dict[str, tuple[str, ...]]:
+    """Sentence texts of each review (a ReviewStore gives all of them),
+    keyed by review id, in the order given."""
+    return {review.id: split_sentences(review) for review in reviews}
 
 
 def annotate_store(
@@ -283,6 +285,34 @@ def annotate_store(
     return spans
 
 
+@dataclass(frozen=True)
+class Annotations:
+    """An annotations file, parsed once: each well-typed record as
+    (sentence ordinal, feature, score), grouped by review id in file order,
+    and the number of record lines read, malformed ones included."""
+
+    by_review: dict[str, list[tuple[int, str, float]]]
+    lines: int
+
+
+def read_annotations(path: str | Path, strict: bool = False) -> Annotations:
+    """Parse an annotations file; a malformed record is counted in
+    ``lines`` and dropped, or, with ``strict``, raises MalformedRecordError
+    naming its line."""
+    by_review: dict[str, list[tuple[int, str, float]]] = {}
+    lines = 0
+    for line_no, line in read_lines(path):
+        lines += 1
+        try:
+            review_id, ordinal, feature, score = _annotation_fields(parse_json(line))
+        except (ValueError, KeyError, TypeError) as exc:
+            if strict:
+                raise MalformedRecordError(line_no, str(exc)) from exc
+            continue
+        by_review.setdefault(review_id, []).append((ordinal, feature, score))
+    return Annotations(by_review, lines)
+
+
 @dataclass
 class ImportResult:
     spans: list[OpinionSpan]
@@ -291,46 +321,40 @@ class ImportResult:
 
 
 def import_annotations(
-    path: str | Path,
+    annotations: Annotations,
     sentences: dict[str, tuple[str, ...]],
     config: PolarityConfig = PolarityConfig(),
-    strict: bool = False,
 ) -> ImportResult:
-    """Read externally produced spans against a sentence map; records
-    referencing unknown sentences (or features absent from the sentence
-    text) are skipped and counted, out-of-range scores are clamped with a
-    counter."""
+    """Spans from the annotation records of the reviews in a sentence map.
+    A record becomes a span when its sentence is in the map and holds its
+    feature; out-of-range scores are clamped with a counter.  Every other
+    record of the file, for a review outside the map or malformed, is
+    counted as skipped.  A world resolves each review once, so the records
+    of the map's reviews are taken out of ``annotations`` here, and their
+    memory is free before the spans are merged and indexed."""
     result = ImportResult(spans=[])
-    for line_no, line in read_lines(path):
-        try:
-            review_id, ordinal, feature, score = _annotation_fields(parse_json(line))
-        except (ValueError, KeyError, TypeError) as exc:
-            if strict:
-                raise MalformedRecordError(line_no, str(exc)) from exc
-            result.skipped += 1
-            continue
-        review_sentences = sentences.get(review_id)
-        if review_sentences is None or not 0 <= ordinal < len(review_sentences):
-            result.skipped += 1
-            continue
-        surface = _locate_surface(review_sentences[ordinal], feature)
-        if surface is None:
-            result.skipped += 1
-            continue
-        if not -1.0 <= score <= 1.0:
-            score = max(-1.0, min(1.0, score))
-            result.clamped += 1
-        result.spans.append(
-            OpinionSpan(
-                review_id=review_id,
-                sentence_ordinal=ordinal,
-                feature_surface=surface,
-                feature_canonical=canonicalize_feature(feature),
-                polarity_score=score,
-                polarity_label=config.label(score),
-                source=SOURCE_IMPORTED,
+    for review_id, review_sentences in sentences.items():
+        for ordinal, feature, score in annotations.by_review.pop(review_id, ()):
+            if not 0 <= ordinal < len(review_sentences):
+                continue
+            surface = _locate_surface(review_sentences[ordinal], feature)
+            if surface is None:
+                continue
+            if not -1.0 <= score <= 1.0:
+                score = max(-1.0, min(1.0, score))
+                result.clamped += 1
+            result.spans.append(
+                OpinionSpan(
+                    review_id=review_id,
+                    sentence_ordinal=ordinal,
+                    feature_surface=surface,
+                    feature_canonical=canonicalize_feature(feature),
+                    polarity_score=score,
+                    polarity_label=config.label(score),
+                    source=SOURCE_IMPORTED,
+                )
             )
-        )
+    result.skipped = annotations.lines - len(result.spans)
     return result
 
 

@@ -64,8 +64,9 @@ def _read_config(path: str) -> dict:
     return file_config
 
 
-def _load_world(args: argparse.Namespace, config: dict) -> World:
-    """Snapshot, lexicon and optional annotations -> the derived world."""
+def _load_world(args: argparse.Namespace, config: dict, lazy: bool = False) -> World:
+    """Snapshot, lexicon and optional annotations -> the derived world
+    (see build_world for ``lazy``)."""
     snapshot = Path(args.snapshot)
     catalog = ingest_metadata(snapshot / "catalog.jsonl", strict=config["strict"])
     store = ingest_reviews(snapshot / "reviews.jsonl", catalog, strict=config["strict"])
@@ -75,7 +76,7 @@ def _load_world(args: argparse.Namespace, config: dict) -> World:
     )
     polarity = annotate.PolarityConfig(t_pos=config["t_pos"], t_neg=config["t_neg"])
     return build_world(
-        catalog, store, lexicons, polarity, args.annotations, config["strict"]
+        catalog, store, lexicons, polarity, args.annotations, config["strict"], lazy
     )
 
 
@@ -150,7 +151,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def cmd_validate(args: argparse.Namespace) -> int:
     config = dict(_effective_config(args, ["t_pos", "t_neg"]), strict=False)
     templates = _templates(args)
-    world = _load_world(args, config)
+    world = _load_world(args, config, lazy=True)
     report = dataset_io.validate(args.dataset, world, templates)
     print(report.summary())
     if args.out:
@@ -208,6 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("--annotations")
     p_val.add_argument("--t-pos", dest="t_pos", type=float)
     p_val.add_argument("--t-neg", dest="t_neg", type=float)
+    p_val.add_argument("--config", help="JSON config file as for generate (flags override it)")
     p_val.add_argument("--out", help="violation report jsonl")
     p_val.set_defaults(func=cmd_validate)
 

@@ -3,7 +3,9 @@
 One conversation per line (``dataset.jsonl``), schema_version 1.  The
 validator trusts nothing from the generator: substring and polarity checks
 are recomputed against a world (see world.build_world) freshly derived
-from the ingested corpus.
+from the ingested corpus.  It reads the dataset once and derives each
+product's part of that world when a conversation first names the product,
+so its cost follows the products the dataset names, not the corpus size.
 """
 
 from __future__ import annotations
@@ -187,14 +189,17 @@ def validate(
 ) -> ValidationReport:
     """Apply all six rules to every conversation, re-deriving every check
     from the corpus world rather than trusting generator metadata.  The
-    conversations are read one at a time, in file order; the violations
-    are sorted at the end, so the report does not depend on that order."""
+    conversations are read one at a time, in file order; before its checks
+    run, the world derives the products a conversation names that it has
+    not derived yet (see World.cover).  The violations are sorted at the
+    end, so the report does not depend on that order."""
     template_map = {
         t.id: t for t in (templates if templates is not None else builtin_templates())
     }
     report = ValidationReport()
     for conversation in read_dataset(dataset_path):
         report.conversations_checked += 1
+        world.cover(_named_products(conversation, world.store))
         _check_alternation(conversation, report)
         _check_template(conversation, template_map, report)
         _check_grounding(conversation, world.store, world.sentences, report)
@@ -203,6 +208,22 @@ def validate(
         _check_reuse(conversation, report)
     report.violations.sort()
     return report
+
+
+def _named_products(conversation: Conversation, store: ReviewStore) -> Iterator[str]:
+    """Every product a conversation names: its seed, its trajectory, each
+    turn's product and the product of each grounding ref's review, so that
+    a ref forged into a review of an otherwise unnamed product is checked
+    against that product's sentences."""
+    yield conversation.alternatives.seed_product
+    yield from conversation.product_trajectory
+    for turn in conversation.evaluation_turns:
+        if turn.product_id is not None:
+            yield turn.product_id
+        for ref in turn.grounding:
+            review = store.get(ref.review_id)
+            if review is not None:
+                yield review.product_id
 
 
 def _expected_labels(act: str) -> Optional[tuple[Optional[str], str]]:

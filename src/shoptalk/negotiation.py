@@ -8,6 +8,7 @@ into the alternatives set or the current product's also-viewed list.
 
 from __future__ import annotations
 
+import heapq
 import random
 import re
 from dataclasses import dataclass
@@ -182,15 +183,23 @@ def _feature_order(
 def _switch_product_candidates(
     state: DialogState, catalog: ProductCatalog, index: OpinionIndex, rng: random.Random
 ) -> list[str]:
+    """The products a switch may move to, shuffled: the alternatives set and
+    the current product's also-viewed ids, less those visited, in id order
+    before the shuffle.  ``members`` is sorted already, as search_dialog
+    builds it, so the few also-viewed ids outside it are merged into it
+    rather than the whole pool being copied and sorted again."""
+    alternatives = state.alternatives
     current = catalog.get(state.current_product)
-    pool = set(state.alternatives.members)
-    if current is not None:
-        pool.update(current.also_viewed)
-    pool.difference_update(state.visited_products)
+    outside = sorted(
+        {pid for pid in current.also_viewed if pid not in alternatives.member_set}
+        if current is not None else ()
+    )
+    visited = state.visited_products
+    counts = index.non_neutral_counts
     candidates = [
         pid
-        for pid in sorted(pool)
-        if pid in catalog and index.non_neutral_counts.get(pid, 0) > 0
+        for pid in heapq.merge(alternatives.members, outside)
+        if counts.get(pid, 0) > 0 and pid not in visited and pid in catalog
     ]
     rng.shuffle(candidates)
     return candidates

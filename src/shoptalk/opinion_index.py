@@ -38,6 +38,16 @@ class OpinionIndex:
     def spans_for(self, key: IndexKey) -> tuple[OpinionSpan, ...]:
         return self.entries.get(key, ())
 
+    def extend(self, other: "OpinionIndex") -> None:
+        """Add, in place, an index built over the reviews of other products:
+        every part is per product, so the result is the index of both sets
+        of reviews together."""
+        self.entries.update(other.entries)
+        self.feature_ranks.update(other.feature_ranks)
+        counts = sorted({**self.non_neutral_counts, **other.non_neutral_counts}.items())
+        self.non_neutral_counts.clear()
+        self.non_neutral_counts.update(counts)
+
 
 def build_index(
     store: ReviewStore,

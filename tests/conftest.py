@@ -58,6 +58,22 @@ def write_jsonl(path: Path, records: list[dict]) -> Path:
     return path
 
 
+def named_products(dataset: Path, product_of: dict[str, str]) -> set[str]:
+    """The products a dataset names: each seed, trajectory product and turn
+    product, and the product of each grounding ref's review, read from the
+    JSON records; ``product_of`` maps review ids to product ids."""
+    named = set()
+    for line in dataset.read_text(encoding="utf-8").splitlines():
+        record = json.loads(line)
+        named.add(record["alternatives"]["seed_product"])
+        named.update(record["product_trajectory"])
+        for turn in record["turns"]:
+            if turn.get("product_id"):
+                named.add(turn["product_id"])
+            named.update(product_of[ref["review_id"]] for ref in turn.get("grounding", []))
+    return named
+
+
 def load_corpus_script():
     """scripts/build_sample_corpus.py as a module."""
     script = Path(__file__).resolve().parent.parent / "scripts" / "build_sample_corpus.py"

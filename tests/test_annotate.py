@@ -24,6 +24,7 @@ from shoptalk.annotate import (
     import_annotations,
     merge_spans,
     parse_lexicons,
+    read_annotations,
     sentence_map,
     split_sentences,
 )
@@ -410,7 +411,7 @@ class TestImportAnnotations:
         path = write_jsonl(tmp_path / "ann.jsonl", [
             {"review_id": "r1", "sentence_ordinal": 0, "feature": "battery", "score": 0.9},
         ])
-        result = import_annotations(path, self._sentences())
+        result = import_annotations(read_annotations(path), self._sentences())
         assert len(result.spans) == 1
         span = result.spans[0]
         assert span.source == "imported"
@@ -421,7 +422,7 @@ class TestImportAnnotations:
         path = write_jsonl(tmp_path / "ann.jsonl", [
             {"review_id": "r1", "sentence_ordinal": 0, "feature": "battery", "score": 1.5},
         ])
-        result = import_annotations(path, self._sentences())
+        result = import_annotations(read_annotations(path), self._sentences())
         assert result.clamped == 1
         assert result.spans[0].polarity_score == 1.0
 
@@ -430,7 +431,7 @@ class TestImportAnnotations:
             {"review_id": "r1", "sentence_ordinal": 9, "feature": "battery", "score": 0.5},
             {"review_id": "nope", "sentence_ordinal": 0, "feature": "battery", "score": 0.5},
         ])
-        result = import_annotations(path, self._sentences())
+        result = import_annotations(read_annotations(path), self._sentences())
         assert result.spans == []
         assert result.skipped == 2
 
@@ -438,7 +439,7 @@ class TestImportAnnotations:
         path = write_jsonl(tmp_path / "ann.jsonl", [
             {"review_id": "r1", "sentence_ordinal": 0, "feature": "keyboard", "score": 0.5},
         ])
-        result = import_annotations(path, self._sentences())
+        result = import_annotations(read_annotations(path), self._sentences())
         assert result.spans == []
         assert result.skipped == 1
 
@@ -459,10 +460,10 @@ class TestImportAnnotations:
     def test_ill_typed_record_skipped_or_named(self, tmp_path, line):
         path = tmp_path / "ann.jsonl"
         path.write_text(line + "\n")
-        result = import_annotations(path, self._sentences())
+        result = import_annotations(read_annotations(path), self._sentences())
         assert (result.spans, result.skipped, result.clamped) == ([], 1, 0)
         with pytest.raises(MalformedRecordError) as exc_info:
-            import_annotations(path, self._sentences(), strict=True)
+            import_annotations(read_annotations(path, strict=True), self._sentences())
         assert exc_info.value.line_no == 1
 
     @pytest.mark.parametrize("content", [b"0\r0\n", b" \r0\n"],
@@ -471,10 +472,10 @@ class TestImportAnnotations:
         # "\r" is JSON whitespace: one record, at line 1
         path = tmp_path / "ann.jsonl"
         path.write_bytes(content)
-        result = import_annotations(path, self._sentences())
+        result = import_annotations(read_annotations(path), self._sentences())
         assert (result.spans, result.skipped) == ([], 1)
         with pytest.raises(MalformedRecordError) as exc_info:
-            import_annotations(path, self._sentences(), strict=True)
+            import_annotations(read_annotations(path, strict=True), self._sentences())
         assert exc_info.value.line_no == 1
 
     @settings(max_examples=300)
@@ -490,7 +491,7 @@ class TestImportAnnotations:
     def test_any_line_is_a_span_or_a_counted_skip(self, tmp_path_factory, line):
         path = tmp_path_factory.mktemp("ann") / "ann.jsonl"
         path.write_text((json.dumps(line) if isinstance(line, dict) else line) + "\n")
-        result = import_annotations(path, self._sentences())
+        result = import_annotations(read_annotations(path), self._sentences())
         if not path.read_text().strip():
             assert (result.spans, result.skipped) == ([], 0)
             return
@@ -498,7 +499,9 @@ class TestImportAnnotations:
         for span in result.spans:
             assert -1.0 <= span.polarity_score <= 1.0
         try:
-            strict = import_annotations(path, self._sentences(), strict=True)
+            strict = import_annotations(
+                read_annotations(path, strict=True), self._sentences()
+            )
         except MalformedRecordError as exc:
             assert exc.line_no == 1 and result.skipped == 1
         else:
@@ -515,7 +518,7 @@ class TestImportAnnotations:
         path = write_jsonl(tmp_path / "ann.jsonl", [
             {"review_id": "r1", "sentence_ordinal": 0, "feature": feature, "score": 0.5},
         ])
-        result = import_annotations(path, sentences)
+        result = import_annotations(read_annotations(path), sentences)
         assert [s.feature_surface for s in result.spans] == ([surface] if surface else [])
         assert result.skipped == (0 if surface else 1)
 
@@ -529,7 +532,7 @@ class TestImportAnnotations:
         path = write_jsonl(tmp_path / "ann.jsonl", [
             {"review_id": "r1", "sentence_ordinal": 0, "feature": "battery", "score": -0.9},
         ])
-        imported = import_annotations(path, sentence_map(store)).spans
+        imported = import_annotations(read_annotations(path), sentence_map(store)).spans
         merged = merge_spans(lexicon_spans, imported)
         battery = [s for s in merged if s.identity == ("r1", 0, "battery")]
         assert len(battery) == 1

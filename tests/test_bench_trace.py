@@ -4,9 +4,12 @@ The tracer wraps pipeline functions by module attribute and reads their
 results, so a rename or a change of shape in src/ would otherwise surface
 only when the benchmark runs."""
 
+from collections import Counter
 from pathlib import Path
 
 from shoptalk import annotate, cli
+
+from conftest import named_products
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -32,6 +35,15 @@ def test_traced_pipeline_counts_the_sample_sentences(
             assert cli.main(argv) == 0, argv[0]
     finally:
         tracer.uninstall()
-    sentences = sum(len(annotate.split_sentences(review)) for review in world.store)
-    # one sentence map each for generate and validate
-    assert tracer.observed["annotate.sentence_map"] == [sentences, sentences]
+    named = named_products(
+        out / "dataset.jsonl", {review.id: review.product_id for review in world.store}
+    )
+    sentences = Counter()
+    for review in world.store:
+        sentences[review.product_id] += len(annotate.split_sentences(review))
+    generate, *validate = tracer.observed["annotate.sentence_map"]
+    # generate maps every sentence at once; validate maps, in batches, the
+    # sentences of the products the dataset names, a strict subset here
+    assert generate == sum(sentences.values())
+    assert sum(validate) == sum(sentences[product] for product in named)
+    assert len(named) < len(sentences)

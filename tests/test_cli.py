@@ -1,9 +1,11 @@
 """End-to-end command-line behavior on the bundled sample corpus."""
 
+import builtins
 import hashlib
 import json
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +13,7 @@ from shoptalk import annotate, assembly
 from shoptalk.cli import main
 from shoptalk.errors import UnboundSlotError
 
-from conftest import load_corpus_script, write_jsonl
+from conftest import load_corpus_script, named_products, write_jsonl
 
 
 @pytest.fixture
@@ -246,7 +248,13 @@ class TestDeriveOnce:
         for argv in commands:
             calls.clear()
             assert main(argv + ["--annotations", str(annotations)]) == 0
-            assert calls == Counter({r["id"]: 1 for r in reviews}), argv[0]
+            if argv[0] == "generate":
+                assert calls == Counter({r["id"]: 1 for r in reviews})
+        # validate splits only the reviews of the products the dataset names
+        named = named_products(out / "dataset.jsonl",
+                               {r["id"]: r["product_id"] for r in reviews})
+        assert calls == Counter({r["id"]: 1 for r in reviews if r["product_id"] in named})
+        assert 0 < len(calls) < len(reviews)
 
 
 class TestValidateCommand:
@@ -280,6 +288,62 @@ class TestValidateCommand:
         violations = [json.loads(l) for l in report_path.read_text().splitlines()]
         assert len(violations) == 1
         assert violations[0]["rule"] == "grounding"
+
+    def test_config_thresholds_apply(self, tmp_path, snapshot_dir, capsys):
+        # t_neg 0.7 labels the sample's 0.6-0.7 scores negative, which the
+        # default thresholds label positive
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"t_pos": 0.8, "t_neg": 0.7, "per_template": 1}))
+        out = tmp_path / "run"
+        assert main(["generate", "--snapshot", str(snapshot_dir), "--out", str(out),
+                     "--seed", "7", "--config", str(config)]) == 0
+        validate = ["validate", "--dataset", str(out / "dataset.jsonl"),
+                    "--snapshot", str(snapshot_dir)]
+        capsys.readouterr()
+        assert main(validate + ["--config", str(config)]) == 0
+        assert "violations: 0" in capsys.readouterr().out
+        assert main(validate) == 1
+        assert "[polarity]" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("content, message", [
+        ({"t_po": 0.2}, "unknown config keys"),
+        ({"t_pos": "0.2"}, "t_pos must be a JSON float"),
+    ])
+    def test_bad_config_rejected(self, tmp_path, snapshot_dir, capsys, content, message):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(content))
+        assert main(["validate", "--dataset", str(tmp_path / "dataset.jsonl"),
+                     "--snapshot", str(snapshot_dir), "--config", str(config)]) == 1
+        assert message in capsys.readouterr().err
+
+    def test_reads_dataset_and_annotations_once(self, tmp_path, snapshot_dir,
+                                                monkeypatch):
+        reviews = [json.loads(line) for line in
+                   (snapshot_dir / "reviews.jsonl").read_text().splitlines()]
+        annotations = write_jsonl(tmp_path / "annotations.jsonl", [
+            {"review_id": r["id"], "sentence_ordinal": 0,
+             "feature": r["normalized_text"].split()[0].lower(), "score": 0.9}
+            for r in reviews
+        ])
+        out = tmp_path / "run"
+        assert main(["generate", "--snapshot", str(snapshot_dir), "--out", str(out),
+                     "--seed", "7", "--per-template", "1",
+                     "--annotations", str(annotations)]) == 0
+        opened = Counter()
+        real_open = builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            if isinstance(file, (str, Path)):
+                opened[Path(file).resolve()] += 1
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        assert main(["validate", "--dataset", str(out / "dataset.jsonl"),
+                     "--snapshot", str(snapshot_dir),
+                     "--annotations", str(annotations)]) == 0
+        monkeypatch.undo()
+        assert opened[(out / "dataset.jsonl").resolve()] == 1
+        assert opened[annotations.resolve()] == 1
 
 
 class TestHelp:

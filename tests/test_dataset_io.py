@@ -19,7 +19,9 @@ from shoptalk.dataset_io import (
     write_dataset,
 )
 from shoptalk.errors import SchemaViolationError
+from shoptalk.annotate import default_lexicons
 from shoptalk.negotiation import default_phrasebank
+from shoptalk.world import build_world
 
 from conftest import JSON_VALUES
 
@@ -365,6 +367,63 @@ class TestValidate:
         second = validate(path, world).violations
         assert first == second
         assert first == sorted(first)
+
+
+class TestScopedValidation:
+    """A lazy world derives only the products the dataset names; each
+    mutation must get the violations a world derived whole gives."""
+
+    @staticmethod
+    def _validate_both(path, world):
+        lazy = build_world(world.catalog, world.store, default_lexicons(), lazy=True)
+        scoped = validate(path, lazy)
+        assert lazy.pending, "the dataset names every product: nothing is scoped"
+        full = validate(path, world)
+        assert scoped.violations == full.violations
+        return full.violations
+
+    @staticmethod
+    def _one_conversation(tmp_path, generated, mutator):
+        return mutate_dataset(tmp_path, generated[0][:1], mutator)
+
+    def test_ref_forged_into_an_unnamed_product(self, tmp_path, world, generated):
+        conversation = generated[0][0]
+        named = {conversation.alternatives.seed_product, *conversation.product_trajectory}
+        named.update(t.product_id for t in conversation.evaluation_turns)
+        forged = next(r for r in world.store if r.product_id not in named)
+
+        def forge(record):
+            ref = first_grounded_turn(record)["grounding"][0]
+            ref["review_id"], ref["sentence_ordinal"] = forged.id, 0
+
+        path = self._one_conversation(tmp_path, generated, forge)
+        violations = self._validate_both(path, world)
+        # checked against the forged review's sentences, so not "out of range"
+        assert any("not a verbatim substring" in v[2] for v in violations)
+        assert not any("out of range" in v[2] for v in violations)
+
+    def test_turn_names_an_uncatalogued_product(self, tmp_path, world, generated):
+        def retarget(record):
+            first_grounded_turn(record)["product_id"] = "B-NOT-IN-CATALOG"
+
+        path = self._one_conversation(tmp_path, generated, retarget)
+        violations = self._validate_both(path, world)
+        assert {"product_pool", "polarity"} <= {v[1] for v in violations}
+
+    def test_unknown_review(self, tmp_path, world, generated):
+        def dangle(record):
+            first_grounded_turn(record)["grounding"][0]["review_id"] = "r-ghost"
+
+        path = self._one_conversation(tmp_path, generated, dangle)
+        violations = self._validate_both(path, world)
+        assert [v[1:] for v in violations] == [
+            ("grounding", f"turn {self._first_grounded(path)}: unknown review r-ghost")
+        ]
+
+    @staticmethod
+    def _first_grounded(path):
+        turns = next(read_dataset(path)).evaluation_turns
+        return next(i for i, t in enumerate(turns) if t.grounding)
 
 
 class TestStats:

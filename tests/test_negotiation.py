@@ -25,7 +25,8 @@ from shoptalk.negotiation import (
     parse_phrasebank,
     realize,
 )
-from shoptalk.opinion_index import build_index
+from shoptalk.negotiation import _switch_product_candidates as switch_product_candidates
+from shoptalk.opinion_index import OpinionIndex, build_index
 from shoptalk.search_dialog import AlternativesSet
 from shoptalk.turns import ASSISTANT, CUSTOMER
 
@@ -386,6 +387,53 @@ def random_state(rng, catalog, spans):
         used_spans=used,
         discussed_features=discussed,
     )
+
+
+def reference_switch_candidates(state, catalog, index, rng):
+    """The switch candidates as first computed: the whole pool (alternatives
+    set and the current product's also-viewed ids) copied and sorted."""
+    current = catalog.get(state.current_product)
+    pool = set(state.alternatives.members)
+    if current is not None:
+        pool.update(current.also_viewed)
+    pool.difference_update(state.visited_products)
+    candidates = [
+        pid
+        for pid in sorted(pool)
+        if pid in catalog and index.non_neutral_counts.get(pid, 0) > 0
+    ]
+    rng.shuffle(candidates)
+    return candidates
+
+
+class TestSwitchCandidates:
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_equal_to_the_sorted_pool(self, data):
+        # "x" ids are in no catalog: also-viewed links and members may name them
+        ids = [f"p{i}" for i in range(10)] + ["x1", "x2"]
+        some = st.sampled_from(ids)
+        catalog = make_catalog([
+            Product(id=pid, title=pid,
+                    also_viewed=tuple(data.draw(st.lists(some, max_size=6))))
+            for pid in sorted(data.draw(st.sets(some.filter(lambda i: i[0] == "p"))))
+        ])
+        members = tuple(sorted(data.draw(st.sets(some, min_size=1))))
+        seed = data.draw(st.sampled_from(members))
+        visited = (seed, *data.draw(st.lists(some, max_size=3)))
+        state = DialogState(
+            current_product=visited[-1],
+            alternatives=AlternativesSet(seed_product=seed, members=members),
+            visited_products=visited,
+            used_spans=frozenset(),
+            discussed_features=frozenset(),
+        )
+        counts = {pid: n for pid in ids if (n := data.draw(st.integers(0, 2)))}
+        index = OpinionIndex({}, {}, dict(sorted(counts.items())))
+        rng_seed = data.draw(st.integers(0, 2**32))
+        assert switch_product_candidates(
+            state, catalog, index, random.Random(rng_seed)
+        ) == reference_switch_candidates(state, catalog, index, random.Random(rng_seed))
 
 
 class TestOracleEquivalence:
