@@ -33,9 +33,6 @@ POSITIVE = "positive"
 NEGATIVE = "negative"
 NEUTRAL = "neutral"
 
-SOURCE_LEXICON = "lexicon"
-SOURCE_IMPORTED = "imported"
-
 # Words that legitimately precede a period mid-sentence.  Single letters
 # (initials, "e.g"-style fragments) are guarded separately.
 ABBREVIATIONS = frozenset(
@@ -87,7 +84,6 @@ class OpinionSpan:
     feature_canonical: str
     polarity_score: float
     polarity_label: str
-    source: str = SOURCE_LEXICON
 
     @property
     def identity(self) -> tuple[str, int, str]:
@@ -259,7 +255,6 @@ def extract_opinions(
                 feature_canonical=canonical,
                 polarity_score=score,
                 polarity_label=config.label(score),
-                source=SOURCE_LEXICON,
             )
         )
     return spans
@@ -351,7 +346,6 @@ def import_annotations(
                     feature_canonical=canonicalize_feature(feature),
                     polarity_score=score,
                     polarity_label=config.label(score),
-                    source=SOURCE_IMPORTED,
                 )
             )
     result.skipped = annotations.lines - len(result.spans)

@@ -158,6 +158,8 @@ class GenerationSettings:
             raise InvalidConfigError(f"top_k must be >= 1, got {self.top_k}")
         if not 0.0 <= self.p_skip <= 1.0:
             raise InvalidConfigError(f"p_skip must be in [0,1], got {self.p_skip}")
+        if self.min_opinions < 0:
+            raise InvalidConfigError(f"min_opinions must be >= 0, got {self.min_opinions}")
 
 
 @dataclass

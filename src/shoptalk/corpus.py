@@ -1,16 +1,22 @@
 """Catalog and review ingestion from line-delimited JSON records.
 
-Input formats (one UTF-8 JSON object per line):
+Input formats (one UTF-8 JSON object per line).  Only these keys are
+read; every other key is ignored, whatever its value:
 
-  meta.jsonl    id, title, category_path, brand, os, memory, color, price,
-                also_viewed, description (optional keys may be absent)
-  reviews.jsonl id, product_id, text, rating (optional),
-                normalized_text (optional override)
+  meta.jsonl    id and title (strings); brand, os, memory, color
+                (optional strings) and also_viewed (optional list of ids)
+  reviews.jsonl id and product_id (strings); normalized_text (optional
+                string), else text (a string, normalized here)
 
-A line that is not such an object, with each field of its type, is
-malformed; so is JSON nested too deeply to parse.  Both ingesters count
-and skip a malformed line, or, with ``strict=True``, raise
-MalformedRecordError naming it.
+An optional string may be null, meaning absent.  A line that is not
+such an object, with each read key of its type, is malformed; so is JSON
+nested too deeply to parse.  Both ingesters count and skip a malformed line, or,
+with ``strict=True``, raise MalformedRecordError naming it.
+
+A snapshot (``shoptalk ingest``) holds two files in these formats:
+catalog.jsonl holds each product's read keys, and reviews.jsonl holds
+each review as {id, product_id, normalized_text}, so loading a snapshot
+never normalizes text again.
 
 Text normalization is rule-based and idempotent; callers that want model
 based punctuation restoration can pre-fill ``normalized_text`` upstream.
@@ -19,7 +25,6 @@ based punctuation restoration can pre-fill ``normalized_text`` upstream.
 from __future__ import annotations
 
 import json
-import math
 import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -60,14 +65,11 @@ def normalize_text(raw: str) -> str:
 class Product:
     id: str
     title: str
-    category_path: tuple[str, ...] = ()
     brand: Optional[str] = None
     os: Optional[str] = None
     memory: Optional[str] = None
     color: Optional[str] = None
-    price: Optional[float] = None
     also_viewed: tuple[str, ...] = ()
-    description: Optional[str] = None
 
     def searchable_value(self, feature: str) -> Optional[str]:
         if feature not in SEARCHABLE_FEATURES:
@@ -76,9 +78,7 @@ class Product:
 
     def to_record(self) -> dict:
         record = {"id": self.id, "title": self.title}
-        if self.category_path:
-            record["category_path"] = list(self.category_path)
-        for key in ("brand", "os", "memory", "color", "price", "description"):
+        for key in SEARCHABLE_FEATURES:
             value = getattr(self, key)
             if value is not None:
                 record[key] = value
@@ -91,20 +91,14 @@ class Product:
 class Review:
     id: str
     product_id: str
-    raw_text: str
     normalized_text: str
-    rating: Optional[int] = None
 
     def to_record(self) -> dict:
-        record = {
+        return {
             "id": self.id,
             "product_id": self.product_id,
-            "text": self.raw_text,
             "normalized_text": self.normalized_text,
         }
-        if self.rating is not None:
-            record["rating"] = self.rating
-        return record
 
 
 @dataclass
@@ -143,12 +137,6 @@ class ProductCatalog:
         for pid in self._ids:
             yield self._products[pid]
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ProductCatalog)
-            and self._products == other._products
-        )
-
     def get(self, product_id: str) -> Optional[Product]:
         return self._products.get(product_id)
 
@@ -184,15 +172,9 @@ class ReviewStore:
     def __len__(self) -> int:
         return len(self._reviews)
 
-    def __contains__(self, review_id: str) -> bool:
-        return review_id in self._reviews
-
     def __iter__(self) -> Iterator[Review]:
         for rid in sorted(self._reviews):
             yield self._reviews[rid]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ReviewStore) and self._reviews == other._reviews
 
     def get(self, review_id: str) -> Optional[Review]:
         return self._reviews.get(review_id)
@@ -226,37 +208,21 @@ def _parse_product(record: dict) -> Product:
         raise ValueError("missing or empty id")
     if title is None or not isinstance(title, str):
         raise ValueError("missing title")
-    for key in (*SEARCHABLE_FEATURES, "description"):
+    for key in SEARCHABLE_FEATURES:
         value = record.get(key)
         if value is not None and not isinstance(value, str):
             raise ValueError(f"{key} must be a string")
-    for key in ("category_path", "also_viewed"):
-        values = record.get(key, [])
-        if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
-            raise ValueError(f"{key} must be a list of strings")
-    price = record.get("price")
-    if price is not None:
-        if isinstance(price, bool) or not isinstance(price, (int, float)):
-            raise ValueError("price must be a number")
-        try:
-            price = float(price)
-        except OverflowError:
-            raise ValueError("price out of range") from None
-        if not math.isfinite(price):
-            raise ValueError("non-finite price")
-        if price < 0:
-            raise ValueError("negative price")
+    also_viewed = record.get("also_viewed", [])
+    if not isinstance(also_viewed, list) or not all(isinstance(v, str) for v in also_viewed):
+        raise ValueError("also_viewed must be a list of strings")
     return Product(
         id=product_id,
         title=title,
-        category_path=tuple(record.get("category_path", [])),
         brand=record.get("brand"),
         os=record.get("os"),
         memory=record.get("memory"),
         color=record.get("color"),
-        price=price,
-        also_viewed=tuple(record.get("also_viewed", [])),
-        description=record.get("description"),
+        also_viewed=tuple(also_viewed),
     )
 
 
@@ -283,28 +249,22 @@ def ingest_metadata(path: str | Path, *, strict: bool = False) -> ProductCatalog
     return ProductCatalog(products, report)
 
 
-def _parse_review(record: dict) -> tuple[str, str, str, Optional[int], Optional[str]]:
+def _parse_review(record: dict) -> Review:
     review_id = record.get("id")
     product_id = record.get("product_id")
-    text = record.get("text")
     if not review_id or not isinstance(review_id, str):
         raise ValueError("missing or empty id")
     if not product_id or not isinstance(product_id, str):
         raise ValueError("missing product_id")
-    if text is None or not isinstance(text, str):
-        raise ValueError("missing text")
-    rating = record.get("rating")
-    if rating is not None:
-        if isinstance(rating, float) and rating.is_integer():
-            rating = int(rating)
-        if isinstance(rating, bool) or not isinstance(rating, int):
-            raise ValueError("rating must be an integer")
-        if not 1 <= rating <= 5:
-            raise ValueError(f"rating {rating} out of [1,5]")
-    normalized = record.get("normalized_text")
-    if normalized is not None and not isinstance(normalized, str):
+    text = record.get("normalized_text")
+    if text is None:
+        text = record.get("text")
+        if not isinstance(text, str):
+            raise ValueError("missing text")
+        text = normalize_text(text)
+    elif not isinstance(text, str):
         raise ValueError("normalized_text must be a string")
-    return review_id, product_id, text, rating, normalized
+    return Review(id=review_id, product_id=product_id, normalized_text=text)
 
 
 def ingest_reviews(
@@ -318,25 +278,17 @@ def ingest_reviews(
     report = IngestReport()
     reviews: dict[str, Review] = {}
     records = _iter_records(Path(path), report, strict, _parse_review)
-    for line_no, (review_id, product_id, text, rating, normalized) in records:
-        if product_id not in catalog:
+    for line_no, review in records:
+        if review.product_id not in catalog:
             report.orphans += 1
-            report.orphan_ids.append(review_id)
+            report.orphan_ids.append(review.id)
             continue
-        if review_id in reviews:
+        if review.id in reviews:
             if strict:
-                raise MalformedRecordError(line_no, f"duplicate review id {review_id!r}")
+                raise MalformedRecordError(line_no, f"duplicate review id {review.id!r}")
             report.duplicate_reviews += 1
             continue
-        reviews[review_id] = Review(
-            id=review_id,
-            product_id=product_id,
-            raw_text=text,
-            normalized_text=(
-                normalized if normalized is not None else normalize_text(text)
-            ),
-            rating=rating,
-        )
+        reviews[review.id] = review
         report.records_kept += 1
     return ReviewStore(reviews, report)
 
@@ -349,7 +301,8 @@ def write_catalog(catalog: ProductCatalog, path: str | Path) -> None:
 
 
 def write_reviews(store: ReviewStore, path: str | Path) -> None:
-    """Write a review store to reviews.jsonl with normalized text filled in."""
+    """Write a review store to reviews.jsonl as {id, product_id,
+    normalized_text} records (round-trips through ingest)."""
     with open(path, "w", encoding="utf-8") as fh:
         for review in store:
             fh.write(json.dumps(review.to_record(), sort_keys=True) + "\n")

@@ -10,7 +10,6 @@ import re
 
 from shoptalk.annotate import (
     ABBREVIATIONS,
-    SOURCE_LEXICON,
     Lexicons,
     OpinionSpan,
     PolarityConfig,
@@ -130,7 +129,6 @@ def extract_opinions(
                 feature_canonical=canonical,
                 polarity_score=score,
                 polarity_label=config.label(score),
-                source=SOURCE_LEXICON,
             )
         )
     return spans

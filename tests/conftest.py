@@ -46,7 +46,6 @@ def make_review(review_id: str, product_id: str, text: str) -> Review:
     return Review(
         id=review_id,
         product_id=product_id,
-        raw_text=text,
         normalized_text=normalize_text(text),
     )
 

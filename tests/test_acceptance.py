@@ -343,7 +343,7 @@ def test_criterion_8_annotator_sanity():
             continue
         total += 1
         review = Review(
-            id="fixture", product_id="p", raw_text=entry["sentence"],
+            id="fixture", product_id="p",
             normalized_text=normalize_text(entry["sentence"]),
         )
         spans = [

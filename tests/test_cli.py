@@ -412,6 +412,7 @@ BAD_GENERATE_INPUTS = {
     "per-template-zero": lambda tmp: (["--per-template", "0"], "per_template"),
     "t-pos-above-one": lambda tmp: (["--t-pos", "2"], "t_pos"),
     "retry-budget-zero": lambda tmp: (["--retry-budget", "0"], "retry_budget"),
+    "min-opinions-negative": lambda tmp: (["--min-opinions", "-3"], "min_opinions"),
     "templates-not-a-list": lambda tmp: (
         ["--templates", _write(tmp / "t.json", '{"id": 1, "pairs": ["RequestInform"]}')],
         "t.json"),
