@@ -7,6 +7,12 @@ Imported spans override lexicon spans for the same (sentence, canonical
 feature).  Both read a sentence map (review id -> tuple of sentence
 texts, a sentence's ordinal being its position) that the caller splits
 once, for all reviews or a batch of them; see world.Derivation.
+
+The scorer reads a sentence in one pass over its words.  Lexicons compiles
+a role table, so a word costs one lookup.  A sentiment word's weight, with
+its intensifier chain and negation flip, depends on the sentence alone, so
+it is taken once and shared by every feature whose window holds it.  Word
+offsets are computed only for the feature phrases found.
 """
 
 from __future__ import annotations
@@ -15,9 +21,8 @@ import math
 import re
 import string
 from dataclasses import dataclass, field
-from itertools import chain
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .corpus import Review
 from .errors import (
@@ -41,10 +46,14 @@ ABBREVIATIONS = frozenset(
 
 # Words are read from an ASCII-only lowering of the text: str.lower() is
 # not length-preserving on other text ("İ" lowers to two code points), so it
-# would shift every later offset.  The group makes split() return gaps and
-# words alternately, so a word's offset is the length of what precedes it.
-_TOKEN = re.compile(r"([a-z0-9]+(?:'[a-z]+)?)")
+# would shift every later offset.  ASCII text is lowered in the same pass
+# that blanks every character no word holds, so that, without an
+# apostrophe, its words are what str.split() returns.
+_TOKEN = re.compile(r"[a-z0-9]+(?:'[a-z]+)?")
 _ASCII_LOWER = str.maketrans(string.ascii_uppercase, string.ascii_lowercase)
+_ASCII_WORDS = str.maketrans(
+    {c: c.lower() if c.isalnum() or c == "'" else " " for c in map(chr, range(128))}
+)
 
 # A maximal run of sentence marks followed by a space or the end of text.
 _SENTENCE_END = re.compile(r"[.!?]+(?= |\Z)")
@@ -76,8 +85,10 @@ class PolarityConfig:
         return NEUTRAL
 
 
-@dataclass(frozen=True)
-class OpinionSpan:
+class OpinionSpan(NamedTuple):
+    """One (sentence, feature) opinion: an immutable record, equal to any
+    span with the same six fields."""
+
     review_id: str
     sentence_ordinal: int
     feature_surface: str
@@ -110,8 +121,11 @@ class Lexicons:
     intensifiers: dict[str, float] = field(default_factory=dict)
     # feature phrase -> canonical key, for every phrase that resolves
     phrase_table: dict[str, str] = field(init=False, repr=False, compare=False)
-    # first word -> length, in words, of the longest phrase starting with it
-    phrase_lengths: dict[str, int] = field(init=False, repr=False, compare=False)
+    # word -> (length, in words, of the longest phrase starting with it or
+    # 0, its sentiment weight or None), for every word that has either
+    roles: dict[str, tuple[int, Optional[float]]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         for surface, canonical in self.feature_terms.items():
@@ -139,8 +153,12 @@ class Lexicons:
         for phrase in table:
             words = phrase.split(" ")
             lengths[words[0]] = max(lengths.get(words[0], 0), len(words))
+        roles = {
+            word: (lengths.get(word, 0), self.sentiment_terms.get(word))
+            for word in lengths.keys() | self.sentiment_terms.keys()
+        }
         object.__setattr__(self, "phrase_table", table)
-        object.__setattr__(self, "phrase_lengths", lengths)
+        object.__setattr__(self, "roles", roles)
 
 
 def split_sentences(review: Review) -> tuple[str, ...]:
@@ -172,63 +190,30 @@ def _abbreviation_before(text: str, period_pos: int) -> bool:
     return len(word) == 1 or word in ABBREVIATIONS
 
 
-def _split_words(text: str) -> list[str]:
-    """Gaps and ASCII-lowercased words of ``text``, alternating: word k is
-    ``parts[2k + 1]``; see _word_range for its offsets."""
-    lowered = text.lower() if text.isascii() else text.translate(_ASCII_LOWER)
-    return _TOKEN.split(lowered)
+def _words(text: str) -> tuple[str, list[str]]:
+    """``text`` with its ASCII capitals lowered (and, if it is all ASCII,
+    each character no word can hold blanked), and its words in order."""
+    if text.isascii():
+        lowered = text.translate(_ASCII_WORDS)
+        if "'" not in lowered:
+            return lowered, lowered.split()
+    else:
+        lowered = text.translate(_ASCII_LOWER)
+    return lowered, _TOKEN.findall(lowered)
 
 
-def _word_range(parts: list[str], first: int, last: int) -> tuple[int, int]:
-    """Offsets [start, end) of words first..last in the split text."""
-    start = sum(map(len, parts[: 2 * first + 1]))
-    return start, start + sum(map(len, parts[2 * first + 1 : 2 * last + 2]))
-
-
-def _find_features(words: list[str], lexicons: Lexicons) -> list[tuple[int, int, str]]:
-    """(first_word, last_word, canonical) for each feature-phrase
-    occurrence, longest match first, non-overlapping."""
-    table = lexicons.phrase_table
-    lengths = lexicons.phrase_lengths
-    matches = []
-    resume = 0
-    for i, word in enumerate(words):
-        if i < resume or word not in lengths:
-            continue
-        for n in range(min(lengths[word], len(words) - i), 0, -1):
-            canonical = table.get(" ".join(words[i : i + n]) if n > 1 else word)
-            if canonical is not None:
-                matches.append((i, i + n - 1, canonical))
-                resume = i + n
-                break
-    return matches
-
-
-def _score_window(
-    words: list[str],
-    first: int,
-    last: int,
-    lexicons: Lexicons,
-    config: PolarityConfig,
-) -> float:
-    sentiment = lexicons.sentiment_terms
-    intensifiers = lexicons.intensifiers
-    lo = max(0, first - config.window)
-    hi = min(len(words), last + 1 + config.window)
-    total = 0.0
-    for t in chain(range(lo, first), range(last + 1, hi)):
-        weight = sentiment.get(words[t])
-        if weight is None:
-            continue
-        p = t - 1
-        while p >= 0 and words[p] in intensifiers:
-            weight *= intensifiers[words[p]]
-            p -= 1
-        lookback = words[max(0, t - config.negation_lookback) : t]
-        if not lexicons.negators.isdisjoint(lookback):
-            weight = -weight
-        total += weight
-    return max(-1.0, min(1.0, total))
+def _word_range(lowered: str, words: list[str], first: int, last: int) -> tuple[int, int]:
+    """Offsets [start, end) of words first..last in ``lowered``.  Every word
+    starts with a letter or digit, and no letter or digit lies between two
+    words, so each word is the first occurrence of itself after the one
+    before it."""
+    end = 0
+    for word in words[:first]:
+        end = lowered.index(word, end) + len(word)
+    start = end = lowered.index(words[first], end)
+    for word in words[first : last + 1]:
+        end = lowered.index(word, end) + len(word)
+    return start, end
 
 
 def extract_opinions(
@@ -240,21 +225,56 @@ def extract_opinions(
 ) -> list[OpinionSpan]:
     """Emit one span per feature-phrase occurrence in sentence ``ordinal``
     of review ``review_id``, scored over a word window with intensifier
-    chaining and negation flipping."""
-    parts = _split_words(text)
-    words = parts[1::2]
+    chaining and negation flipping.
+
+    One pass over the words finds the feature phrases (longest match
+    first, non-overlapping) and the effective weight of each sentiment
+    word; each feature then sums, in word order, the weights in its
+    window, outside its own words."""
+    lowered, words = _words(text)
+    roles = lexicons.roles
+    intensifiers = lexicons.intensifiers
+    lookback = config.negation_lookback
+    features = []  # (first word, last word, canonical)
+    weights = []  # (word, effective sentiment weight)
+    resume = 0
+    for i, word in enumerate(words):
+        role = roles.get(word)
+        if role is None:
+            continue
+        longest, weight = role
+        if weight is not None:
+            p = i - 1
+            while p >= 0 and words[p] in intensifiers:
+                weight *= intensifiers[words[p]]
+                p -= 1
+            if not lexicons.negators.isdisjoint(words[max(0, i - lookback) : i]):
+                weight = -weight
+            weights.append((i, weight))
+        if longest and i >= resume:
+            for n in range(min(longest, len(words) - i), 0, -1):
+                canonical = lexicons.phrase_table.get(
+                    " ".join(words[i : i + n]) if n > 1 else word
+                )
+                if canonical is not None:
+                    features.append((i, i + n - 1, canonical))
+                    resume = i + n
+                    break
+    window = config.window
     spans = []
-    for first, last, canonical in _find_features(words, lexicons):
-        start, end = _word_range(parts, first, last)
-        score = round(_score_window(words, first, last, lexicons, config), 6)
+    for first, last, canonical in features:
+        lo, hi = first - window, last + window
+        total = 0.0
+        for t, weight in weights:
+            if lo <= t < first or last < t <= hi:
+                total += weight
+        if not -1.0 < total < 1.0:  # as max(-1.0, min(1.0, total)), NaN too
+            total = -1.0 if total <= -1.0 else 1.0
+        score = round(total, 6)
+        start, end = _word_range(lowered, words, first, last)
         spans.append(
             OpinionSpan(
-                review_id=review_id,
-                sentence_ordinal=ordinal,
-                feature_surface=text[start:end],
-                feature_canonical=canonical,
-                polarity_score=score,
-                polarity_label=config.label(score),
+                review_id, ordinal, text[start:end], canonical, score, config.label(score)
             )
         )
     return spans
@@ -379,15 +399,14 @@ def _annotation_fields(record) -> tuple[str, int, str, float]:
 def _locate_surface(text: str, feature: str) -> Optional[str]:
     """The first run of whole words of ``text`` equal to the words of
     ``feature`` (ASCII case-insensitive), verbatim; None if there is none."""
-    wanted = _split_words(feature)[1::2]
+    wanted = _words(feature)[1]
     if not wanted:
         return None
-    parts = _split_words(text)
-    words = parts[1::2]
+    lowered, words = _words(text)
     n = len(wanted)
     for i in range(len(words) - n + 1):
         if words[i : i + n] == wanted:
-            start, end = _word_range(parts, i, i + n - 1)
+            start, end = _word_range(lowered, words, i, i + n - 1)
             return text[start:end]
     return None
 
@@ -395,19 +414,11 @@ def _locate_surface(text: str, feature: str) -> Optional[str]:
 def merge_spans(
     lexicon_spans: list[OpinionSpan], imported_spans: list[OpinionSpan]
 ) -> list[OpinionSpan]:
-    """Combine span lists; imported spans win identity collisions."""
+    """Combine span lists; imported spans win identity collisions.  The
+    order of the result is no contract: build_index ranks every group."""
     imported_ids = {span.identity for span in imported_spans}
     kept = [s for s in lexicon_spans if s.identity not in imported_ids]
     kept.extend(imported_spans)
-    kept.sort(
-        key=lambda s: (
-            s.review_id,
-            s.sentence_ordinal,
-            s.feature_canonical,
-            -abs(s.polarity_score),
-            s.feature_surface,
-        )
-    )
     return kept
 
 

@@ -4,7 +4,8 @@ Input formats (one UTF-8 JSON object per line).  Only these keys are
 read; every other key is ignored, whatever its value:
 
   meta.jsonl    id and title (strings); brand, os, memory, color
-                (optional strings) and also_viewed (optional list of ids)
+                (optional strings) and also_viewed (optional list of ids,
+                null meaning none)
   reviews.jsonl id and product_id (strings); normalized_text (optional
                 string), else text (a string, normalized here)
 
@@ -212,7 +213,9 @@ def _parse_product(record: dict) -> Product:
         value = record.get(key)
         if value is not None and not isinstance(value, str):
             raise ValueError(f"{key} must be a string")
-    also_viewed = record.get("also_viewed", [])
+    also_viewed = record.get("also_viewed")
+    if also_viewed is None:  # absent or null: none, as for the other optional keys
+        also_viewed = []
     if not isinstance(also_viewed, list) or not all(isinstance(v, str) for v in also_viewed):
         raise ValueError("also_viewed must be a list of strings")
     return Product(

@@ -57,7 +57,6 @@ def build_index(
     """Group spans by (product, feature, label); rejects spans whose review
     is not in the store or whose sentence is not in the sentence map."""
     grouped: dict[IndexKey, list[OpinionSpan]] = {}
-    counts: dict[str, int] = {}
     for span in spans:
         review = store.get(span.review_id)
         if review is None:
@@ -69,15 +68,15 @@ def build_index(
         product_id = review.product_id
         key = (product_id, span.feature_canonical, span.polarity_label)
         grouped.setdefault(key, []).append(span)
-        if span.polarity_label != NEUTRAL:
-            counts[product_id] = counts.get(product_id, 0) + 1
     entries = {
         key: tuple(sorted(group, key=_rank_key)) for key, group in grouped.items()
     }
     features: dict[tuple[str, str], list[tuple[str, int]]] = {}
+    counts: dict[str, int] = {}
     for (product_id, feature, label), ranked in entries.items():
         if label != NEUTRAL:
             features.setdefault((product_id, label), []).append((feature, len(ranked)))
+            counts[product_id] = counts.get(product_id, 0) + len(ranked)
     return OpinionIndex(
         entries=entries,
         feature_ranks={

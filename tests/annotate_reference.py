@@ -1,8 +1,11 @@
 """Reference copies of the sentence splitter and the lexicon extractor as
 they were before the lexicon was compiled into a phrase table: a character
 loop for the splitter, and a matcher that tries every n-gram of every token
-through canonicalize_feature.  The production code must agree with them
-exactly; see test_annotate.TestReferenceEquivalence."""
+through canonicalize_feature.  Then the span merge and the index build as
+they were before the merge stopped sorting: the merge sorted every span by
+(review, sentence, feature, -|score|, surface), and the index looked up
+each span's review.  The production code must agree with them exactly; see
+test_annotate.TestReferenceEquivalence."""
 
 from __future__ import annotations
 
@@ -10,12 +13,15 @@ import re
 
 from shoptalk.annotate import (
     ABBREVIATIONS,
+    NEUTRAL,
     Lexicons,
     OpinionSpan,
     PolarityConfig,
     canonicalize_feature,
 )
-from shoptalk.corpus import Review
+from shoptalk.corpus import Review, ReviewStore
+from shoptalk.errors import DanglingSpanError
+from shoptalk.opinion_index import OpinionIndex
 
 _TOKEN = re.compile(r"[A-Za-z0-9]+(?:'[A-Za-z]+)?")
 
@@ -132,3 +138,67 @@ def extract_opinions(
             )
         )
     return spans
+
+
+def merge_spans(
+    lexicon_spans: list[OpinionSpan], imported_spans: list[OpinionSpan]
+) -> list[OpinionSpan]:
+    imported_ids = {span.identity for span in imported_spans}
+    kept = [s for s in lexicon_spans if s.identity not in imported_ids]
+    kept.extend(imported_spans)
+    kept.sort(
+        key=lambda s: (
+            s.review_id,
+            s.sentence_ordinal,
+            s.feature_canonical,
+            -abs(s.polarity_score),
+            s.feature_surface,
+        )
+    )
+    return kept
+
+
+def _rank_key(span: OpinionSpan):
+    return (
+        -abs(span.polarity_score),
+        span.review_id,
+        span.sentence_ordinal,
+        span.feature_surface,
+    )
+
+
+def build_index(
+    store: ReviewStore,
+    sentences: dict[str, tuple[str, ...]],
+    spans: list[OpinionSpan],
+) -> OpinionIndex:
+    grouped: dict[tuple[str, str, str], list[OpinionSpan]] = {}
+    counts: dict[str, int] = {}
+    for span in spans:
+        review = store.get(span.review_id)
+        if review is None:
+            raise DanglingSpanError(span.review_id, "review not in store")
+        if not 0 <= span.sentence_ordinal < len(sentences.get(span.review_id, ())):
+            raise DanglingSpanError(
+                span.review_id, f"sentence ordinal {span.sentence_ordinal}"
+            )
+        product_id = review.product_id
+        key = (product_id, span.feature_canonical, span.polarity_label)
+        grouped.setdefault(key, []).append(span)
+        if span.polarity_label != NEUTRAL:
+            counts[product_id] = counts.get(product_id, 0) + 1
+    entries = {
+        key: tuple(sorted(group, key=_rank_key)) for key, group in grouped.items()
+    }
+    features: dict[tuple[str, str], list[tuple[str, int]]] = {}
+    for (product_id, feature, label), ranked in entries.items():
+        if label != NEUTRAL:
+            features.setdefault((product_id, label), []).append((feature, len(ranked)))
+    return OpinionIndex(
+        entries=entries,
+        feature_ranks={
+            key: tuple(sorted(pairs, key=lambda item: (-item[1], item[0])))
+            for key, pairs in features.items()
+        },
+        non_neutral_counts=dict(sorted(counts.items())),
+    )

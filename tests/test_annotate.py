@@ -1,7 +1,6 @@
 """Sentence splitting and opinion extraction, cross-checked against a
 brute-force scorer written independently of the production code."""
 
-import dataclasses
 import hashlib
 import json
 import math
@@ -15,6 +14,7 @@ from hypothesis import strategies as st
 import annotate_reference as reference
 from shoptalk import annotate
 from shoptalk.annotate import (
+    Annotations,
     Lexicons,
     PolarityConfig,
     annotate_store,
@@ -30,6 +30,7 @@ from shoptalk.annotate import (
 )
 from shoptalk.corpus import Review
 from shoptalk.errors import InvalidLexiconError, MalformedRecordError
+from shoptalk.world import Derivation
 
 from conftest import JSON_VALUES, load_corpus_script, make_review, make_store, write_jsonl
 
@@ -240,6 +241,34 @@ PHRASE_WORDS = st.one_of(
 )
 SEPARATORS = [" ", " ", " ", "  ", ", ", "-", "İ", "'", "."]
 
+# a sentence of PHRASE_WORDS, or one of words that no feature holds
+SENTENCE = st.lists(
+    st.tuples(PHRASE_WORDS, st.sampled_from(SEPARATORS)), min_size=1, max_size=10
+).map(lambda pairs: "".join(w + sep for w, sep in pairs)) | st.lists(
+    st.sampled_from("the is it don't good not very İ ß é".split()), min_size=1, max_size=6
+).map(" ".join)
+REVIEW_TEXT = st.lists(
+    st.tuples(SENTENCE, st.sampled_from(".!?")).map("".join), min_size=1, max_size=4
+).map(" ".join)
+# (sentence ordinal, feature, score) records, scores outside [-1, 1] and
+# opposite pairs included
+ANNOTATION = st.tuples(
+    st.integers(0, 3),
+    st.sampled_from(["battery", "Battery Life", "screens", "touch screen", "cases",
+                     "os", "keyboard"]),
+    st.sampled_from([0.5, -0.5, 0.05, -0.05, 0.0, 1.5, -2.0])
+    | st.floats(-1.5, 1.5).map(lambda x: round(x, 2)),
+)
+# other windows and lookbacks; t_pos <= 0 lets +x and -x share a label
+CONFIGS = st.builds(
+    lambda a, b, window, lookback: PolarityConfig(
+        t_pos=max(a, b), t_neg=min(a, b), window=window, negation_lookback=lookback),
+    st.sampled_from([-1.0, -0.7, -0.1, 0.0]),
+    st.sampled_from([-0.6, -0.2, 0.0, 0.1]),
+    st.integers(1, 8),
+    st.integers(0, 4),
+)
+
 SPLIT_PIECES = [
     ".", "!", "?", "?!.", "..", "...", " ", " ", "  ", "approx.", "etc.", "Dr.",
     "a.", "B.", "No.", "1.5", "word", "Great", "İß", "İ.", "\n", "x",
@@ -282,8 +311,69 @@ class TestReferenceEquivalence:
         assert table["battery lifes"] == "battery"
         assert "oss" not in table and "gpss" not in table  # length <= 3
         assert "glasss" not in table  # "ss" endings are kept
-        assert PHRASE_LEX.phrase_lengths["battery"] == 2
-        assert PHRASE_LEX.phrase_lengths["screens"] == 1
+        assert PHRASE_LEX.roles["battery"] == (2, None)
+        assert PHRASE_LEX.roles["screens"] == (1, None)
+        assert PHRASE_LEX.roles["good"] == (0, 0.7)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(SENTENCE, max_size=4), min_size=1, max_size=5), CONFIGS)
+    @example([["İ Battery Life is not very good, the screen and apps are bad.",
+               "ß İİ é.", "Cases: the OS-systems, touch screen!"], [], ["the is it"]],
+             PolarityConfig())
+    def test_annotate_store_matches_reference(self, reviews, config):
+        """The loop over a multi-review map, not one sentence at a time."""
+        # ids out of sorted order: the map's order is the one to keep
+        sentences = {f"r{9 - k}": tuple(texts) for k, texts in enumerate(reviews)}
+        expected = [
+            span
+            for review_id, texts in sentences.items()
+            for ordinal, text in enumerate(texts)
+            for span in reference.extract_opinions(review_id, ordinal, text, PHRASE_LEX, config)
+        ]
+        assert annotate_store(sentences, PHRASE_LEX, config) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from(["p0", "p1", "p2"]), REVIEW_TEXT,
+                      st.lists(ANNOTATION, max_size=4)),
+            min_size=1, max_size=8,
+        ),
+        CONFIGS,
+    )
+    # imported +x and -x on one sentence and feature: with t_pos <= -x both
+    # are positive, so they tie on the rank key within one index entry
+    @example([("p0", "The battery is good. Screens!", [(0, "battery", 0.5),
+                                                      (0, "battery", -0.5),
+                                                      (1, "screens", 0.05)])],
+             PolarityConfig(t_pos=-0.6, t_neg=-1.0))
+    def test_derivation_matches_reference(self, reviews, config):
+        """The world's index against the reference split, extractor, merge
+        (which sorted) and index build, with imported annotations that
+        collide with lexicon spans."""
+        store = make_store([make_review(f"r{k}", product_id, text)
+                            for k, (product_id, text, _) in enumerate(reviews)])
+        records = {f"r{k}": found for k, (_, _, found) in enumerate(reviews) if found}
+
+        def annotations():  # import_annotations takes records out of it
+            return Annotations({r: list(found) for r, found in records.items()},
+                               sum(map(len, records.values())))
+
+        _, index = Derivation(store, PHRASE_LEX, config, annotations())(store)
+        sentences = {r.id: tuple(reference.split_sentences(r)) for r in store}
+        spans = [
+            span
+            for review_id, texts in sentences.items()
+            for ordinal, text in enumerate(texts)
+            for span in reference.extract_opinions(review_id, ordinal, text, PHRASE_LEX, config)
+        ]
+        imported = import_annotations(annotations(), sentences, config).spans
+        expected = reference.build_index(
+            store, sentences, reference.merge_spans(spans, imported))
+        assert index.entries == expected.entries  # each entry a tuple, in order
+        assert index.feature_ranks == expected.feature_ranks
+        assert list(index.non_neutral_counts.items()) == (
+            list(expected.non_neutral_counts.items()))
 
 
 def sample_corpus_sentences(products: int) -> dict:
@@ -297,12 +387,18 @@ def sample_corpus_sentences(products: int) -> dict:
     ))
 
 
+SPAN_FIELDS = ("review_id", "sentence_ordinal", "feature_surface",
+               "feature_canonical", "polarity_score", "polarity_label")
+
+
 class TestAnnotateStore:
     def test_golden_span_digest(self):
         # the spans the n-gram matcher made before the phrase table existed,
         # re-pinned when OpinionSpan lost its source field
         spans = annotate_store(sample_corpus_sentences(300), default_lexicons())
-        blob = "".join(json.dumps(dataclasses.astuple(s)) + "\n" for s in spans)
+        blob = "".join(
+            json.dumps([getattr(s, name) for name in SPAN_FIELDS]) + "\n" for s in spans
+        )
         assert len(spans) == 7446
         assert hashlib.sha256(blob.encode()).hexdigest() == (
             "1affdb8ff202c4a0905c2a18675805bc6aa7a832af02f936c48671f1de4b74ff"

@@ -127,6 +127,19 @@ class TestIngestMetadata:
         path = write_jsonl(tmp_path / "meta.jsonl", [{"id": "B1", "title": "A", "brand": None}])
         assert ingest_metadata(path).get("B1").brand is None
 
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_null_also_viewed_is_none(self, tmp_path, strict):
+        meta = write_jsonl(tmp_path / "meta.jsonl",
+                           [{"id": "B1", "title": "A", "also_viewed": None}])
+        reviews = write_jsonl(tmp_path / "reviews.jsonl",
+                              [{"id": "r1", "product_id": "B1", "text": "Fine."}])
+        catalog = ingest_metadata(meta, strict=strict)
+        assert catalog.get("B1").also_viewed == ()
+        assert catalog.report.malformed == 0
+        store = ingest_reviews(reviews, catalog, strict=strict)
+        assert [review.id for review in store] == ["r1"]
+        assert store.report.orphans == 0
+
 
 class TestIngestReviews:
     def _catalog(self, tmp_path, ids):
