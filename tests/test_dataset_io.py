@@ -2,6 +2,7 @@
 mutation each), and dataset statistics."""
 
 import copy
+import hashlib
 import json
 import random
 import weakref
@@ -424,6 +425,198 @@ class TestScopedValidation:
     def _first_grounded(path):
         turns = next(read_dataset(path)).evaluation_turns
         return next(i for i, t in enumerate(turns) if t.grounding)
+
+
+def _grounded_turns(record):
+    return [t for t in record["turns"] if t.get("grounding")]
+
+
+def _evaluation_turns(record):
+    return [t for t in record["turns"]
+            if t["act"] not in ("search_question", "search_answer")]
+
+
+def _any_ref(record, rng):
+    return rng.choice(rng.choice(_grounded_turns(record))["grounding"])
+
+
+def _flip(label):
+    return "negative" if label == "positive" else "positive"
+
+
+def _mismatch_and_flip(record, rng, donor):
+    ref = _any_ref(record, rng)
+    ref["feature"], ref["label"] = "zzz-" + ref["feature"], _flip(ref["label"])
+
+
+def _forge_ordinal_and_score(record, rng, donor):
+    ref = _any_ref(record, rng)
+    ref["sentence_ordinal"] = rng.randrange(-1, 8)
+    ref["score"] = ref["score"] + 0.25
+
+
+def _unknown_act(record, rng, donor):
+    rng.choice(_grounded_turns(record))["act"] = "bogus_act"
+
+
+def _neutral_question_ref(record, rng, donor):
+    question = rng.choice([t for t in record["turns"]
+                           if t["act"] == "request_inform" and t["speaker"] == "customer"])
+    question["grounding"] = [dict(_any_ref(record, rng))]
+
+
+def _duplicate_ref(record, rng, donor):
+    ref = _any_ref(record, rng)
+    rng.choice(_grounded_turns(record))["grounding"].append(dict(ref))
+
+
+def _foreign_trajectory(record, rng, donor):
+    """The donor's trajectory, whole or after this record's seed."""
+    foreign = donor["product_trajectory"]
+    own = record["product_trajectory"]
+    record["product_trajectory"] = rng.choice([foreign, own[:1] + foreign[1:] + foreign[:1]])
+
+
+def _swap_speaker(record, rng, donor):
+    turn = rng.choice(_evaluation_turns(record))
+    turn["speaker"] = "customer" if turn["speaker"] == "assistant" else "assistant"
+
+
+def _drop_last_turn(record, rng, donor):
+    record["turns"].pop()
+
+
+def _unknown_template(record, rng, donor):
+    record["template_id"] = 99
+
+
+def _rewrite_trace(record, rng, donor):
+    rng.choice(record["pair_trace"])["kind"] = "Bogus"
+
+
+def _strip_grounding(record, rng, donor):
+    rng.choice(_grounded_turns(record))["grounding"] = []
+
+
+def _dangle_review(record, rng, donor):
+    _any_ref(record, rng)["review_id"] = "r-ghost"
+
+
+def _borrow_ref(record, rng, donor):
+    _any_ref(record, rng).update(_any_ref(donor, rng))
+
+
+def _edit_text(record, rng, donor):
+    rng.choice(_grounded_turns(record))["text"] = "completely replaced text"
+
+
+def _retarget_turn(record, rng, donor):
+    turn = rng.choice(_evaluation_turns(record))
+    turn["product_id"] = rng.choice([None, "B-NOT-IN-CATALOG", donor["alternatives"]["seed_product"]])
+
+
+FORGERIES = (
+    _mismatch_and_flip, _forge_ordinal_and_score, _unknown_act, _neutral_question_ref,
+    _duplicate_ref, _foreign_trajectory, _swap_speaker, _drop_last_turn,
+    _unknown_template, _rewrite_trace, _strip_grounding, _dangle_review, _borrow_ref,
+    _edit_text, _retarget_turn,
+)
+
+# SHA-256 of the sorted violation records of each forged dataset k, pinned
+# when every rule was still a separate walk over the conversation.
+VIOLATION_GOLDENS = (
+    "54d462ae259822fe22bd80b2c961e56be330864b49939cdb0639ea5b3d5c5a0b",
+    "ed5e36a3c211f15e76ce9d2824346a7383c7475564c76328aa59b81e9b2bd2f1",
+    "9764596349e18e3c1ddc26d382daded09d8dee23889b5f8009ae2c15b7f11903",
+    "50889dbad91055931e0fb7c7de4bb76c35cf6a579b1e8e3b54de29c3bf99222b",
+    "cfb9d5b9742750d3049ab0c5a325af5f1244a9ee9785e98faf8936d390a3be8e",
+    "3a69a2f29821659797e50b2e72977724162ae058f91c9247f5f714e483ea620e",
+    "2123c674366a809914457eda4fac611570b9a6b0321e56ced394ed59363e6b41",
+    "26216b56d908915a6b1978b4522bea5bed6750167d1e3e1b2d20654a91cddfd3",
+    "2c6b8ca7fb2b2d003e3cbd62ae795c1bd14867647b2571a1903c14cf5d2ab5bd",
+    "e4225d2c15893b5e0b1774385ddfb8b43f0a5bd77471e08b6b239d3ee5cce008",
+    "af70f94462543e243127ef360b9fb999035e9b0c2c7293bfcf9ab79d53c01767",
+    "f3dfc57945d5b4f813f8ba1363e1f743952b900c3218ff65868a509b9a3d7720",
+    "0cf94544cda616facd12e000b244c4291edc1870a885d85e5e384dcfd44dd4f0",
+    "9439d0f6d325beb6c84913083b109621d8a592bcee59bfafc56d468fb79788bd",
+    "18983701a35ce8a58fe40d79406bacb2386fb5eae2eb11240ecd2a16addaa6a3",
+    "5ec40556cb9f3f7cb70e302d3b9e69b7002ca08ebc547282c01d50d4dc510f1e",
+    "164b1a2818f4086e9a908cd0e6ac8d82b81432353103362b23cacc048b3aba60",
+    "bff234962c47db88a4aeb5244458db2e90b90c1bd7c376ef5f3b675b2e7d1ea9",
+    "7f446aca547fa06f07f5d4f9958e142f2d85b7fa72643b722ac7432da5cc3a13",
+    "f0751d8e1f5d6281e6c1c3d70df76112836860f855096a6a1fc1e0e3f56690c4",
+    "ee42a1703c748be17ccd158288c1c301ffa18f81cc81ecafba1533bfa0e43185",
+    "4844bc11ac530ecc1e47d6f7c505d59302d587859039a8f7665a2af18f329feb",
+    "2a0506335c55f3171cee95430d2299de1a9743343df619c07943a09f5f702218",
+    "42c558e149bfed64a70f7147149ce1dd6e2aa116c2b56681644ebd00a7c2da5d",
+    "177b0390a8ec0631a88e0398b7211bfe420e60d90f50b373ae7aa051f2612f82",
+    "61790a12aa7536c84c9e578f58101c68ce71072106b0a089e9595bd49f2f7f18",
+    "9d847b69302b04e988e1d8bf74b2761fee8f02236f6c2634b0584a51bd1ae851",
+    "1cbae0d67d9f1f145153e785ed52c7f1f71a521481979f4a82187a2162d62755",
+    "5e1164d8416c65a165901b7f3ee47d2d65b6318ea857c5657c8feb0cb732088c",
+    "97e08b44fc1ad9e516ed9813ac1d69c2090d9bc94c2ca0aac8d38e534dc09891",
+)
+
+
+def forged_dataset(records, k):
+    """The records with seeded forgeries applied: dataset k forges one to
+    three conversations with one to three forgeries each, the first of them
+    FORGERIES[k % len(FORGERIES)], so the family uses every forgery."""
+    rng = random.Random(k)
+    records = copy.deepcopy(records)
+    for n, target in enumerate(rng.sample(range(len(records)), rng.randint(1, 3))):
+        donor = records[(target + 1) % len(records)]
+        forgeries = rng.sample(FORGERIES, rng.randint(1, 3))
+        if n == 0:
+            forgeries.insert(0, FORGERIES[k % len(FORGERIES)])
+        for forge in forgeries:
+            forge(records[target], rng, donor)
+    return records
+
+
+class TestViolationGolden:
+    """Seeded combinations of forgeries, several in one conversation and
+    several conversations in one dataset, give pinned violation reports."""
+
+    @pytest.fixture(scope="class")
+    def reports(self, world, generated, tmp_path_factory):
+        records = [c.to_record() for c in generated[0]]
+        directory = tmp_path_factory.mktemp("forged")
+        reports = []
+        for k in range(len(VIOLATION_GOLDENS)):
+            path = directory / f"forged-{k}.jsonl"
+            path.write_text("".join(
+                json.dumps(record, sort_keys=True) + "\n"
+                for record in forged_dataset(records, k)
+            ), encoding="utf-8")
+            reports.append(validate(path, world))
+        return reports
+
+    @pytest.mark.parametrize("k", range(len(VIOLATION_GOLDENS)))
+    def test_pinned_report(self, reports, generated, k):
+        report = reports[k]
+        assert report.conversations_checked == len(generated[0])
+        ordered = sorted(report.to_records(), key=lambda r: tuple(r.values()))
+        blob = json.dumps(ordered, sort_keys=True, ensure_ascii=False).encode()
+        assert hashlib.sha256(blob).hexdigest() == VIOLATION_GOLDENS[k]
+
+    def test_family_covers_every_rule_and_combination(self, reports):
+        violations = [v for report in reports for v in report.violations]
+        assert {rule for _, rule, _ in violations} == {
+            "grounding", "polarity", "template_conformance", "product_pool",
+            "span_reuse", "alternation",
+        }
+        details = [detail for _, _, detail in violations]
+        for needle in ("unknown act bogus_act", "neutral question must not carry grounding",
+                       "grounding ref feature 'zzz-", "is not the indexed score",
+                       "out of range", "used twice", "recorded trajectory",
+                       "does not start at the alternatives seed"):
+            assert any(needle in detail for detail in details), needle
+        rules_of = {}
+        for k, report in enumerate(reports):
+            for cid, rule, _ in report.violations:
+                rules_of.setdefault((k, cid), set()).add(rule)
+        assert any({"grounding", "polarity"} <= rules for rules in rules_of.values())
 
 
 class TestStats:
