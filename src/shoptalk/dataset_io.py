@@ -1,11 +1,17 @@
 """Dataset serialization, re-derivation validation, and statistics.
 
-One conversation per line (``dataset.jsonl``), schema_version 1.  The
-validator trusts nothing from the generator: substring and polarity checks
-are recomputed against a world (see world.build_world) freshly derived
-from the ingested corpus.  It reads the dataset once and derives each
-product's part of that world when a conversation first names the product,
-so its cost follows the products the dataset names, not the corpus size.
+One conversation per line (``dataset.jsonl``); ``schema_version`` must be
+the JSON integer 1.  The validator trusts nothing from the generator:
+substring and polarity checks are recomputed against a world (see
+world.build_world) freshly derived from the ingested corpus.  It reads the
+dataset once and derives each product's part of that world when a
+conversation first names the product, so its cost follows the products the
+dataset names, not the corpus size.
+
+Each rule is a generator of its (rule, detail) violations.  Grounding and
+polarity share one walk that resolves each ref once: a ref that does not
+resolve to a sentence of a known review is a grounding violation only, and
+only a ref that resolves is checked for polarity.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
@@ -20,7 +27,6 @@ from .assembly import Conversation, ConversationTemplate, builtin_templates
 from .corpus import ProductCatalog, ReviewStore
 from .errors import SchemaViolationError, parse_json, read_lines
 from .negotiation import KIND_BY_ACT, SIGNATURES
-from .opinion_index import OpinionIndex
 from .search_dialog import AlternativesSet
 from .turns import ASSISTANT, CUSTOMER, SEARCH_ACTS, GroundingRef, Turn
 from .world import World
@@ -144,10 +150,9 @@ def read_dataset(path: str | Path) -> Iterator[Conversation]:
     for line_no, line in read_lines(path):
         try:
             record = _object(parse_json(line), "line")
-            if record.get("schema_version") != 1:
-                raise ValueError(
-                    f"unsupported schema_version {record.get('schema_version')}"
-                )
+            version = record.get("schema_version")
+            if type(version) is not int or version != 1:
+                raise ValueError(f"unsupported schema_version {version!r}")
             conversation = conversation_from_record(record)
         except (ValueError, KeyError, TypeError, OverflowError) as exc:
             raise SchemaViolationError(line_no, str(exc)) from exc
@@ -200,12 +205,14 @@ def validate(
     for conversation in read_dataset(dataset_path):
         report.conversations_checked += 1
         world.cover(_named_products(conversation, world.store))
-        _check_alternation(conversation, report)
-        _check_template(conversation, template_map, report)
-        _check_grounding(conversation, world.store, world.sentences, report)
-        _check_polarity(conversation, world.index, world.sentences, report)
-        _check_pool(conversation, world.catalog, report)
-        _check_reuse(conversation, report)
+        for rule, detail in chain(
+            _check_alternation(conversation),
+            _check_template(conversation, template_map),
+            _check_refs(conversation, world),
+            _check_pool(conversation, world.catalog),
+            _check_reuse(conversation),
+        ):
+            report.add(conversation.id, rule, detail)
     report.violations.sort()
     return report
 
@@ -226,222 +233,132 @@ def _named_products(conversation: Conversation, store: ReviewStore) -> Iterator[
                 yield review.product_id
 
 
-def _expected_labels(act: str) -> Optional[tuple[Optional[str], str]]:
-    kind = KIND_BY_ACT.get(act)
-    if kind is None:
-        return None
-    sig = SIGNATURES[kind]
-    return sig.customer_label, sig.assistant_label
-
-
-def _check_alternation(conversation: Conversation, report: ValidationReport) -> None:
+def _check_alternation(conversation: Conversation) -> Iterator[tuple[str, str]]:
     turns = conversation.evaluation_turns
     if len(turns) % 2 != 0:
-        report.add(conversation.id, RULE_ALTERNATION, "odd number of evaluation turns")
+        yield RULE_ALTERNATION, "odd number of evaluation turns"
     for i, turn in enumerate(turns):
         expected = CUSTOMER if i % 2 == 0 else ASSISTANT
         if turn.speaker != expected:
-            report.add(
-                conversation.id,
-                RULE_ALTERNATION,
-                f"turn {i} spoken by {turn.speaker}, expected {expected}",
-            )
+            yield RULE_ALTERNATION, f"turn {i} spoken by {turn.speaker}, expected {expected}"
 
 
 def _check_template(
-    conversation: Conversation,
-    template_map: dict[int, ConversationTemplate],
-    report: ValidationReport,
-) -> None:
+    conversation: Conversation, template_map: dict[int, ConversationTemplate]
+) -> Iterator[tuple[str, str]]:
     template = template_map.get(conversation.template_id)
     if template is None:
-        report.add(
-            conversation.id,
-            RULE_TEMPLATE,
-            f"unknown template id {conversation.template_id}",
-        )
+        yield RULE_TEMPLATE, f"unknown template id {conversation.template_id}"
         return
     declared = tuple(kind.value for kind in template.sequence)
     traced = tuple(entry.get("kind") for entry in conversation.pair_trace)
     if traced != declared:
-        report.add(
-            conversation.id,
-            RULE_TEMPLATE,
-            f"pair trace {traced} != template sequence {declared}",
-        )
+        yield RULE_TEMPLATE, f"pair trace {traced} != template sequence {declared}"
     acts = tuple(t.act for t in conversation.evaluation_turns)
     expected_acts = tuple(
         kind.act for kind in template.sequence for _ in range(2)
     )
     if acts != expected_acts:
-        report.add(
-            conversation.id,
-            RULE_TEMPLATE,
-            f"turn acts {acts} do not follow the template sequence",
-        )
+        yield RULE_TEMPLATE, f"turn acts {acts} do not follow the template sequence"
 
 
-def _check_grounding(
-    conversation: Conversation,
-    store: ReviewStore,
-    sentences: dict,
-    report: ValidationReport,
-) -> None:
+def _check_refs(conversation: Conversation, world: World) -> Iterator[tuple[str, str]]:
+    """The grounding and polarity rules, in one walk over the refs.  A ref
+    that does not resolve to a sentence of a known review is a grounding
+    violation only; a ref that resolves must also carry the label its
+    turn requires and the score the corpus index holds for its span."""
     for i, turn in enumerate(conversation.evaluation_turns):
-        labels = _expected_labels(turn.act)
-        if labels is None:
-            report.add(conversation.id, RULE_GROUNDING, f"turn {i}: unknown act {turn.act}")
+        kind = KIND_BY_ACT.get(turn.act)
+        if kind is None:
+            yield RULE_GROUNDING, f"turn {i}: unknown act {turn.act}"
             continue
-        customer_label, _ = labels
-        is_neutral_question = turn.speaker == CUSTOMER and customer_label is None
-        if is_neutral_question:
+        sig = SIGNATURES[kind]
+        required = sig.customer_label if turn.speaker == CUSTOMER else sig.assistant_label
+        if required is None:  # a neutral question
             if turn.grounding:
-                report.add(
-                    conversation.id,
-                    RULE_GROUNDING,
-                    f"turn {i}: neutral question must not carry grounding",
-                )
+                yield RULE_GROUNDING, f"turn {i}: neutral question must not carry grounding"
             continue
         if not turn.grounding:
-            report.add(
-                conversation.id, RULE_GROUNDING, f"turn {i}: opinion turn lacks grounding"
-            )
+            yield RULE_GROUNDING, f"turn {i}: opinion turn lacks grounding"
             continue
         for ref in turn.grounding:
             if ref.feature != turn.feature:
-                report.add(
-                    conversation.id,
-                    RULE_GROUNDING,
+                yield RULE_GROUNDING, (
                     f"turn {i}: grounding ref feature {ref.feature!r} != "
-                    f"turn feature {turn.feature!r}",
+                    f"turn feature {turn.feature!r}"
                 )
-            review = store.get(ref.review_id)
-            if review is None:
-                report.add(
-                    conversation.id,
-                    RULE_GROUNDING,
-                    f"turn {i}: unknown review {ref.review_id}",
-                )
+            if world.store.get(ref.review_id) is None:
+                yield RULE_GROUNDING, f"turn {i}: unknown review {ref.review_id}"
                 continue
-            review_sentences = sentences.get(ref.review_id, [])
+            review_sentences = world.sentences.get(ref.review_id, ())
             if not 0 <= ref.sentence_ordinal < len(review_sentences):
-                report.add(
-                    conversation.id,
-                    RULE_GROUNDING,
-                    f"turn {i}: sentence ordinal {ref.sentence_ordinal} out of range",
+                yield RULE_GROUNDING, (
+                    f"turn {i}: sentence ordinal {ref.sentence_ordinal} out of range"
                 )
                 continue
             if review_sentences[ref.sentence_ordinal] not in turn.text:
-                report.add(
-                    conversation.id,
-                    RULE_GROUNDING,
-                    f"turn {i}: grounded sentence is not a verbatim substring",
-                )
-
-
-def _check_polarity(
-    conversation: Conversation,
-    index: OpinionIndex,
-    sentences: dict,
-    report: ValidationReport,
-) -> None:
-    for i, turn in enumerate(conversation.evaluation_turns):
-        labels = _expected_labels(turn.act)
-        if labels is None:
-            continue
-        customer_label, assistant_label = labels
-        required = customer_label if turn.speaker == CUSTOMER else assistant_label
-        if required is None:
-            continue
-        for ref in turn.grounding:
-            # existence failures belong to the grounding rule; skip here
-            review_sentences = sentences.get(ref.review_id)
-            if review_sentences is None or not (
-                0 <= ref.sentence_ordinal < len(review_sentences)
-            ):
-                continue
+                yield RULE_GROUNDING, f"turn {i}: grounded sentence is not a verbatim substring"
             if ref.label != required:
-                report.add(
-                    conversation.id,
-                    RULE_POLARITY,
-                    f"turn {i}: label {ref.label} != required {required}",
-                )
+                yield RULE_POLARITY, f"turn {i}: label {ref.label} != required {required}"
                 continue
             identity = ref.identity
-            indexed = index.spans_for((turn.product_id, ref.feature, required))
+            indexed = world.index.spans_for((turn.product_id, ref.feature, required))
             # one sentence can hold the same feature twice, so one identity
             # can have several spans; the ref must carry one of their scores
             scores = [s.polarity_score for s in indexed if s.identity == identity]
             if not scores:
-                report.add(
-                    conversation.id,
-                    RULE_POLARITY,
+                yield RULE_POLARITY, (
                     f"turn {i}: corpus index has no {required} span "
-                    f"{identity} for product {turn.product_id}",
+                    f"{identity} for product {turn.product_id}"
                 )
             elif ref.score not in scores:
-                report.add(
-                    conversation.id,
-                    RULE_POLARITY,
-                    f"turn {i}: score {ref.score} is not the indexed score of "
-                    f"span {identity}",
+                yield RULE_POLARITY, (
+                    f"turn {i}: score {ref.score} is not the indexed score of span {identity}"
                 )
 
 
 def _check_pool(
-    conversation: Conversation, catalog: ProductCatalog, report: ValidationReport
-) -> None:
+    conversation: Conversation, catalog: ProductCatalog
+) -> Iterator[tuple[str, str]]:
     trajectory = conversation.product_trajectory
     alternatives = conversation.alternatives
     if not trajectory or trajectory[0] != alternatives.seed_product:
-        report.add(
-            conversation.id,
-            RULE_POOL,
-            "trajectory does not start at the alternatives seed",
-        )
+        yield RULE_POOL, "trajectory does not start at the alternatives seed"
         return
-    allowed = set(alternatives.members)
+    members = alternatives.member_set
+    also_viewed: set[str] = set()
     visited: list[str] = []
 
     def visit(product_id: str) -> bool:
         if product_id in visited:
             return True
-        if product_id not in allowed:
+        if product_id not in members and product_id not in also_viewed:
             return False
         visited.append(product_id)
         product = catalog.get(product_id)
         if product is not None:
-            allowed.update(product.also_viewed)
+            also_viewed.update(product.also_viewed)
         return True
 
     visit(trajectory[0])
     for i, turn in enumerate(conversation.evaluation_turns):
         if turn.product_id is None:
-            report.add(conversation.id, RULE_POOL, f"turn {i}: missing product id")
-            continue
-        if not visit(turn.product_id):
-            report.add(
-                conversation.id,
-                RULE_POOL,
+            yield RULE_POOL, f"turn {i}: missing product id"
+        elif not visit(turn.product_id):
+            yield RULE_POOL, (
                 f"turn {i}: product {turn.product_id} outside "
-                "alternatives + also-viewed chain",
+                "alternatives + also-viewed chain"
             )
     if tuple(visited) != trajectory:
-        report.add(
-            conversation.id,
-            RULE_POOL,
-            f"recorded trajectory {trajectory} != recomputed {tuple(visited)}",
-        )
+        yield RULE_POOL, f"recorded trajectory {trajectory} != recomputed {tuple(visited)}"
 
 
-def _check_reuse(conversation: Conversation, report: ValidationReport) -> None:
+def _check_reuse(conversation: Conversation) -> Iterator[tuple[str, str]]:
     seen = set()
     for turn in conversation.evaluation_turns:
         for ref in turn.grounding:
             if ref.identity in seen:
-                report.add(
-                    conversation.id, RULE_REUSE, f"span {ref.identity} used twice"
-                )
+                yield RULE_REUSE, f"span {ref.identity} used twice"
             seen.add(ref.identity)
 
 
@@ -497,16 +414,12 @@ def stats(dataset_path: str | Path) -> DatasetStats:
             result.per_pair_kind[kind] = result.per_pair_kind.get(kind, 0) + 1
         total_turns += len(conversation.turns)
         products.update(conversation.product_trajectory)
-        seen = set()
         for turn in conversation.evaluation_turns:
             if turn.product_id:
                 products.add(turn.product_id)
             if turn.feature:
                 features.add(turn.feature)
-            for ref in turn.grounding:
-                if ref.identity in seen:
-                    result.span_reuse += 1
-                seen.add(ref.identity)
+        result.span_reuse += sum(1 for _ in _check_reuse(conversation))
     result.mean_turns = total_turns / result.conversations if result.conversations else 0.0
     result.distinct_products = len(products)
     result.distinct_features = len(features)

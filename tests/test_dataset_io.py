@@ -1,5 +1,6 @@
 """Serialization round-trips, the six validation rules (one targeted
-mutation each), and dataset statistics."""
+mutation each, and pinned reports of seeded forgery combinations), and
+dataset statistics."""
 
 import copy
 import hashlib
@@ -67,9 +68,12 @@ class TestRoundTrip:
         path.write_text(json.dumps(record, separators=(",\r", ":\r")) + "\n")
         assert list(read_dataset(path)) == conversations[:1]
 
-    def test_bad_schema_version_raises(self, tmp_path):
+    @pytest.mark.parametrize("version", ["99", "true", "1.0", '"1"'])
+    def test_bad_schema_version_raises(self, tmp_path, generated, version):
+        record = generated[0][0].to_record()
+        record["schema_version"] = "PLACEHOLDER"
         path = tmp_path / "bad.jsonl"
-        path.write_text('{"schema_version": 99, "id": "x"}\n')
+        path.write_text(json.dumps(record).replace('"PLACEHOLDER"', version) + "\n")
         with pytest.raises(SchemaViolationError) as exc_info:
             list(read_dataset(path))
         assert exc_info.value.line_no == 1
@@ -570,7 +574,10 @@ def forged_dataset(records, k):
         if n == 0:
             forgeries.insert(0, FORGERIES[k % len(FORGERIES)])
         for forge in forgeries:
-            forge(records[target], rng, donor)
+            try:
+                forge(records[target], rng, donor)
+            except IndexError:
+                pass  # an earlier forgery removed every turn this one targets
     return records
 
 
@@ -644,6 +651,19 @@ class TestStats:
         # template 1: 3 pairs, 9/10: 2 pairs -> turns = 8 + 2*len(pairs)
         expected_mean = (14 + 12 + 12 + 12 + 12 + 14) / 6
         assert result.mean_turns == pytest.approx(expected_mean)
+
+    def test_span_reuse_counts_the_reuse_violations(self, tmp_path, world, generated):
+        conversations, _ = generated
+
+        def duplicate(record):
+            grounded = _grounded_turns(record)
+            grounded[0]["grounding"].append(dict(grounded[0]["grounding"][0]))
+            grounded[-1]["grounding"].extend(map(dict, grounded[1]["grounding"]))
+
+        path = mutate_dataset(tmp_path, conversations, duplicate)
+        reused = [v for v in validate(path, world).violations if v[1] == "span_reuse"]
+        assert len(reused) >= 2
+        assert stats(path).span_reuse == len(reused)
 
     def test_counts_match_generation_report(self, tmp_path, generated):
         conversations, report = generated
