@@ -25,6 +25,7 @@ from shoptalk.annotate import default_lexicons
 from shoptalk.negotiation import default_phrasebank
 from shoptalk.world import build_world
 
+import dataset_reference
 from conftest import JSON_VALUES
 
 
@@ -60,6 +61,13 @@ class TestRoundTrip:
         ids = [json.loads(line)["id"] for line in lines]
         assert len(set(ids)) == len(ids)
         assert list(read_dataset(path)) == conversations
+
+    def test_rewrite_is_byte_identical(self, tmp_path, generated):
+        conversations, _ = generated
+        first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+        write_dataset(conversations, first)
+        write_dataset(read_dataset(first), second)
+        assert second.read_bytes() == first.read_bytes()
 
     def test_bare_carriage_return_is_whitespace(self, tmp_path, generated):
         conversations, _ = generated
@@ -147,6 +155,20 @@ RECORD_KEYS = (
 )
 
 
+def fuzzed_record(data, conversation, mutations):
+    """The record of ``conversation`` with ``mutations`` fields, drawn from
+    ``data``, each removed or set to an arbitrary JSON value."""
+    record = json.loads(json.dumps(conversation.to_record()))
+    for _ in range(mutations):
+        target = data.draw(st.sampled_from(list(_objects(record))))
+        key = data.draw(st.sampled_from(RECORD_KEYS) | st.text(max_size=4))
+        if data.draw(st.booleans()):
+            target.pop(key, None)
+        else:
+            target[key] = data.draw(JSON_VALUES)
+    return record
+
+
 class TestReadDatasetFuzz:
     """Any line is read, or is a schema violation naming it; what is read
     can be counted and validated without any other exception."""
@@ -158,14 +180,7 @@ class TestReadDatasetFuzz:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_fuzzed_record(self, directory, world, generated, data):
-        record = json.loads(json.dumps(generated[0][0].to_record()))
-        for _ in range(data.draw(st.integers(1, 3))):
-            target = data.draw(st.sampled_from(list(_objects(record))))
-            key = data.draw(st.sampled_from(RECORD_KEYS) | st.text(max_size=4))
-            if data.draw(st.booleans()):
-                target.pop(key, None)
-            else:
-                target[key] = data.draw(JSON_VALUES)
+        record = fuzzed_record(data, generated[0][0], data.draw(st.integers(1, 3)))
         path = directory / "dataset.jsonl"
         path.write_text(json.dumps(record) + "\n", encoding="utf-8")
         self._check(path, world)
@@ -188,6 +203,123 @@ class TestReadDatasetFuzz:
         assert len(conversations) <= 1
         stats(path)
         validate(path, world)
+
+
+def read_outcome(reader, path):
+    """The conversations ``reader`` yields from ``path`` and the (line,
+    message) of the schema violation that stops it, or None."""
+    conversations = []
+    try:
+        for conversation in reader(path):
+            conversations.append(conversation)
+    except SchemaViolationError as exc:
+        return conversations, (exc.line_no, str(exc))
+    return conversations, None
+
+
+def assert_same_conversation(lean, reference):
+    """Equal records, serialized, so that 1 and 1.0 (and NaN) compare as
+    written, and fields of the same exact types."""
+    assert len(lean.search_turns) == len(reference.search_turns)
+    assert json.dumps(lean.to_record(), sort_keys=True) == json.dumps(
+        reference.to_record(), sort_keys=True
+    )
+    for turn, ref_turn in zip(lean.turns, reference.turns, strict=True):
+        assert type(turn.product_id) is type(ref_turn.product_id)
+        assert type(turn.feature) is type(ref_turn.feature)
+        for ref, ref_ref in zip(turn.grounding, ref_turn.grounding, strict=True):
+            assert type(ref.score) is type(ref_ref.score)
+            assert type(ref.sentence_ordinal) is type(ref_ref.sentence_ordinal)
+            assert type(ref.feature) is type(ref_ref.feature)
+
+
+class TestReaderEquivalence:
+    """read_dataset agrees with the reference reader in
+    tests/dataset_reference.py: every line gives the same conversation, or
+    the same schema violation with the same line number and message."""
+
+    @pytest.fixture(scope="class")
+    def directory(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("reader-equivalence")
+
+    @staticmethod
+    def _check(path):
+        conversations, error = read_outcome(read_dataset, path)
+        expected, expected_error = read_outcome(dataset_reference.read_dataset, path)
+        assert error == expected_error
+        assert len(conversations) == len(expected)
+        for lean, reference in zip(conversations, expected):
+            assert_same_conversation(lean, reference)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_fuzzed_lines(self, directory, generated, data):
+        conversations = generated[0][:4]
+        lines = [
+            json.dumps(fuzzed_record(
+                data, data.draw(st.sampled_from(conversations)),
+                data.draw(st.integers(0, 3)),
+            ))
+            for _ in range(data.draw(st.integers(1, 3)))
+        ]
+        path = directory / "dataset.jsonl"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        self._check(path)
+
+    @staticmethod
+    def _ref_then_non_object(turn):
+        turn["grounding"].append(1)
+
+    @staticmethod
+    def _missing_fields_then_non_object(turn):
+        turn["grounding"] = [{}, 1]
+
+    @staticmethod
+    def _null_grounding(turn):
+        turn["grounding"] = None
+
+    @staticmethod
+    def _no_grounding_key(turn):
+        del turn["grounding"]
+
+    @staticmethod
+    def _integer_score(turn):
+        turn["grounding"][0]["score"] = 1
+
+    @pytest.mark.parametrize("edit, reason", [
+        ("_ref_then_non_object", "turn has an ill-typed"),
+        ("_missing_fields_then_non_object", "turn has an ill-typed"),
+        ("_null_grounding", "turn has an ill-typed"),
+        ("_no_grounding_key", None),
+        ("_integer_score", None),
+    ], ids=["ref-then-non-object", "missing-fields-then-non-object", "null-grounding",
+            "no-grounding-key", "integer-score"])
+    def test_edited_grounded_turn(self, tmp_path, generated, edit, reason):
+        conversations, _ = generated
+        record = copy.deepcopy(conversations[1].to_record())
+        getattr(self, edit)(first_grounded_turn(record))
+        path = tmp_path / "edited.jsonl"
+        write_dataset(conversations[:1], path)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(record) + "\n")
+        self._check(path)
+        _, error = read_outcome(read_dataset, path)
+        if reason is None:
+            assert error is None
+        else:
+            assert error[0] == 2 and reason in error[1]
+
+    @pytest.mark.parametrize("position", [0, -1])
+    @pytest.mark.parametrize("turn", [1, "turn", [], None])
+    def test_non_object_turn(self, tmp_path, generated, position, turn):
+        record = copy.deepcopy(generated[0][0].to_record())
+        record["turns"][position] = turn
+        path = tmp_path / "turn.jsonl"
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        self._check(path)
+        assert read_outcome(read_dataset, path)[1] == (
+            1, "schema violation at line 1: turn is not an object"
+        )
 
 
 def mutate_dataset(tmp_path, conversations, mutator, name="mutated.jsonl"):
