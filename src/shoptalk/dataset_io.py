@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, Optional
 from .assembly import Conversation, ConversationTemplate, builtin_templates
 from .corpus import ProductCatalog, ReviewStore
 from .errors import SchemaViolationError, parse_json, read_lines
-from .negotiation import KIND_BY_ACT, SIGNATURES
+from .negotiation import SIGNATURES
 from .search_dialog import AlternativesSet
 from .turns import ASSISTANT, CUSTOMER, SEARCH_ACTS, GroundingRef, Turn
 from .world import World
@@ -37,6 +37,12 @@ RULE_TEMPLATE = "template_conformance"
 RULE_POOL = "product_pool"
 RULE_REUSE = "span_reuse"
 RULE_ALTERNATION = "alternation"
+
+# The (customer, assistant) labels each evaluation act's grounding must
+# carry; None marks the neutral question, which carries none.
+_LABELS_BY_ACT = {
+    kind.act: (sig.customer_label, sig.assistant_label) for kind, sig in SIGNATURES.items()
+}
 
 
 def write_dataset(conversations: Iterable[Conversation], path: str | Path) -> None:
@@ -62,8 +68,9 @@ def write_dataset(conversations: Iterable[Conversation], path: str | Path) -> No
 
 # JSON values have exact types, so a field is checked with ``type(x) is``,
 # which also keeps a boolean from passing as an integer.  Every turn and
-# grounding ref of a dataset is read here, so each checks its fields in one
-# expression.
+# grounding ref of a dataset is read here, so each is type-checked in one
+# expression and built in the same pass; a turn without grounding costs no
+# loop at all.
 
 def _field(record: dict, key: str, kind: type, optional: bool = False):
     """``record[key]`` if its type is ``kind``; an optional key may also be
@@ -87,7 +94,7 @@ def _strings(record: dict, key: str) -> tuple[str, ...]:
     return tuple(values)
 
 
-def _ref_from_record(record) -> GroundingRef:
+def _ref_from_record(record: dict) -> GroundingRef:
     review_id, ordinal = record["review_id"], record["sentence_ordinal"]
     feature, score, label = record["feature"], record["score"], record["label"]
     if not (
@@ -98,7 +105,12 @@ def _ref_from_record(record) -> GroundingRef:
     return GroundingRef(review_id, ordinal, feature, float(score), label)
 
 
+_ILL_TYPED_TURN = "turn has an ill-typed speaker, text, act, product_id, feature or grounding"
+
+
 def _turn_from_record(record) -> Turn:
+    if type(record) is not dict:
+        raise ValueError("turn is not an object")
     speaker, text, act = record["speaker"], record["text"], record["act"]
     product_id, feature = record.get("product_id"), record.get("feature")
     grounding = record.get("grounding", [])
@@ -107,21 +119,22 @@ def _turn_from_record(record) -> Turn:
         and (product_id is None or type(product_id) is str)
         and (feature is None or type(feature) is str)
         and type(grounding) is list
-        and all(type(ref) is dict for ref in grounding)
     ):
-        raise ValueError(
-            "turn has an ill-typed speaker, text, act, product_id, feature or grounding"
-        )
-    return Turn(
-        speaker, text, act, product_id, feature,
-        tuple(_ref_from_record(ref) for ref in grounding),
-    )
+        raise ValueError(_ILL_TYPED_TURN)
+    refs = ()
+    if grounding:
+        # every ref must be an object before any ref's fields are read
+        for ref in grounding:
+            if type(ref) is not dict:
+                raise ValueError(_ILL_TYPED_TURN)
+        refs = tuple([_ref_from_record(ref) for ref in grounding])
+    return Turn(speaker, text, act, product_id, feature, refs)
 
 
 def conversation_from_record(record: dict) -> Conversation:
     """A conversation from its JSON record; raises ValueError, KeyError or
     OverflowError when a field is missing or of the wrong type."""
-    turns = [_turn_from_record(_object(t, "turn")) for t in _field(record, "turns", list)]
+    turns = [_turn_from_record(t) for t in _field(record, "turns", list)]
     # the search turns lead; every turn after them is an evaluation turn
     n_search = next((i for i, t in enumerate(turns) if t.act not in SEARCH_ACTS), len(turns))
     alternatives = _object(record["alternatives"], "alternatives")
@@ -198,8 +211,13 @@ def validate(
     run, the world derives the products a conversation names that it has
     not derived yet (see World.cover).  The violations are sorted at the
     end, so the report does not depend on that order."""
-    template_map = {
-        t.id: t for t in (templates if templates is not None else builtin_templates())
+    # each template's declared pair kinds and the act of each evaluation turn
+    shapes = {
+        t.id: (
+            tuple(kind.value for kind in t.sequence),
+            tuple(kind.act for kind in t.sequence for _ in range(2)),
+        )
+        for t in (templates if templates is not None else builtin_templates())
     }
     report = ValidationReport()
     for conversation in read_dataset(dataset_path):
@@ -207,7 +225,7 @@ def validate(
         world.cover(_named_products(conversation, world.store))
         for rule, detail in chain(
             _check_alternation(conversation),
-            _check_template(conversation, template_map),
+            _check_template(conversation, shapes),
             _check_refs(conversation, world),
             _check_pool(conversation, world.catalog),
             _check_reuse(conversation),
@@ -244,20 +262,17 @@ def _check_alternation(conversation: Conversation) -> Iterator[tuple[str, str]]:
 
 
 def _check_template(
-    conversation: Conversation, template_map: dict[int, ConversationTemplate]
+    conversation: Conversation, shapes: dict[int, tuple[tuple[str, ...], tuple[str, ...]]]
 ) -> Iterator[tuple[str, str]]:
-    template = template_map.get(conversation.template_id)
-    if template is None:
+    shape = shapes.get(conversation.template_id)
+    if shape is None:
         yield RULE_TEMPLATE, f"unknown template id {conversation.template_id}"
         return
-    declared = tuple(kind.value for kind in template.sequence)
-    traced = tuple(entry.get("kind") for entry in conversation.pair_trace)
+    declared, expected_acts = shape
+    traced = tuple([entry.get("kind") for entry in conversation.pair_trace])
     if traced != declared:
         yield RULE_TEMPLATE, f"pair trace {traced} != template sequence {declared}"
-    acts = tuple(t.act for t in conversation.evaluation_turns)
-    expected_acts = tuple(
-        kind.act for kind in template.sequence for _ in range(2)
-    )
+    acts = tuple([t.act for t in conversation.evaluation_turns])
     if acts != expected_acts:
         yield RULE_TEMPLATE, f"turn acts {acts} do not follow the template sequence"
 
@@ -268,12 +283,11 @@ def _check_refs(conversation: Conversation, world: World) -> Iterator[tuple[str,
     violation only; a ref that resolves must also carry the label its
     turn requires and the score the corpus index holds for its span."""
     for i, turn in enumerate(conversation.evaluation_turns):
-        kind = KIND_BY_ACT.get(turn.act)
-        if kind is None:
+        labels = _LABELS_BY_ACT.get(turn.act)
+        if labels is None:
             yield RULE_GROUNDING, f"turn {i}: unknown act {turn.act}"
             continue
-        sig = SIGNATURES[kind]
-        required = sig.customer_label if turn.speaker == CUSTOMER else sig.assistant_label
+        required = labels[0] if turn.speaker == CUSTOMER else labels[1]
         if required is None:  # a neutral question
             if turn.grounding:
                 yield RULE_GROUNDING, f"turn {i}: neutral question must not carry grounding"
@@ -357,9 +371,10 @@ def _check_reuse(conversation: Conversation) -> Iterator[tuple[str, str]]:
     seen = set()
     for turn in conversation.evaluation_turns:
         for ref in turn.grounding:
-            if ref.identity in seen:
-                yield RULE_REUSE, f"span {ref.identity} used twice"
-            seen.add(ref.identity)
+            identity = ref.identity
+            if identity in seen:
+                yield RULE_REUSE, f"span {identity} used twice"
+            seen.add(identity)
 
 
 @dataclass

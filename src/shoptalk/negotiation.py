@@ -51,8 +51,6 @@ _ACT_OF = {
     PairKind.SEARCH_WARNING: "search_warning",
 }
 
-KIND_BY_ACT = {kind.act: kind for kind in PairKind}
-
 # Names accepted in template config files on top of the canonical ones.
 KIND_ALIASES = {
     "denyswitchitem": PairKind.DENY_SWITCH_PRODUCT,

@@ -1,4 +1,9 @@
-"""Turn and grounding-reference data model shared by the dialog stages."""
+"""Turn and grounding-reference data model shared by the dialog stages.
+
+Both are slotted records, not frozen ones: reading a dataset builds one per
+turn and one per grounding ref, and a frozen dataclass costs about four
+times as much to build.  Being mutable, neither is hashable; nothing hashes
+them."""
 
 from __future__ import annotations
 
@@ -15,7 +20,7 @@ ACT_SEARCH_ANSWER = "search_answer"
 SEARCH_ACTS = (ACT_SEARCH_QUESTION, ACT_SEARCH_ANSWER)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class GroundingRef:
     """Provenance link from an utterance to one review sentence span."""
 
@@ -50,7 +55,7 @@ class GroundingRef:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Turn:
     speaker: str
     text: str
