@@ -1,4 +1,5 @@
-"""Serialization round-trips, the six validation rules (one targeted
+"""Serialization round-trips, the reader against its reference copy
+(tests/dataset_reference.py), the six validation rules (one targeted
 mutation each, and pinned reports of seeded forgery combinations), and
 dataset statistics."""
 
@@ -266,38 +267,18 @@ class TestReaderEquivalence:
         path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
         self._check(path)
 
-    @staticmethod
-    def _ref_then_non_object(turn):
-        turn["grounding"].append(1)
-
-    @staticmethod
-    def _missing_fields_then_non_object(turn):
-        turn["grounding"] = [{}, 1]
-
-    @staticmethod
-    def _null_grounding(turn):
-        turn["grounding"] = None
-
-    @staticmethod
-    def _no_grounding_key(turn):
-        del turn["grounding"]
-
-    @staticmethod
-    def _integer_score(turn):
-        turn["grounding"][0]["score"] = 1
-
     @pytest.mark.parametrize("edit, reason", [
-        ("_ref_then_non_object", "turn has an ill-typed"),
-        ("_missing_fields_then_non_object", "turn has an ill-typed"),
-        ("_null_grounding", "turn has an ill-typed"),
-        ("_no_grounding_key", None),
-        ("_integer_score", None),
+        (lambda turn: turn["grounding"].append(1), "turn has an ill-typed"),
+        (lambda turn: turn.update(grounding=[{}, 1]), "turn has an ill-typed"),
+        (lambda turn: turn.update(grounding=None), "turn has an ill-typed"),
+        (lambda turn: turn.pop("grounding"), None),
+        (lambda turn: turn["grounding"][0].update(score=1), None),
     ], ids=["ref-then-non-object", "missing-fields-then-non-object", "null-grounding",
             "no-grounding-key", "integer-score"])
     def test_edited_grounded_turn(self, tmp_path, generated, edit, reason):
         conversations, _ = generated
         record = copy.deepcopy(conversations[1].to_record())
-        getattr(self, edit)(first_grounded_turn(record))
+        edit(first_grounded_turn(record))
         path = tmp_path / "edited.jsonl"
         write_dataset(conversations[:1], path)
         with open(path, "a", encoding="utf-8") as fh:
