@@ -1,12 +1,19 @@
-"""Reference copy of the dataset reader as it was before turns and refs
-were built in one pass per turn: a helper call per field, an ``all(...)``
-over every grounding list and a ``tuple`` of a generator per turn.  The
-production reader must give the same conversations and the same schema
-violations, message for message; see
-test_dataset_io.TestReaderEquivalence."""
+"""Reference copies of the dataset reader and writer.
+
+The reader is as it was before turns and refs were built in one pass per
+turn: a helper call per field, an ``all(...)`` over every grounding list
+and a ``tuple`` of a generator per turn.  The production reader must give
+the same conversations and the same schema violations, message for
+message; see test_dataset_io.TestReaderEquivalence.
+
+The writer is the record-building code the dataset was once written with:
+each conversation became nested dicts, then ``json.dumps`` with sorted
+keys.  ``write_dataset`` must write the same line for every conversation
+the reader gives; see test_dataset_io.TestWriterEquivalence."""
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 from typing import Iterator
 
@@ -101,3 +108,49 @@ def read_dataset(path: str | Path) -> Iterator[Conversation]:
         except (ValueError, KeyError, TypeError, OverflowError) as exc:
             raise SchemaViolationError(line_no, str(exc)) from exc
         yield conversation
+
+
+def ref_record(ref: GroundingRef) -> dict:
+    return {
+        "review_id": ref.review_id,
+        "sentence_ordinal": ref.sentence_ordinal,
+        "feature": ref.feature,
+        "score": ref.score,
+        "label": ref.label,
+    }
+
+
+def turn_record(turn: Turn) -> dict:
+    return {
+        "speaker": turn.speaker,
+        "text": turn.text,
+        "act": turn.act,
+        "product_id": turn.product_id,
+        "feature": turn.feature,
+        "grounding": [ref_record(ref) for ref in turn.grounding],
+    }
+
+
+def alternatives_record(alternatives: AlternativesSet) -> dict:
+    return {"seed_product": alternatives.seed_product, "members": list(alternatives.members)}
+
+
+def conversation_record(conversation: Conversation) -> dict:
+    """JSON-ready record; it shares the pair-trace entries with this
+    conversation, so copy them before editing the record."""
+    return {
+        "schema_version": 1,
+        "id": conversation.id,
+        "template_id": conversation.template_id,
+        "master_seed": conversation.master_seed,
+        "turns": [turn_record(t) for t in conversation.turns],
+        "pair_trace": list(conversation.pair_trace),
+        "product_trajectory": list(conversation.product_trajectory),
+        "alternatives": alternatives_record(conversation.alternatives),
+    }
+
+
+def dataset_line(conversation: Conversation) -> str:
+    """The line the reference writer wrote for ``conversation``."""
+    record = conversation_record(conversation)
+    return json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n"

@@ -25,6 +25,7 @@ from shoptalk.search_dialog import PreferenceProfile, filter_catalog
 from shoptalk.turns import CUSTOMER
 
 from conftest import DATA_DIR
+from dataset_reference import conversation_record
 from test_negotiation import (
     build_world,
     fresh_state,
@@ -71,7 +72,7 @@ def test_criterion_2_grounding_no_lie(world, full_run, tmp_path):
     assert grounding == []
 
     def mutate(mutator, name):
-        records = [c.to_record() for c in conversations]
+        records = [conversation_record(c) for c in conversations]
         mutator(records[0])
         mutated = tmp_path / name
         with open(mutated, "w", encoding="utf-8") as fh:

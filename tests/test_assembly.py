@@ -34,6 +34,7 @@ from shoptalk.turns import ASSISTANT, CUSTOMER
 from shoptalk.world import World
 
 from conftest import JSON_VALUES, make_catalog, make_review, make_store
+from dataset_reference import dataset_line
 
 CONFIG = PolarityConfig()
 
@@ -219,7 +220,7 @@ class TestGenerateConversation:
                 phrasebank=default_phrasebank(),
                 conversation_id="t01-n01", master_seed=7,
             )
-            runs.append(json.dumps(conversation.to_record(), sort_keys=True))
+            runs.append(dataset_line(conversation))
         assert runs[0] == runs[1]
 
     def test_alternation_and_speakers(self, world):
@@ -309,8 +310,8 @@ class TestGenerateDataset:
             reduced_templates, 5, world,
             phrasebank=default_phrasebank(), settings=settings,
         )
-        full_by_id = {c.id: json.dumps(c.to_record(), sort_keys=True) for c in full}
-        reduced_by_id = {c.id: json.dumps(c.to_record(), sort_keys=True) for c in reduced}
+        full_by_id = {c.id: dataset_line(c) for c in full}
+        reduced_by_id = {c.id: dataset_line(c) for c in reduced}
         assert set(full_by_id) - set(reduced_by_id) == {"t07-n01", "t07-n02"}
         for cid, record in reduced_by_id.items():
             assert full_by_id[cid] == record
@@ -326,8 +327,8 @@ class TestGenerateDataset:
             templates, 2, world,
             phrasebank=default_phrasebank(), settings=settings,
         )
-        assert [json.dumps(c.to_record(), sort_keys=True) for c in a] != [
-            json.dumps(c.to_record(), sort_keys=True) for c in b
+        assert [dataset_line(c) for c in a] != [
+            dataset_line(c) for c in b
         ]
 
     def test_exhaustions_reported_not_raised(self):

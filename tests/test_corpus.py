@@ -1,5 +1,6 @@
 """Ingestion and normalization contracts."""
 
+import hashlib
 import json
 
 import pytest
@@ -349,6 +350,117 @@ class TestSnapshot:
         again = ingest_metadata(out / "catalog.jsonl", strict=True)
         assert list(again) == list(catalog)
         assert list(ingest_reviews(out / "reviews.jsonl", again, strict=True)) == list(store)
+
+
+# The records the snapshot writers once built and gave to ``json.dumps``
+# (sorted keys, ASCII escapes); the writers must still write their lines.
+
+def reference_product_record(product) -> dict:
+    record = {"id": product.id, "title": product.title}
+    for key in corpus.SEARCHABLE_FEATURES:
+        value = getattr(product, key)
+        if value is not None:
+            record[key] = value
+    if product.also_viewed:
+        record["also_viewed"] = list(product.also_viewed)
+    return record
+
+
+def reference_review_record(review) -> dict:
+    return {
+        "id": review.id,
+        "product_id": review.product_id,
+        "normalized_text": review.normalized_text,
+    }
+
+
+def reference_lines(records) -> str:
+    return "".join(json.dumps(record, sort_keys=True) + "\n" for record in records)
+
+
+class TestSnapshotWriters:
+    """write_catalog and write_reviews write each record as the reference
+    records above, through ``json.dumps``, wrote it."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(
+        st.builds(
+            corpus.Product, st.text(max_size=6), st.text(max_size=6),
+            st.none() | st.text(max_size=6), st.none() | st.text(max_size=6),
+            st.none() | st.text(max_size=6), st.none() | st.text(max_size=6),
+            st.lists(st.text(max_size=4), max_size=3).map(tuple),
+        ),
+        max_size=4, unique_by=lambda p: p.id,
+    ))
+    def test_catalog(self, tmp_path_factory, products):
+        path = tmp_path_factory.mktemp("catalog") / "catalog.jsonl"
+        catalog = corpus.ProductCatalog({p.id: p for p in products}, corpus.IngestReport())
+        write_catalog(catalog, path)
+        expected = reference_lines(reference_product_record(p) for p in catalog)
+        assert path.read_bytes().decode("utf-8") == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(
+        st.builds(corpus.Review, st.text(max_size=6), st.text(max_size=6),
+                  st.text(max_size=12)),
+        max_size=4, unique_by=lambda r: r.id,
+    ))
+    def test_reviews(self, tmp_path_factory, reviews):
+        path = tmp_path_factory.mktemp("reviews") / "reviews.jsonl"
+        store = corpus.ReviewStore({r.id: r for r in reviews}, corpus.IngestReport())
+        write_reviews(store, path)
+        expected = reference_lines(reference_review_record(r) for r in store)
+        assert path.read_bytes().decode("utf-8") == expected
+
+
+class TestSnapshotGolden:
+    """The SHA-256 of the catalog.jsonl and reviews.jsonl ``shoptalk
+    ingest`` writes, pinned for the bundled sample and for a small corpus
+    of non-ASCII text, absent and null optional keys and a product that
+    names itself among its also-viewed products."""
+
+    GOLDENS = {
+        "sample": (
+            "fa0906b6ebd189a21277d5e31ccc1bf4e5521f924b4c26e69642bbbfeb3b5362",
+            "debc82c1c1254f1336ea30c1db2e73d334b349d550a9a3a3303f470e55ba5f27",
+        ),
+        "small": (
+            "f207a2d36469d359e81fc1a6268b515bef1e60bfebe790d44074c46e1f0a21ed",
+            "70885126e5fb8b6b665d6bac45cdb092ce4f392251e2fa8af65e882a67adbe76",
+        ),
+    }
+
+    @staticmethod
+    def _small_corpus(tmp_path):
+        meta = write_jsonl(tmp_path / "meta.jsonl", [
+            {"id": "B1", "title": "Téléphone \"Ω\" 😀", "brand": "Ünïcode",
+             "os": None, "memory": "4 GB", "also_viewed": ["B1", "B2", "B3"]},
+            {"id": "B2", "title": "Tab\there \\ back\u2028slash\x00\x7f", "color": None,
+             "also_viewed": None},
+            {"id": "B3", "title": "Plain", "brand": "Acme", "os": "android",
+             "memory": None, "color": "black"},
+        ])
+        reviews = write_jsonl(tmp_path / "reviews.jsonl", [
+            {"id": "r1", "product_id": "B1", "text": "Très bien , l'écran est génial"},
+            {"id": "r2", "product_id": "B2", "normalized_text": "Emoji 😀 and \"quotes\"."},
+            {"id": "r3", "product_id": "B3", "text": "battery\tlife  is poor .camera good"},
+            {"id": "r4", "product_id": "B1", "text": "back\\slash \x01 ok"},
+        ])
+        return meta, reviews
+
+    @pytest.mark.parametrize("name", sorted(GOLDENS))
+    def test_snapshot_digests(self, tmp_path, sample_corpus_paths, name):
+        meta, reviews = (
+            sample_corpus_paths if name == "sample" else self._small_corpus(tmp_path)
+        )
+        out = tmp_path / "snapshot"
+        assert main(["ingest", "--meta", str(meta), "--reviews", str(reviews),
+                     "--out", str(out)]) == 0
+        digests = tuple(
+            hashlib.sha256((out / file).read_bytes()).hexdigest()
+            for file in ("catalog.jsonl", "reviews.jsonl")
+        )
+        assert digests == self.GOLDENS[name]
 
 
 class TestSampleCorpusScript:

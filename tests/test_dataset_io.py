@@ -28,6 +28,7 @@ from shoptalk.world import build_world
 
 import dataset_reference
 from conftest import JSON_VALUES
+from dataset_reference import conversation_record, dataset_line
 
 
 @pytest.fixture(scope="module")
@@ -73,13 +74,13 @@ class TestRoundTrip:
     def test_bare_carriage_return_is_whitespace(self, tmp_path, generated):
         conversations, _ = generated
         path = tmp_path / "cr.jsonl"
-        record = conversations[0].to_record()
+        record = conversation_record(conversations[0])
         path.write_text(json.dumps(record, separators=(",\r", ":\r")) + "\n")
         assert list(read_dataset(path)) == conversations[:1]
 
     @pytest.mark.parametrize("version", ["99", "true", "1.0", '"1"'])
     def test_bad_schema_version_raises(self, tmp_path, generated, version):
-        record = generated[0][0].to_record()
+        record = conversation_record(generated[0][0])
         record["schema_version"] = "PLACEHOLDER"
         path = tmp_path / "bad.jsonl"
         path.write_text(json.dumps(record).replace('"PLACEHOLDER"', version) + "\n")
@@ -99,7 +100,7 @@ class TestRoundTrip:
 
     def test_non_object_pair_trace_entry_raises_with_line_number(self, tmp_path, generated):
         conversations, _ = generated
-        record = conversations[1].to_record()
+        record = conversation_record(conversations[1])
         record["pair_trace"] = [1]
         path = tmp_path / "trace.jsonl"
         write_dataset(conversations[:1], path)
@@ -127,7 +128,7 @@ class TestReadDatasetTypes:
             "template-id-1e400", "master-seed-1e400", "numeric-id"])
     def test_rejected_with_line_number(self, tmp_path, generated, where, key, literal):
         conversations, _ = generated
-        record = conversations[1].to_record()
+        record = conversation_record(conversations[1])
         target = record if where == "record" else first_grounded_turn(record)["grounding"][0]
         target[key] = "PLACEHOLDER"
         path = tmp_path / "typed.jsonl"
@@ -159,7 +160,7 @@ RECORD_KEYS = (
 def fuzzed_record(data, conversation, mutations):
     """The record of ``conversation`` with ``mutations`` fields, drawn from
     ``data``, each removed or set to an arbitrary JSON value."""
-    record = json.loads(json.dumps(conversation.to_record()))
+    record = json.loads(json.dumps(conversation_record(conversation)))
     for _ in range(mutations):
         target = data.draw(st.sampled_from(list(_objects(record))))
         key = data.draw(st.sampled_from(RECORD_KEYS) | st.text(max_size=4))
@@ -222,8 +223,8 @@ def assert_same_conversation(lean, reference):
     """Equal records, serialized, so that 1 and 1.0 (and NaN) compare as
     written, and fields of the same exact types."""
     assert len(lean.search_turns) == len(reference.search_turns)
-    assert json.dumps(lean.to_record(), sort_keys=True) == json.dumps(
-        reference.to_record(), sort_keys=True
+    assert json.dumps(conversation_record(lean), sort_keys=True) == json.dumps(
+        conversation_record(reference), sort_keys=True
     )
     for turn, ref_turn in zip(lean.turns, reference.turns, strict=True):
         assert type(turn.product_id) is type(ref_turn.product_id)
@@ -277,7 +278,7 @@ class TestReaderEquivalence:
             "no-grounding-key", "integer-score"])
     def test_edited_grounded_turn(self, tmp_path, generated, edit, reason):
         conversations, _ = generated
-        record = copy.deepcopy(conversations[1].to_record())
+        record = copy.deepcopy(conversation_record(conversations[1]))
         edit(first_grounded_turn(record))
         path = tmp_path / "edited.jsonl"
         write_dataset(conversations[:1], path)
@@ -293,7 +294,7 @@ class TestReaderEquivalence:
     @pytest.mark.parametrize("position", [0, -1])
     @pytest.mark.parametrize("turn", [1, "turn", [], None])
     def test_non_object_turn(self, tmp_path, generated, position, turn):
-        record = copy.deepcopy(generated[0][0].to_record())
+        record = copy.deepcopy(conversation_record(generated[0][0]))
         record["turns"][position] = turn
         path = tmp_path / "turn.jsonl"
         path.write_text(json.dumps(record) + "\n", encoding="utf-8")
@@ -303,9 +304,141 @@ class TestReaderEquivalence:
         )
 
 
+# strings as a dataset may hold them: any text a UTF-8 file can carry
+DATASET_TEXT = st.text(st.characters(exclude_categories=("Cs",)), max_size=8)
+SPECIAL_TEXT = ['"', "\\", "\n", "\x00", "\x7f", "\u2028", "é", "😀"]
+
+
+def drawn_record(data, conversation):
+    """The record of ``conversation`` with every string and score of its
+    turns, and its pair trace, drawn from ``data``."""
+    record = copy.deepcopy(conversation_record(conversation))
+    optional = st.none() | DATASET_TEXT
+    for turn in record["turns"]:
+        turn.update(text=data.draw(DATASET_TEXT), feature=data.draw(optional),
+                    product_id=data.draw(optional))
+        for ref in turn["grounding"]:
+            ref.update(review_id=data.draw(DATASET_TEXT), label=data.draw(DATASET_TEXT),
+                       score=data.draw(st.floats() | st.integers(-10**6, 10**6)))
+    side = st.fixed_dictionaries({"feature": optional, "product_id": optional})
+    generated_shape = st.fixed_dictionaries(
+        {"kind": DATASET_TEXT, "customer": side, "assistant": side}
+    )
+    record["pair_trace"] = data.draw(st.lists(
+        generated_shape | st.dictionaries(DATASET_TEXT, JSON_VALUES, max_size=3),
+        max_size=3,
+    ))
+    return record
+
+
+class TestWriterEquivalence:
+    """write_dataset writes, for every conversation the reader gives, the
+    line the reference writer in tests/dataset_reference.py wrote."""
+
+    @pytest.fixture(scope="class")
+    def directory(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("writer-equivalence")
+
+    @staticmethod
+    def _check(directory, records):
+        """Read ``records`` back from a file and write the conversations
+        read; the lines must be the reference writer's."""
+        source, written = directory / "source.jsonl", directory / "written.jsonl"
+        source.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        conversations, _ = read_outcome(read_dataset, source)
+        write_dataset(conversations, written)
+        expected = "".join(dataset_line(c) for c in conversations)
+        assert written.read_bytes().decode("utf-8") == expected
+        return conversations
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_fuzzed_lines(self, directory, generated, data):
+        conversations = generated[0][:4]
+        self._check(directory, [
+            fuzzed_record(
+                data, data.draw(st.sampled_from(conversations)),
+                data.draw(st.integers(0, 3)),
+            )
+            for _ in range(data.draw(st.integers(1, 3)))
+        ])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_drawn_values(self, directory, generated, data):
+        conversation = data.draw(st.sampled_from(generated[0][:4]))
+        assert len(self._check(directory, [drawn_record(data, conversation)])) == 1
+
+    @pytest.mark.parametrize("score", [
+        "NaN", "Infinity", "-Infinity", "-0.0", "1e-07", "1e+16", "1", "0.1",
+    ])
+    def test_score(self, directory, generated, score):
+        record = copy.deepcopy(conversation_record(generated[0][1]))
+        first_grounded_turn(record)["grounding"][0]["score"] = float(score)
+        assert len(self._check(directory, [record])) == 1
+
+    @pytest.mark.parametrize("text", SPECIAL_TEXT + ["".join(SPECIAL_TEXT)])
+    def test_special_characters(self, directory, generated, text):
+        record = copy.deepcopy(conversation_record(generated[0][1]))
+        turn = first_grounded_turn(record)
+        turn["text"] += text
+        turn["feature"] = turn["grounding"][0]["label"] = text
+        record["id"] = text
+        record["product_trajectory"].append(text)
+        assert len(self._check(directory, [record])) == 1
+
+    @pytest.mark.parametrize("edit", [
+        lambda record: first_grounded_turn(record).update(product_id=None, feature=None),
+        lambda record: first_grounded_turn(record).update(grounding=[]),
+        lambda record: record.update(product_trajectory=[]),
+        lambda record: record.update(pair_trace=[]),
+    ], ids=["null-product-and-feature", "empty-grounding", "empty-trajectory",
+            "empty-pair-trace"])
+    def test_edited_record(self, directory, generated, edit):
+        record = copy.deepcopy(conversation_record(generated[0][1]))
+        edit(record)
+        assert len(self._check(directory, [record])) == 1
+
+    @pytest.mark.parametrize("entry", [
+        {"kind": "RequestInform", "customer": {"feature": "battery", "product_id": None},
+         "assistant": {"feature": "battery", "product_id": "B1"}},
+        {"kind": "RequestInform", "customer": {"feature": None, "product_id": None},
+         "assistant": {"feature": "screen", "product_id": "B1"}, "extra": 1},
+        {"customer": {"feature": "a", "product_id": "B1"},
+         "assistant": {"feature": "b", "product_id": "B2"}},
+        {"kind": "SearchWarning", "customer": "B1",
+         "assistant": {"feature": "b", "product_id": "B2"}},
+        {"kind": "SearchWarning", "customer": {"feature": "a", "product_id": 7},
+         "assistant": {"feature": "b", "product_id": "B2"}},
+        {"kind": "SearchWarning", "customer": {"product_id": "B1"},
+         "assistant": {"feature": "b", "product_id": "B2"}},
+        {"kind": "SearchWarning", "customer": {"feature": "a", "product_id": "B1"},
+         "assistant": {"feature": ["b", [1.5, None]], "product_id": "B2"}},
+        {"kind": "SearchWarning", "customer": {"feature": "a", "product_id": "B1"},
+         "assistant": {"feature": "b", "product_id": "B2"}, "é": "ü"},
+    ], ids=["generated-shape", "extra-key", "missing-kind", "side-not-an-object",
+            "integer-product-id", "side-missing-feature", "nested-list", "non-ascii-key"])
+    def test_pair_trace_entry(self, directory, generated, entry):
+        record = copy.deepcopy(conversation_record(generated[0][1]))
+        record["pair_trace"][0] = entry
+        assert len(self._check(directory, [record])) == 1
+
+    def test_generated_at_another_seed(self, tmp_path, world):
+        conversations, report = generate_dataset(
+            builtin_templates(), 8, world, phrasebank=default_phrasebank(),
+            settings=GenerationSettings(per_template=10),
+        )
+        conversations = list(conversations)
+        path = tmp_path / "dataset.jsonl"
+        write_dataset(conversations, path)
+        assert len(conversations) == report.successes > 100
+        expected = "".join(dataset_line(c) for c in conversations)
+        assert path.read_bytes().decode("utf-8") == expected
+
+
 def mutate_dataset(tmp_path, conversations, mutator, name="mutated.jsonl"):
     """Write conversations, apply mutator to a copy of the first record."""
-    records = [c.to_record() for c in conversations]
+    records = [conversation_record(c) for c in conversations]
     records[0] = copy.deepcopy(records[0])
     mutator(records[0])
     path = tmp_path / name
@@ -456,7 +589,7 @@ class TestValidate:
 
     def test_report_independent_of_line_order(self, tmp_path, world, generated):
         conversations, _ = generated
-        records = copy.deepcopy([c.to_record() for c in conversations])
+        records = copy.deepcopy([conversation_record(c) for c in conversations])
         first_grounded_turn(records[0])["text"] = "completely replaced text"
         records[3]["pair_trace"][0]["kind"] = "Bogus"
         ref = first_grounded_turn(records[7])["grounding"][0]
@@ -700,7 +833,7 @@ class TestViolationGolden:
 
     @pytest.fixture(scope="class")
     def reports(self, world, generated, tmp_path_factory):
-        records = [c.to_record() for c in generated[0]]
+        records = [conversation_record(c) for c in generated[0]]
         directory = tmp_path_factory.mktemp("forged")
         reports = []
         for k in range(len(VIOLATION_GOLDENS)):
