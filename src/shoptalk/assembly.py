@@ -126,20 +126,6 @@ class Conversation:
     def turns(self) -> tuple[Turn, ...]:
         return self.search_turns + self.evaluation_turns
 
-    def to_record(self) -> dict:
-        """JSON-ready record; it shares the pair-trace entries with this
-        conversation, so copy them before editing the record."""
-        return {
-            "schema_version": 1,
-            "id": self.id,
-            "template_id": self.template_id,
-            "master_seed": self.master_seed,
-            "turns": [t.to_record() for t in self.turns],
-            "pair_trace": list(self.pair_trace),
-            "product_trajectory": list(self.product_trajectory),
-            "alternatives": self.alternatives.to_record(),
-        }
-
 
 @dataclass
 class GenerationSettings:

@@ -25,9 +25,9 @@ based punctuation restoration can pre-fill ``normalized_text`` upstream.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field, replace
+from json.encoder import encode_basestring_ascii as _ascii
 from pathlib import Path
 from typing import Callable, Iterator, Optional
 
@@ -77,29 +77,12 @@ class Product:
             raise KeyError(f"not a searchable feature: {feature!r}")
         return getattr(self, feature)
 
-    def to_record(self) -> dict:
-        record = {"id": self.id, "title": self.title}
-        for key in SEARCHABLE_FEATURES:
-            value = getattr(self, key)
-            if value is not None:
-                record[key] = value
-        if self.also_viewed:
-            record["also_viewed"] = list(self.also_viewed)
-        return record
-
 
 @dataclass(frozen=True)
 class Review:
     id: str
     product_id: str
     normalized_text: str
-
-    def to_record(self) -> dict:
-        return {
-            "id": self.id,
-            "product_id": self.product_id,
-            "normalized_text": self.normalized_text,
-        }
 
 
 @dataclass
@@ -296,11 +279,28 @@ def ingest_reviews(
     return ReviewStore(reviews, report)
 
 
+# Snapshot lines are written straight from the records, as
+# ``json.dumps(record, sort_keys=True)`` writes them: keys in sorted order,
+# strings with ASCII escapes, a product's absent optional keys omitted.
+
 def write_catalog(catalog: ProductCatalog, path: str | Path) -> None:
     """Write a catalog back to meta.jsonl (round-trips through ingest)."""
     with open(path, "w", encoding="utf-8") as fh:
         for product in catalog:
-            fh.write(json.dumps(product.to_record(), sort_keys=True) + "\n")
+            fh.write(_product_line(product))
+
+
+def _product_line(product: Product) -> str:
+    fields = []
+    if product.also_viewed:
+        fields.append(f'"also_viewed": [{", ".join(map(_ascii, product.also_viewed))}]')
+    for key, value in (
+        ("brand", product.brand), ("color", product.color), ("id", product.id),
+        ("memory", product.memory), ("os", product.os), ("title", product.title),
+    ):
+        if value is not None:
+            fields.append(f'"{key}": {_ascii(value)}')
+    return "{" + ", ".join(fields) + "}\n"
 
 
 def write_reviews(store: ReviewStore, path: str | Path) -> None:
@@ -308,4 +308,8 @@ def write_reviews(store: ReviewStore, path: str | Path) -> None:
     normalized_text} records (round-trips through ingest)."""
     with open(path, "w", encoding="utf-8") as fh:
         for review in store:
-            fh.write(json.dumps(review.to_record(), sort_keys=True) + "\n")
+            fh.write(
+                f'{{"id": {_ascii(review.id)}, '
+                f'"normalized_text": {_ascii(review.normalized_text)}, '
+                f'"product_id": {_ascii(review.product_id)}}}\n'
+            )

@@ -20,6 +20,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from itertools import chain
+from json.encoder import encode_basestring as _string
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
@@ -56,14 +57,92 @@ def write_dataset(conversations: Iterable[Conversation], path: str | Path) -> No
     try:
         with open(partial, "w", encoding="utf-8") as fh:
             for conversation in conversations:
-                fh.write(
-                    json.dumps(conversation.to_record(), sort_keys=True, ensure_ascii=False)
-                    + "\n"
-                )
+                fh.write(_conversation_line(conversation))
         os.replace(partial, path)
     except BaseException:
         partial.unlink(missing_ok=True)
         raise
+
+
+# A line is encoded straight from the records, keys in sorted order, and
+# reads exactly as ``json.dumps(record, sort_keys=True, ensure_ascii=False)``
+# of the conversation's record: strings through the encoder json.dumps uses,
+# numbers by ``repr`` with NaN and the infinities spelled as json.dumps
+# spells them (a dataset that was read can hold them).  A pair-trace entry
+# of the shape generation makes is written here too; any other entry a
+# read dataset holds goes through json.dumps.
+
+_NULL = "null"
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_TRACE_KEYS = frozenset(("kind", "customer", "assistant"))
+_SIDE_KEYS = frozenset(("feature", "product_id"))
+_STRING_OR_NULL = (str, type(None))
+
+
+def _number(value: float) -> str:
+    text = repr(value)
+    return _NON_FINITE.get(text, text)
+
+
+def _ref_json(ref: GroundingRef) -> str:
+    return (
+        f'{{"feature": {_string(ref.feature)}, "label": {_string(ref.label)}, '
+        f'"review_id": {_string(ref.review_id)}, "score": {_number(ref.score)}, '
+        f'"sentence_ordinal": {ref.sentence_ordinal}}}'
+    )
+
+
+def _turn_json(turn: Turn) -> str:
+    feature, product_id = turn.feature, turn.product_id
+    grounding = ", ".join(map(_ref_json, turn.grounding)) if turn.grounding else ""
+    return (
+        f'{{"act": {_string(turn.act)}, '
+        f'"feature": {_NULL if feature is None else _string(feature)}, '
+        f'"grounding": [{grounding}], '
+        f'"product_id": {_NULL if product_id is None else _string(product_id)}, '
+        f'"speaker": {_string(turn.speaker)}, "text": {_string(turn.text)}}}'
+    )
+
+
+def _trace_json(entry: dict) -> str:
+    if type(entry) is dict and entry.keys() == _TRACE_KEYS:
+        kind, customer, assistant = entry["kind"], entry["customer"], entry["assistant"]
+        if (
+            type(kind) is str and type(customer) is dict and type(assistant) is dict
+            and customer.keys() == _SIDE_KEYS and assistant.keys() == _SIDE_KEYS
+        ):
+            a_feature, a_product = assistant["feature"], assistant["product_id"]
+            c_feature, c_product = customer["feature"], customer["product_id"]
+            if (
+                type(a_feature) in _STRING_OR_NULL and type(a_product) in _STRING_OR_NULL
+                and type(c_feature) in _STRING_OR_NULL and type(c_product) in _STRING_OR_NULL
+            ):
+                return (
+                    '{"assistant": {"feature": '
+                    f'{_NULL if a_feature is None else _string(a_feature)}, "product_id": '
+                    f'{_NULL if a_product is None else _string(a_product)}}}, '
+                    '"customer": {"feature": '
+                    f'{_NULL if c_feature is None else _string(c_feature)}, "product_id": '
+                    f'{_NULL if c_product is None else _string(c_product)}}}, '
+                    f'"kind": {_string(kind)}}}'
+                )
+    return json.dumps(entry, sort_keys=True, ensure_ascii=False)
+
+
+def _conversation_line(conversation: Conversation) -> str:
+    alternatives = conversation.alternatives
+    members = ", ".join(map(_string, alternatives.members))
+    trace = ", ".join(map(_trace_json, conversation.pair_trace))
+    trajectory = ", ".join(map(_string, conversation.product_trajectory))
+    turns = ", ".join(map(_turn_json, conversation.search_turns + conversation.evaluation_turns))
+    return (
+        f'{{"alternatives": {{"members": [{members}], '
+        f'"seed_product": {_string(alternatives.seed_product)}}}, '
+        f'"id": {_string(conversation.id)}, "master_seed": {conversation.master_seed}, '
+        f'"pair_trace": [{trace}], "product_trajectory": [{trajectory}], '
+        f'"schema_version": 1, "template_id": {conversation.template_id}, '
+        f'"turns": [{turns}]}}\n'
+    )
 
 
 # JSON values have exact types, so a field is checked with ``type(x) is``,

@@ -28,28 +28,23 @@ from .turns import ASSISTANT, CUSTOMER, GroundingRef, Turn
 
 
 class PairKind(Enum):
-    REQUEST_INFORM = "RequestInform"
-    DENY_DISAGREEMENT = "DenyDisagreement"
-    DENY_SWITCH_PRODUCT = "DenySwitchProduct"
-    DENY_SWITCH_FEATURE = "DenySwitchFeature"
-    SEARCH_AGREEMENT = "SearchAgreement"
-    SEARCH_SWITCH_FEATURE = "SearchSwitchFeature"
-    SEARCH_WARNING = "SearchWarning"
+    """A pair kind; its value is its name in templates and pair traces,
+    and ``act`` is the act of both of its turns, a plain attribute."""
 
-    @property
-    def act(self) -> str:
-        return _ACT_OF[self]
+    REQUEST_INFORM = ("RequestInform", "request_inform")
+    DENY_DISAGREEMENT = ("DenyDisagreement", "deny_disagreement")
+    DENY_SWITCH_PRODUCT = ("DenySwitchProduct", "deny_switch_product")
+    DENY_SWITCH_FEATURE = ("DenySwitchFeature", "deny_switch_feature")
+    SEARCH_AGREEMENT = ("SearchAgreement", "search_agreement")
+    SEARCH_SWITCH_FEATURE = ("SearchSwitchFeature", "search_switch_feature")
+    SEARCH_WARNING = ("SearchWarning", "search_warning")
 
+    def __new__(cls, value: str, act: str):
+        kind = object.__new__(cls)
+        kind._value_ = value
+        kind.act = act
+        return kind
 
-_ACT_OF = {
-    PairKind.REQUEST_INFORM: "request_inform",
-    PairKind.DENY_DISAGREEMENT: "deny_disagreement",
-    PairKind.DENY_SWITCH_PRODUCT: "deny_switch_product",
-    PairKind.DENY_SWITCH_FEATURE: "deny_switch_feature",
-    PairKind.SEARCH_AGREEMENT: "search_agreement",
-    PairKind.SEARCH_SWITCH_FEATURE: "search_switch_feature",
-    PairKind.SEARCH_WARNING: "search_warning",
-}
 
 # Names accepted in template config files on top of the canonical ones.
 KIND_ALIASES = {
@@ -286,6 +281,8 @@ class Phrasebank:
 
     def __init__(self, sections: dict[tuple[str, str], list[str]]):
         self.sections = sections
+        # the templates that embed {opinion}, found once by validate
+        self.opinion_templates: set[str] = set()
         self.validate()
 
     def variants(self, kind: PairKind, speaker: str) -> list[str]:
@@ -309,6 +306,8 @@ class Phrasebank:
                         raise PhrasebankError(
                             f"unknown placeholder {unknown} in [{kind.act}.{speaker}]"
                         )
+                    if "opinion" in used:
+                        self.opinion_templates.add(template)
                     if needs_opinion and "opinion" not in used:
                         raise PhrasebankError(
                             f"template in [{kind.act}.{speaker}] must embed {{opinion}}"
@@ -405,7 +404,7 @@ def _render(phrasebank, kind, speaker, rng, *, feature, product_title, span, sen
     opinion = ""
     if span is not None:
         opinion = _sentence_text(sentences, span)
-    elif "opinion" in _placeholders(template, f"[{kind.act}.{speaker}]"):
+    elif template in phrasebank.opinion_templates:
         raise UnboundSlotError(f"no span bound for [{kind.act}.{speaker}]")
     return template.format(feature=feature, product_title=product_title, opinion=opinion)
 

@@ -60,9 +60,6 @@ class AlternativesSet:
         if self.seed_product not in self.member_set:
             raise ValueError("seed product must be a member of its alternatives set")
 
-    def to_record(self) -> dict:
-        return {"seed_product": self.seed_product, "members": list(self.members)}
-
 
 def sample_seed(
     catalog: ProductCatalog,

@@ -45,15 +45,6 @@ class GroundingRef:
         """The grounded span's identity; see OpinionSpan.identity."""
         return (self.review_id, self.sentence_ordinal, self.feature)
 
-    def to_record(self) -> dict:
-        return {
-            "review_id": self.review_id,
-            "sentence_ordinal": self.sentence_ordinal,
-            "feature": self.feature,
-            "score": self.score,
-            "label": self.label,
-        }
-
 
 @dataclass(slots=True)
 class Turn:
@@ -63,13 +54,3 @@ class Turn:
     product_id: Optional[str] = None
     feature: Optional[str] = None
     grounding: tuple[GroundingRef, ...] = ()
-
-    def to_record(self) -> dict:
-        return {
-            "speaker": self.speaker,
-            "text": self.text,
-            "act": self.act,
-            "product_id": self.product_id,
-            "feature": self.feature,
-            "grounding": [ref.to_record() for ref in self.grounding],
-        }

@@ -1,6 +1,7 @@
 """Dialog pair instantiation: per-kind behavior, invariants, and
 equivalence with a brute-force slot enumerator."""
 
+import dataclasses
 import random
 from importlib.resources import files
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from shoptalk import annotate
 from shoptalk.annotate import NEGATIVE, POSITIVE, OpinionSpan, PolarityConfig
 from shoptalk.corpus import Product
-from shoptalk.errors import InvalidStateError, PhrasebankError
+from shoptalk.errors import InvalidStateError, PhrasebankError, UnboundSlotError
 from shoptalk.negotiation import (
     SIGNATURES,
     DialogState,
@@ -670,6 +671,23 @@ class TestPhrasebank:
         )
         assert pair.customer_turn.text == "Is the battery {opinion}?"
 
+    def test_opinion_template_without_span_raises(self):
+        catalog, _, index, sentences, _ = build_world({"p1": {"battery": [-0.6, 0.8]}})
+        bound = instantiate_pair(
+            PairKind.DENY_DISAGREEMENT, fresh_state(catalog, "p1"), index, catalog,
+            random.Random(0), k=3,
+        )
+        unbound = dataclasses.replace(bound.binding, customer_span=None)
+        with pytest.raises(UnboundSlotError, match=r"\[deny_disagreement\.customer\]"):
+            realize(unbound, default_phrasebank(), random.Random(0), catalog, sentences)
+
+    def test_opinion_templates_recorded_at_load(self):
+        bank = default_phrasebank()
+        neutral = set(bank.variants(PairKind.REQUEST_INFORM, CUSTOMER))
+        every = {t for templates in bank.sections.values() for t in templates}
+        assert bank.opinion_templates == every - neutral
+        assert all("{opinion}" in template for template in bank.opinion_templates)
+
     def test_default_bank_has_three_variants_everywhere(self):
         bank = default_phrasebank()
         for kind in PairKind:
@@ -701,6 +719,18 @@ class TestParseKind:
     def test_canonical_names(self):
         assert parse_kind("RequestInform") is PairKind.REQUEST_INFORM
         assert parse_kind("SearchWarning") is PairKind.SEARCH_WARNING
+
+    def test_values_and_acts(self):
+        assert {kind.value: kind.act for kind in PairKind} == {
+            "RequestInform": "request_inform",
+            "DenyDisagreement": "deny_disagreement",
+            "DenySwitchProduct": "deny_switch_product",
+            "DenySwitchFeature": "deny_switch_feature",
+            "SearchAgreement": "search_agreement",
+            "SearchSwitchFeature": "search_switch_feature",
+            "SearchWarning": "search_warning",
+        }
+        assert all(PairKind(kind.value) is kind for kind in PairKind)
 
     def test_dashed_forms(self):
         assert parse_kind("Deny--Disagreement") is PairKind.DENY_DISAGREEMENT
