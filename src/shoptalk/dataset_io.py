@@ -64,13 +64,14 @@ def write_dataset(conversations: Iterable[Conversation], path: str | Path) -> No
         raise
 
 
-# A line is encoded straight from the records, keys in sorted order, and
-# reads exactly as ``json.dumps(record, sort_keys=True, ensure_ascii=False)``
-# of the conversation's record: strings through the encoder json.dumps uses,
-# numbers by ``repr`` with NaN and the infinities spelled as json.dumps
-# spells them (a dataset that was read can hold them).  A pair-trace entry
-# of the shape generation makes is written here too; any other entry a
-# read dataset holds goes through json.dumps.
+# A line is encoded straight from the records, keys in sorted order.  It is
+# the line ``json.dumps(record, sort_keys=True, ensure_ascii=False)`` writes
+# for the conversation as nested dicts (the reference writer in
+# tests/dataset_reference.py): strings go through the encoder json.dumps
+# uses, numbers through ``repr`` with NaN and the infinities spelled as
+# json.dumps spells them (a dataset that was read can hold them).  A
+# pair-trace entry of the shape generation makes is written here too; any
+# other entry a read dataset holds goes through json.dumps.
 
 _NULL = "null"
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
