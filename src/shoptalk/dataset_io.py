@@ -73,7 +73,6 @@ def write_dataset(conversations: Iterable[Conversation], path: str | Path) -> No
 # pair-trace entry of the shape generation makes is written here too; any
 # other entry a read dataset holds goes through json.dumps.
 
-_NULL = "null"
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _TRACE_KEYS = frozenset(("kind", "customer", "assistant"))
 _SIDE_KEYS = frozenset(("feature", "product_id"))
@@ -85,6 +84,10 @@ def _number(value: float) -> str:
     return _NON_FINITE.get(text, text)
 
 
+def _optional(value: Optional[str]) -> str:
+    return "null" if value is None else _string(value)
+
+
 def _ref_json(ref: GroundingRef) -> str:
     return (
         f'{{"feature": {_string(ref.feature)}, "label": {_string(ref.label)}, '
@@ -94,39 +97,32 @@ def _ref_json(ref: GroundingRef) -> str:
 
 
 def _turn_json(turn: Turn) -> str:
-    feature, product_id = turn.feature, turn.product_id
     grounding = ", ".join(map(_ref_json, turn.grounding)) if turn.grounding else ""
     return (
-        f'{{"act": {_string(turn.act)}, '
-        f'"feature": {_NULL if feature is None else _string(feature)}, '
-        f'"grounding": [{grounding}], '
-        f'"product_id": {_NULL if product_id is None else _string(product_id)}, '
+        f'{{"act": {_string(turn.act)}, "feature": {_optional(turn.feature)}, '
+        f'"grounding": [{grounding}], "product_id": {_optional(turn.product_id)}, '
         f'"speaker": {_string(turn.speaker)}, "text": {_string(turn.text)}}}'
     )
 
 
+def _side_json(side) -> Optional[str]:
+    """A pair-trace side of the shape generation makes, {feature,
+    product_id} each a string or null, as JSON; None for any other value."""
+    if type(side) is dict and side.keys() == _SIDE_KEYS:
+        feature, product_id = side["feature"], side["product_id"]
+        if type(feature) in _STRING_OR_NULL and type(product_id) in _STRING_OR_NULL:
+            return f'{{"feature": {_optional(feature)}, "product_id": {_optional(product_id)}}}'
+    return None
+
+
 def _trace_json(entry: dict) -> str:
-    if type(entry) is dict and entry.keys() == _TRACE_KEYS:
-        kind, customer, assistant = entry["kind"], entry["customer"], entry["assistant"]
-        if (
-            type(kind) is str and type(customer) is dict and type(assistant) is dict
-            and customer.keys() == _SIDE_KEYS and assistant.keys() == _SIDE_KEYS
-        ):
-            a_feature, a_product = assistant["feature"], assistant["product_id"]
-            c_feature, c_product = customer["feature"], customer["product_id"]
-            if (
-                type(a_feature) in _STRING_OR_NULL and type(a_product) in _STRING_OR_NULL
-                and type(c_feature) in _STRING_OR_NULL and type(c_product) in _STRING_OR_NULL
-            ):
-                return (
-                    '{"assistant": {"feature": '
-                    f'{_NULL if a_feature is None else _string(a_feature)}, "product_id": '
-                    f'{_NULL if a_product is None else _string(a_product)}}}, '
-                    '"customer": {"feature": '
-                    f'{_NULL if c_feature is None else _string(c_feature)}, "product_id": '
-                    f'{_NULL if c_product is None else _string(c_product)}}}, '
-                    f'"kind": {_string(kind)}}}'
-                )
+    if type(entry) is dict and entry.keys() == _TRACE_KEYS and type(entry["kind"]) is str:
+        assistant, customer = _side_json(entry["assistant"]), _side_json(entry["customer"])
+        if assistant is not None and customer is not None:
+            return (
+                f'{{"assistant": {assistant}, "customer": {customer}, '
+                f'"kind": {_string(entry["kind"])}}}'
+            )
     return json.dumps(entry, sort_keys=True, ensure_ascii=False)
 
 
