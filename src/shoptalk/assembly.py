@@ -175,7 +175,9 @@ def _try_sequence(
     rng: random.Random,
     phrasebank: Phrasebank,
     top_k: int,
-) -> Optional[list[DialogPair]]:
+) -> Optional[tuple[list[DialogPair], tuple[str, ...]]]:
+    """One attempt at the pairs of a sequence, from a fresh state: the pairs
+    and the products visited, or None when a pair is unsatisfiable."""
     state = DialogState.initial(alternatives)
     pairs: list[DialogPair] = []
     for kind in sequence:
@@ -186,8 +188,7 @@ def _try_sequence(
         if pair is None:
             return None
         pairs.append(pair)
-        state = pair.state_after
-    return pairs
+    return pairs, tuple(state.visited_products)
 
 
 def generate_conversation(
@@ -220,7 +221,7 @@ def generate_conversation(
             if attempts >= settings.retry_budget:
                 raise GenerationExhaustedError(template.id, attempts)
             attempts += 1
-            pairs = _try_sequence(
+            attempt = _try_sequence(
                 template.sequence,
                 alternatives,
                 world,
@@ -228,10 +229,11 @@ def generate_conversation(
                 phrasebank,
                 settings.top_k,
             )
-            if pairs is not None:
+            if attempt is not None:
+                pairs, product_trajectory = attempt
                 conversation = _assemble(
                     conversation_id, template, master_seed, search_turns,
-                    alternatives, pairs,
+                    alternatives, pairs, product_trajectory,
                 )
                 return conversation, attempts
         global_round += 1
@@ -244,6 +246,7 @@ def _assemble(
     search_turns: list[Turn],
     alternatives: AlternativesSet,
     pairs: list[DialogPair],
+    product_trajectory: tuple[str, ...],
 ) -> Conversation:
     evaluation_turns: list[Turn] = []
     trace: list[dict] = []
@@ -253,7 +256,6 @@ def _assemble(
         trace.append(_trace_entry(pair))
     if tuple(pair.kind for pair in pairs) != template.sequence:
         raise InvalidStateError(f"pairs do not follow template {template.id}")
-    final_state = pairs[-1].state_after
     return Conversation(
         id=conversation_id,
         template_id=template.id,
@@ -261,7 +263,7 @@ def _assemble(
         search_turns=tuple(search_turns),
         evaluation_turns=tuple(evaluation_turns),
         pair_trace=tuple(trace),
-        product_trajectory=final_state.visited_products,
+        product_trajectory=product_trajectory,
         alternatives=alternatives,
     )
 

@@ -10,9 +10,12 @@ read; every other key is ignored, whatever its value:
                 string), else text (a string, normalized here)
 
 An optional string may be null, meaning absent.  A line that is not
-such an object, with each read key of its type, is malformed; so is JSON
-nested too deeply to parse.  Both ingesters count and skip a malformed line, or,
-with ``strict=True``, raise MalformedRecordError naming it.
+such an object, with each read key of its type, is malformed; so is one
+whose kept string does not encode as UTF-8 (a lone surrogate, which a
+JSON escape can spell), and JSON nested too deeply to parse.  Both
+ingesters count and skip a malformed line, or, with ``strict=True``,
+raise MalformedRecordError naming it.  Loading a snapshot goes through
+the same parsers.
 
 A snapshot (``shoptalk ingest``) holds two files in these formats:
 catalog.jsonl holds each product's read keys, and reviews.jsonl holds
@@ -185,6 +188,17 @@ def _iter_records(path: Path, report: IngestReport, strict: bool, parse: Callabl
         yield line_no, parsed
 
 
+def _require_utf8(key: str, *values: str) -> None:
+    """Raise ValueError unless every value encodes as UTF-8; ASCII text,
+    the common case, is not encoded at all."""
+    for value in values:
+        if not value.isascii():
+            try:
+                value.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ValueError(f"{key} does not encode as UTF-8") from None
+
+
 def _parse_product(record: dict) -> Product:
     product_id = record.get("id")
     title = record.get("title")
@@ -192,15 +206,20 @@ def _parse_product(record: dict) -> Product:
         raise ValueError("missing or empty id")
     if title is None or not isinstance(title, str):
         raise ValueError("missing title")
+    _require_utf8("id", product_id)
+    _require_utf8("title", title)
     for key in SEARCHABLE_FEATURES:
         value = record.get(key)
-        if value is not None and not isinstance(value, str):
-            raise ValueError(f"{key} must be a string")
+        if value is not None:
+            if not isinstance(value, str):
+                raise ValueError(f"{key} must be a string")
+            _require_utf8(key, value)
     also_viewed = record.get("also_viewed")
     if also_viewed is None:  # absent or null: none, as for the other optional keys
         also_viewed = []
     if not isinstance(also_viewed, list) or not all(isinstance(v, str) for v in also_viewed):
         raise ValueError("also_viewed must be a list of strings")
+    _require_utf8("also_viewed", *also_viewed)
     return Product(
         id=product_id,
         title=title,
@@ -250,6 +269,9 @@ def _parse_review(record: dict) -> Review:
         text = normalize_text(text)
     elif not isinstance(text, str):
         raise ValueError("normalized_text must be a string")
+    _require_utf8("id", review_id)
+    _require_utf8("product_id", product_id)
+    _require_utf8("text", text)
     return Review(id=review_id, product_id=product_id, normalized_text=text)
 
 

@@ -86,23 +86,32 @@ SIGNATURES = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DialogState:
+    """The search state of one attempt at a conversation, advanced in place
+    by each pair that binds; a failed attempt starts over from ``initial``."""
+
     current_product: str
     alternatives: AlternativesSet
-    visited_products: tuple[str, ...]
-    used_spans: frozenset[SpanIdentity]
-    discussed_features: frozenset[str]
+    visited_products: list[str]
+    used_spans: set[SpanIdentity]
+    discussed_features: set[str]
 
     @classmethod
     def initial(cls, alternatives: AlternativesSet) -> "DialogState":
-        return cls(
-            current_product=alternatives.seed_product,
-            alternatives=alternatives,
-            visited_products=(alternatives.seed_product,),
-            used_spans=frozenset(),
-            discussed_features=frozenset(),
-        )
+        seed = alternatives.seed_product
+        return cls(seed, alternatives, [seed], set(), set())
+
+    def advance(self, binding: PairBinding) -> None:
+        if binding.customer_span is not None:
+            self.used_spans.add(binding.customer_span.identity)
+        self.used_spans.add(binding.assistant_span.identity)
+        self.discussed_features.add(binding.feature_a)
+        self.discussed_features.add(binding.feature_b)
+        if binding.product_b != binding.product_a:
+            self.current_product = binding.product_b
+            if binding.product_b not in self.visited_products:
+                self.visited_products.append(binding.product_b)
 
     def check(self, catalog: ProductCatalog) -> None:
         if self.current_product not in self.visited_products:
@@ -117,7 +126,7 @@ class DialogState:
                 also_viewed.update(product.also_viewed)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PairBinding:
     """All slots of one pair, bound but not yet realized as text."""
 
@@ -130,18 +139,11 @@ class PairBinding:
     assistant_span: OpinionSpan
 
 
-@dataclass(frozen=True)
-class BoundPair:
-    binding: PairBinding
-    state_after: DialogState
-
-
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DialogPair:
     kind: PairKind
     customer_turn: Turn
     assistant_turn: Turn
-    state_after: DialogState
 
 
 def _seeded_candidates(
@@ -160,12 +162,13 @@ def _feature_order(
     index: OpinionIndex,
     product: str,
     label: str,
-    discussed: frozenset[str],
+    discussed: set[str],
     rng: random.Random,
-    skip: frozenset[str] = frozenset(),
+    skip: Optional[str] = None,
 ) -> list[str]:
-    """Undiscussed features first, each group seeded-shuffled."""
-    ranked = [f for f, _ in features_of(index, product, label) if f not in skip]
+    """Undiscussed features first, each group seeded-shuffled; ``skip`` is
+    left out."""
+    ranked = [f for f, _ in features_of(index, product, label) if f != skip]
     fresh = [f for f in ranked if f not in discussed]
     stale = [f for f in ranked if f in discussed]
     rng.shuffle(fresh)
@@ -205,8 +208,9 @@ def instantiate_pair(
     catalog: ProductCatalog,
     rng: random.Random,
     k: int,
-) -> Optional[BoundPair]:
-    """Bind all slots of one pair, or None when no assignment exists.
+) -> Optional[PairBinding]:
+    """Bind all slots of one pair, or None when no assignment exists; the
+    state is left as it is.
 
     The candidate order is seeded (features: undiscussed first; spans:
     shuffled top-k then remainder; switch targets: shuffled) and the search
@@ -234,7 +238,7 @@ def instantiate_pair(
             elif sig.switches_feature:
                 features = _feature_order(
                     index, p1, sig.assistant_label, state.discussed_features, rng,
-                    skip=frozenset({fa}),
+                    skip=fa,
                 )
                 targets = [(p1, fb) for fb in features]
             else:
@@ -243,30 +247,8 @@ def instantiate_pair(
                 pool = eligible_spans(index, p2, fb, sig.assistant_label, used)
                 if pool:
                     assistant_span = _seeded_candidates(pool, rng, k)[0]
-                    binding = PairBinding(kind, p1, p2, fa, fb, customer_span, assistant_span)
-                    return BoundPair(binding, _advance(state, binding))
+                    return PairBinding(kind, p1, p2, fa, fb, customer_span, assistant_span)
     return None
-
-
-def _advance(state: DialogState, binding: PairBinding) -> DialogState:
-    used = set(state.used_spans)
-    if binding.customer_span is not None:
-        used.add(binding.customer_span.identity)
-    used.add(binding.assistant_span.identity)
-    discussed = set(state.discussed_features) | {binding.feature_a, binding.feature_b}
-    visited = state.visited_products
-    current = state.current_product
-    if binding.product_b != binding.product_a:
-        current = binding.product_b
-        if binding.product_b not in visited:
-            visited = visited + (binding.product_b,)
-    return DialogState(
-        current_product=current,
-        alternatives=state.alternatives,
-        visited_products=visited,
-        used_spans=frozenset(used),
-        discussed_features=frozenset(discussed),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -428,11 +410,12 @@ def build_pair(
     sentences: dict[str, tuple[str, ...]],
     k: int,
 ) -> Optional[DialogPair]:
-    """Instantiate and realize one pair; None when unsatisfiable."""
-    bound = instantiate_pair(kind, state, index, catalog, rng, k)
-    if bound is None:
+    """Instantiate and realize one pair, advancing ``state`` past it; None,
+    with the state left as it is, when unsatisfiable."""
+    binding = instantiate_pair(kind, state, index, catalog, rng, k)
+    if binding is None:
         return None
-    binding = bound.binding
+    state.advance(binding)
     customer_text, assistant_text = realize(binding, phrasebank, rng, catalog, sentences)
     customer_grounding = ()
     if binding.customer_span is not None:
@@ -453,4 +436,4 @@ def build_pair(
         feature=binding.feature_b,
         grounding=(GroundingRef.from_span(binding.assistant_span),),
     )
-    return DialogPair(kind, customer_turn, assistant_turn, bound.state_after)
+    return DialogPair(kind, customer_turn, assistant_turn)

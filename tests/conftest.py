@@ -5,11 +5,13 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import os
 from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
+import shoptalk
 from shoptalk.annotate import default_lexicons
 from shoptalk.corpus import (
     IngestReport,
@@ -71,6 +73,15 @@ def named_products(dataset: Path, product_of: dict[str, str]) -> set[str]:
                 named.add(turn["product_id"])
             named.update(product_of[ref["review_id"]] for ref in turn.get("grounding", []))
     return named
+
+
+def package_env(**overrides: str) -> dict[str, str]:
+    """The environment for a subprocess that imports shoptalk: this one, with
+    ``overrides`` set and the directory shoptalk was imported from put first
+    on PYTHONPATH, so that plain ``pytest`` and ``python -m pytest`` agree."""
+    src = str(Path(shoptalk.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, **overrides, PYTHONPATH=path)
 
 
 def load_corpus_script():

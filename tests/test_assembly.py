@@ -4,23 +4,22 @@ independence."""
 import dataclasses
 import itertools
 import json
-import os
+import random
 import subprocess
 import sys
 import textwrap
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import shoptalk
 from shoptalk import annotate, assembly
 from shoptalk.annotate import OpinionSpan, PolarityConfig
 from shoptalk.assembly import (
     ConversationTemplate,
     GenerationSettings,
     SeedStream,
+    _try_sequence,
     builtin_templates,
     generate_conversation,
     generate_dataset,
@@ -30,10 +29,11 @@ from shoptalk.corpus import Product, ProductCatalog
 from shoptalk.errors import GenerationExhaustedError, InvalidConfigError
 from shoptalk.negotiation import PairKind, default_phrasebank
 from shoptalk.opinion_index import build_index
+from shoptalk.search_dialog import AlternativesSet
 from shoptalk.turns import ASSISTANT, CUSTOMER
 from shoptalk.world import World
 
-from conftest import JSON_VALUES, make_catalog, make_review, make_store
+from conftest import JSON_VALUES, make_catalog, make_review, make_store, package_env
 from dataset_reference import dataset_line
 
 CONFIG = PolarityConfig()
@@ -240,32 +240,66 @@ class TestGenerateConversation:
             import sys
             from shoptalk.assembly import ConversationTemplate, _assemble
             from shoptalk.errors import InvalidStateError
-            from shoptalk.negotiation import DialogPair, DialogState, PairKind
+            from shoptalk.negotiation import DialogPair, PairKind
             from shoptalk.search_dialog import AlternativesSet
             from shoptalk.turns import Turn
 
             alternatives = AlternativesSet(seed_product="p1", members=("p1",))
             turn = Turn(speaker="customer", text="x", act="request_inform")
-            pair = DialogPair(
-                PairKind.REQUEST_INFORM, turn, turn, DialogState.initial(alternatives)
-            )
+            pair = DialogPair(PairKind.REQUEST_INFORM, turn, turn)
             template = ConversationTemplate(id=1, sequence=(PairKind.SEARCH_AGREEMENT,))
             try:
-                _assemble("c0", template, 0, [], alternatives, [pair])
+                _assemble("c0", template, 0, [], alternatives, [pair], ("p1",))
             except InvalidStateError:
                 print("raised", sys.flags.optimize)
             else:
                 print("accepted", sys.flags.optimize)
         """)
-        src = str(Path(shoptalk.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])
-        ))
         result = subprocess.run(
             [sys.executable, "-O", "-c", script],
-            capture_output=True, text=True, env=env, check=True,
+            capture_output=True, text=True, env=package_env(), check=True,
         )
         assert result.stdout.split() == ["raised", "1"]
+
+
+class TestTrySequence:
+    def test_failed_attempt_leaks_nothing_into_the_next(self):
+        # two product switches from p1: into p2 then p3 binds, but into p3
+        # first leaves no negative span to deny; the shuffled switch
+        # targets decide which attempt fails
+        catalog = make_catalog([
+            Product(id=pid, title=f"Phone {pid}") for pid in ("p1", "p2", "p3")
+        ])
+        store = make_store([
+            make_review(f"rev-{pid}", pid, "First sentence here. Second sentence here.")
+            for pid in ("p1", "p2", "p3")
+        ])
+        spans = [
+            OpinionSpan("rev-p1", 0, "battery", "battery", -0.6, CONFIG.label(-0.6)),
+            OpinionSpan("rev-p2", 0, "battery", "battery", 0.7, CONFIG.label(0.7)),
+            OpinionSpan("rev-p2", 1, "battery", "battery", -0.5, CONFIG.label(-0.5)),
+            OpinionSpan("rev-p3", 0, "battery", "battery", 0.8, CONFIG.label(0.8)),
+        ]
+        world = world_of(catalog, store, spans)
+        alternatives = AlternativesSet(seed_product="p1", members=("p1", "p2", "p3"))
+        sequence = (PairKind.DENY_SWITCH_PRODUCT, PairKind.DENY_SWITCH_PRODUCT)
+
+        def attempt(rng_seed):
+            return _try_sequence(
+                sequence, alternatives, world, random.Random(rng_seed),
+                default_phrasebank(), 3,
+            )
+
+        outcomes = {rng_seed: attempt(rng_seed) for rng_seed in range(10)}
+        failed = [seed for seed, result in outcomes.items() if result is None]
+        passed = [seed for seed, result in outcomes.items() if result is not None]
+        assert failed and passed
+        for bad, good in itertools.product(failed, passed):
+            assert attempt(bad) is None
+            assert attempt(good) == outcomes[good]
+            pairs, trajectory = outcomes[good]
+            assert trajectory == ("p1", "p2", "p3")
+            assert [pair.kind for pair in pairs] == list(sequence)
 
 
 class TestGenerateDataset:

@@ -502,3 +502,89 @@ class TestBadInputExitsOne:
             err = capsys.readouterr().err
             assert err.startswith("error: schema violation at line 2"), argv[0]
             assert "Traceback" not in err
+
+
+# A lone surrogate: a JSON escape spells it and json.loads decodes it, but
+# it does not encode as UTF-8, so no line holding it could be written.
+SURROGATE = "\ud800"
+
+# (input file, key) the surrogate is put into, in the first record
+SURROGATE_INPUTS = {
+    "review-text": ("reviews", "text"),
+    "title": ("meta", "title"),
+    "also-viewed-id": ("meta", "also_viewed"),
+}
+
+
+class TestUnencodableText:
+    """A record with a kept string that does not encode as UTF-8 is a
+    counted skip, or a named error under --strict, in ingest and in a
+    snapshot loaded by generate; it never reaches the dataset writer."""
+
+    def _corpus(self, tmp_path, sample_corpus_paths, where):
+        file, key = SURROGATE_INPUTS[where]
+        paths = dict(zip(("meta", "reviews"), sample_corpus_paths))
+        records = {
+            name: [json.loads(line) for line in path.read_text().splitlines()]
+            for name, path in paths.items()
+        }
+        first = records[file][0]
+        if key == "also_viewed":
+            first[key] = [*(first.get(key) or ()), SURROGATE]
+        else:
+            first[key] += f" {SURROGATE} great battery."
+        return [
+            write_jsonl(tmp_path / f"{name}.jsonl", records[name])
+            for name in ("meta", "reviews")
+        ], file
+
+    @pytest.mark.parametrize("where", SURROGATE_INPUTS)
+    def test_ingest_skips_then_generate_and_validate_succeed(
+        self, tmp_path, sample_corpus_paths, capsys, where
+    ):
+        (meta, reviews), file = self._corpus(tmp_path, sample_corpus_paths, where)
+        snapshot, run = tmp_path / "snapshot", tmp_path / "run"
+        assert main(["ingest", "--meta", str(meta), "--reviews", str(reviews),
+                     "--out", str(snapshot)]) == 0
+        report = json.loads((snapshot / "ingest_report.json").read_text())
+        counts = report["metadata" if file == "meta" else "review_report"]
+        assert (counts["malformed"], counts["malformed_lines"]) == (1, [1])
+        assert main(["generate", "--snapshot", str(snapshot), "--out", str(run),
+                     "--seed", "7", "--per-template", "1"]) == 0
+        assert main(["validate", "--dataset", str(run / "dataset.jsonl"),
+                     "--snapshot", str(snapshot)]) == 0
+        assert main(["stats", "--dataset", str(run / "dataset.jsonl")]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", SURROGATE_INPUTS)
+    def test_strict_ingest_names_the_line(self, tmp_path, sample_corpus_paths, capsys, where):
+        (meta, reviews), _ = self._corpus(tmp_path, sample_corpus_paths, where)
+        capsys.readouterr()
+        code = main(["ingest", "--meta", str(meta), "--reviews", str(reviews),
+                     "--out", str(tmp_path / "snapshot"), "--strict"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "error: malformed record at line 1: " + (
+            "also_viewed" if where == "also-viewed-id" else SURROGATE_INPUTS[where][1]
+        ) + " does not encode as UTF-8\n"
+
+    def test_snapshot_written_before_the_check(self, tmp_path, snapshot_dir, capsys):
+        # ingest once wrote such text back as an ASCII escape
+        path = snapshot_dir / "reviews.jsonl"
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[0])
+        record["normalized_text"] += f" {SURROGATE} great battery."
+        lines[0] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        def generate(out, *extra):
+            return main(["generate", "--snapshot", str(snapshot_dir), "--out", str(out),
+                         "--seed", "7", "--per-template", "1", *extra])
+
+        run = tmp_path / "run"
+        assert generate(run) == 0
+        assert main(["validate", "--dataset", str(run / "dataset.jsonl"),
+                     "--snapshot", str(snapshot_dir)]) == 0
+        capsys.readouterr()
+        assert generate(tmp_path / "strict", "--strict") == 1
+        err = capsys.readouterr().err
+        assert err == "error: malformed record at line 1: text does not encode as UTF-8\n"
