@@ -156,6 +156,28 @@ class GenerationReport:
     exhausted: list[dict] = field(default_factory=list)
     per_template: dict[int, int] = field(default_factory=dict)
     settings: dict = field(default_factory=dict)
+    # why instances exhausted without an attempt, each cause once; printed,
+    # not part of the record
+    causes: list[str] = field(default_factory=list)
+
+    def counts(self) -> dict:
+        """What a range of the jobs adds to the run's report, as JSON."""
+        return {
+            "successes": self.successes,
+            "attempts": self.attempts,
+            "exhausted": self.exhausted,
+            "per_template": list(self.per_template.items()),
+            "causes": self.causes,
+        }
+
+    def add(self, counts: dict) -> None:
+        """Add the counts of the next range of the jobs."""
+        self.successes += counts["successes"]
+        self.attempts += counts["attempts"]
+        self.exhausted += counts["exhausted"]
+        for template_id, n in counts["per_template"]:
+            self.per_template[template_id] = self.per_template.get(template_id, 0) + n
+        self.causes += [c for c in counts["causes"] if c not in self.causes]
 
     def to_record(self) -> dict:
         return {
@@ -212,8 +234,8 @@ def generate_conversation(
                 world.catalog, world.index, stream.rng("seed", global_round),
                 settings.min_opinions,
             )
-        except NoEligibleProductError:
-            raise GenerationExhaustedError(template.id, attempts)
+        except NoEligibleProductError as exc:
+            raise GenerationExhaustedError(template.id, attempts) from exc
         search_turns, alternatives = generate_search_dialog(
             seed_product, world.catalog, stream.rng("search", global_round), settings.p_skip
         )
@@ -288,38 +310,47 @@ def generate_dataset(
     *,
     phrasebank: Phrasebank,
     settings: GenerationSettings = GenerationSettings(),
+    jobs: Optional[range] = None,
 ) -> tuple[Iterator[Conversation], GenerationReport]:
     """Attempt settings.per_template conversations per template with
     independent per-conversation seed streams; exhaustions are reported,
-    not raised.  The conversations are generated lazily, one per step of
-    the returned iterator, in (template_id, instance ordinal) order; the
-    report is complete once the iterator is exhausted."""
+    not raised.  The jobs are numbered from 0 in (template_id, instance
+    ordinal) order, and ``jobs`` picks the ones to run (default: all).  The
+    conversations are generated lazily, one per step of the returned
+    iterator, in job order; the report is complete once the iterator is
+    exhausted, and counts only the jobs run."""
+    ordered = sorted(templates, key=lambda t: t.id)
+    per_template = settings.per_template
     report = GenerationReport(
-        requested=len(templates) * settings.per_template,
+        requested=len(ordered) * per_template,
         settings={"master_seed": master_seed, **asdict(settings)},
     )
+    if jobs is None:
+        jobs = range(report.requested)
 
     def conversations() -> Iterator[Conversation]:
-        for template in sorted(templates, key=lambda t: t.id):
-            for ordinal in range(1, settings.per_template + 1):
-                stream = SeedStream(master_seed, "conv", template.id, ordinal)
-                try:
-                    conversation, attempts = generate_conversation(
-                        template, world, stream, phrasebank=phrasebank, settings=settings,
-                        conversation_id=f"t{template.id:02d}-n{ordinal:02d}",
-                        master_seed=master_seed,
-                    )
-                except GenerationExhaustedError as exc:
-                    report.attempts += exc.attempts
-                    report.exhausted.append({
-                        "template_id": template.id,
-                        "ordinal": ordinal,
-                        "attempts": exc.attempts,
-                    })
-                    continue
-                report.attempts += attempts
-                report.successes += 1
-                report.per_template[template.id] = report.per_template.get(template.id, 0) + 1
-                yield conversation
+        for job in jobs:
+            template, ordinal = ordered[job // per_template], job % per_template + 1
+            stream = SeedStream(master_seed, "conv", template.id, ordinal)
+            try:
+                conversation, attempts = generate_conversation(
+                    template, world, stream, phrasebank=phrasebank, settings=settings,
+                    conversation_id=f"t{template.id:02d}-n{ordinal:02d}",
+                    master_seed=master_seed,
+                )
+            except GenerationExhaustedError as exc:
+                report.attempts += exc.attempts
+                report.exhausted.append({
+                    "template_id": template.id,
+                    "ordinal": ordinal,
+                    "attempts": exc.attempts,
+                })
+                if exc.__cause__ is not None and str(exc.__cause__) not in report.causes:
+                    report.causes.append(str(exc.__cause__))
+                continue
+            report.attempts += attempts
+            report.successes += 1
+            report.per_template[template.id] = report.per_template.get(template.id, 0) + 1
+            yield conversation
 
     return conversations(), report

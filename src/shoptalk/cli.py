@@ -12,8 +12,9 @@ import json
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
+from typing import Iterable
 
-from . import annotate, assembly, dataset_io
+from . import annotate, assembly, dataset_io, fanout
 from .corpus import ingest_metadata, ingest_reviews, write_catalog, write_reviews
 from .errors import InvalidConfigError, ShoptalkError, parse_json, read_text
 from .negotiation import default_phrasebank, load_phrasebank
@@ -127,10 +128,17 @@ def cmd_generate(args: argparse.Namespace) -> int:
     phrasebank = (
         load_phrasebank(args.phrasebank) if args.phrasebank else default_phrasebank()
     )
-    conversations, report = assembly.generate_dataset(
-        templates, args.seed, world, phrasebank=phrasebank, settings=settings,
-    )
-    dataset_io.write_dataset(conversations, out / "dataset.jsonl")
+
+    def generate(jobs: range, path: Path, parts: Iterable[Path]) -> assembly.GenerationReport:
+        conversations, report = assembly.generate_dataset(
+            templates, args.seed, world, phrasebank=phrasebank, settings=settings,
+            jobs=jobs,
+        )
+        dataset_io.write_dataset(conversations, path, parts)
+        return report
+
+    total = len(templates) * settings.per_template
+    report = fanout.run(total, out / "dataset.jsonl", generate)
     run_report = report.to_record()
     run_report["config"] = config
     run_report["spans_indexed"] = sum(map(len, world.index.entries.values()))
@@ -145,6 +153,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
             f"  exhausted: template {failure['template_id']} "
             f"instance {failure['ordinal']} after {failure['attempts']} attempts"
         )
+    for cause in report.causes:
+        print(f"  because {cause}")
     return 0
 
 

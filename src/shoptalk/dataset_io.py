@@ -46,22 +46,45 @@ _LABELS_BY_ACT = {
 }
 
 
-def write_dataset(conversations: Iterable[Conversation], path: str | Path) -> None:
+def write_dataset(
+    conversations: Iterable[Conversation], path: str | Path, parts: Iterable[Path] = (),
+) -> None:
     """Write one conversation per line, each as soon as ``conversations``
     yields it; key order is canonical so equal datasets are byte-identical.
-    The lines go to a partial file beside ``path`` that replaces it only
-    once the last one is written, so a run that fails leaves no truncated
-    dataset."""
+    Each file ``parts`` yields after that is appended whole.  The lines go
+    to a partial file beside ``path`` (see partial_path) that replaces it
+    only once the last one is written, so a run that fails leaves no
+    truncated dataset."""
     path = Path(path)
-    partial = path.with_name(path.name + ".partial")
+    partial = partial_path(path)
     try:
+        # not opened for appending: sendfile cannot write to such a file
         with open(partial, "w", encoding="utf-8") as fh:
             for conversation in conversations:
                 fh.write(_conversation_line(conversation))
+            fh.flush()
+            for part in parts:
+                with open(part, "rb") as src:
+                    _append(src.fileno(), fh.fileno(), os.fstat(src.fileno()).st_size)
         os.replace(partial, path)
     except BaseException:
         partial.unlink(missing_ok=True)
         raise
+
+
+def partial_path(path: Path) -> Path:
+    """Where write_dataset writes ``path`` until it is complete."""
+    return path.with_name(path.name + ".partial")
+
+
+def _append(src: int, dst: int, size: int) -> None:
+    """Copy the first ``size`` bytes of ``src`` to the position of ``dst``."""
+    offset = 0
+    while offset < size:
+        sent = os.sendfile(dst, src, offset, size - offset)
+        if sent == 0:
+            raise OSError(f"file shrank while being appended: {offset} of {size} bytes")
+        offset += sent
 
 
 # A line is encoded straight from the records, keys in sorted order.  It is

@@ -118,6 +118,11 @@ class GenerationExhaustedError(ShoptalkError):
         self.attempts = attempts
 
 
+class ForkedProcessError(ShoptalkError):
+    """A forked process generating a range of a run ended without sending
+    its report."""
+
+
 class SchemaViolationError(ShoptalkError):
     """A dataset line does not conform to the conversation schema."""
 

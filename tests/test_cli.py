@@ -147,6 +147,20 @@ class TestGenerate:
         assert len(report["exhausted"]) == 2
         assert "exhausted: template 1" in capsys.readouterr().out
 
+    def test_no_eligible_seed_cause_printed_once(self, tmp_path, snapshot_dir, capsys):
+        out = tmp_path / "run"
+        code = main(["generate", "--snapshot", str(snapshot_dir), "--out", str(out),
+                     "--seed", "7", "--per-template", "2", "--min-opinions", "1000"])
+        assert code == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["successes"] == 0
+        assert {e["attempts"] for e in report["exhausted"]} == {0}
+        assert len(report["exhausted"]) == 28
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if "non-neutral" in line] == [
+            "  because no product has >= 1000 non-neutral opinions"
+        ]
+
     def test_custom_templates_file(self, tmp_path, snapshot_dir):
         templates = tmp_path / "templates.json"
         templates.write_text(json.dumps([
