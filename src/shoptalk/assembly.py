@@ -22,24 +22,16 @@ import random
 from dataclasses import asdict, dataclass, field
 from importlib.resources import files
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .errors import (
     GenerationExhaustedError,
     InvalidConfigError,
-    InvalidStateError,
     NoEligibleProductError,
     parse_json,
     read_text,
 )
-from .negotiation import (
-    DialogPair,
-    DialogState,
-    PairKind,
-    Phrasebank,
-    build_pair,
-    parse_kind,
-)
+from .negotiation import DialogState, PairKind, Phrasebank, build_pair, parse_kind
 from .search_dialog import AlternativesSet, generate_search_dialog, sample_seed
 from .turns import Turn
 from .world import World
@@ -197,11 +189,14 @@ def _try_sequence(
     rng: random.Random,
     phrasebank: Phrasebank,
     top_k: int,
-) -> Optional[tuple[list[DialogPair], tuple[str, ...]]]:
-    """One attempt at the pairs of a sequence, from a fresh state: the pairs
-    and the products visited, or None when a pair is unsatisfiable."""
+) -> Optional[tuple[list[Turn], list[dict], tuple[str, ...]]]:
+    """One attempt at the pairs of a sequence, from a fresh state: the
+    evaluation turns, the pair trace and the products visited, or None when
+    a pair is unsatisfiable.  The final state is checked once: products are
+    only ever added to the visited ones, so that covers every pair."""
     state = DialogState.initial(alternatives)
-    pairs: list[DialogPair] = []
+    turns: list[Turn] = []
+    trace: list[dict] = []
     for kind in sequence:
         pair = build_pair(
             kind, state, world.index, world.catalog, rng, phrasebank,
@@ -209,8 +204,15 @@ def _try_sequence(
         )
         if pair is None:
             return None
-        pairs.append(pair)
-    return pairs, tuple(state.visited_products)
+        customer, assistant = pair
+        turns += pair
+        trace.append({
+            "kind": kind.value,
+            "customer": {"product_id": customer.product_id, "feature": customer.feature},
+            "assistant": {"product_id": assistant.product_id, "feature": assistant.feature},
+        })
+    state.check(world.catalog)
+    return turns, trace, tuple(state.visited_products)
 
 
 def generate_conversation(
@@ -252,55 +254,19 @@ def generate_conversation(
                 settings.top_k,
             )
             if attempt is not None:
-                pairs, product_trajectory = attempt
-                conversation = _assemble(
-                    conversation_id, template, master_seed, search_turns,
-                    alternatives, pairs, product_trajectory,
+                turns, trace, product_trajectory = attempt
+                conversation = Conversation(
+                    id=conversation_id,
+                    template_id=template.id,
+                    master_seed=master_seed,
+                    search_turns=tuple(search_turns),
+                    evaluation_turns=tuple(turns),
+                    pair_trace=tuple(trace),
+                    product_trajectory=product_trajectory,
+                    alternatives=alternatives,
                 )
                 return conversation, attempts
         global_round += 1
-
-
-def _assemble(
-    conversation_id: str,
-    template: ConversationTemplate,
-    master_seed: int,
-    search_turns: list[Turn],
-    alternatives: AlternativesSet,
-    pairs: list[DialogPair],
-    product_trajectory: tuple[str, ...],
-) -> Conversation:
-    evaluation_turns: list[Turn] = []
-    trace: list[dict] = []
-    for pair in pairs:
-        evaluation_turns.append(pair.customer_turn)
-        evaluation_turns.append(pair.assistant_turn)
-        trace.append(_trace_entry(pair))
-    if tuple(pair.kind for pair in pairs) != template.sequence:
-        raise InvalidStateError(f"pairs do not follow template {template.id}")
-    return Conversation(
-        id=conversation_id,
-        template_id=template.id,
-        master_seed=master_seed,
-        search_turns=tuple(search_turns),
-        evaluation_turns=tuple(evaluation_turns),
-        pair_trace=tuple(trace),
-        product_trajectory=product_trajectory,
-        alternatives=alternatives,
-    )
-
-
-def _trace_entry(pair: DialogPair) -> dict:
-    entry = {"kind": pair.kind.value}
-    entry["customer"] = {
-        "product_id": pair.customer_turn.product_id,
-        "feature": pair.customer_turn.feature,
-    }
-    entry["assistant"] = {
-        "product_id": pair.assistant_turn.product_id,
-        "feature": pair.assistant_turn.feature,
-    }
-    return entry
 
 
 def generate_dataset(
@@ -310,7 +276,7 @@ def generate_dataset(
     *,
     phrasebank: Phrasebank,
     settings: GenerationSettings = GenerationSettings(),
-    jobs: Optional[range] = None,
+    jobs: Optional[Iterable[int]] = None,
 ) -> tuple[Iterator[Conversation], GenerationReport]:
     """Attempt settings.per_template conversations per template with
     independent per-conversation seed streams; exhaustions are reported,

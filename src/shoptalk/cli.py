@@ -129,7 +129,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
         load_phrasebank(args.phrasebank) if args.phrasebank else default_phrasebank()
     )
 
-    def generate(jobs: range, path: Path, parts: Iterable[Path]) -> assembly.GenerationReport:
+    def generate(
+        jobs: Iterable[int], path: Path, parts: Iterable[Path]
+    ) -> assembly.GenerationReport:
         conversations, report = assembly.generate_dataset(
             templates, args.seed, world, phrasebank=phrasebank, settings=settings,
             jobs=jobs,

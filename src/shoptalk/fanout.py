@@ -37,7 +37,7 @@ MIN_SHARE = 1000
 
 # work(jobs, path, parts) -> report: generate ``jobs`` into ``path``, then
 # append the files ``parts`` yields
-Work = Callable[[range, Path, Iterable[Path]], GenerationReport]
+Work = Callable[[Iterable[int], Path, Iterable[Path]], GenerationReport]
 
 
 @dataclass
@@ -99,12 +99,27 @@ def run(total: int, path: Path, work: Work) -> GenerationReport:
             partial_path(child.part).unlink(missing_ok=True)
 
 
+class _Orphaned(Exception):
+    """The process that forked a child is gone: no one will read its report
+    or append its part."""
+
+
+def _while_parent(jobs: range, parent: int) -> Iterator[int]:
+    """``jobs`` one at a time, each once ``parent`` is seen to be still the
+    parent of this process; raises _Orphaned when it is not."""
+    for job in jobs:
+        if os.getppid() != parent:
+            raise _Orphaned
+        yield job
+
+
 def _fork(jobs: range, part: Path, work: Work) -> _Child:
+    parent = os.getpid()
     read_end, write_end = os.pipe()
     try:
         pid = os.fork()
         if pid == 0:
-            _child(jobs, part, work, read_end, write_end)
+            _child(_while_parent(jobs, parent), part, work, read_end, write_end)
     except OSError:
         os.close(read_end)
         raise
@@ -113,7 +128,7 @@ def _fork(jobs: range, part: Path, work: Work) -> _Child:
     return _Child(pid, jobs, os.fdopen(read_end, "rb"), part)
 
 
-def _child(jobs: range, part: Path, work: Work, read_end: int, write_end: int) -> None:
+def _child(jobs: Iterable[int], part: Path, work: Work, read_end: int, write_end: int) -> None:
     """The whole life of a child: run ``jobs``, send the outcome, exit.
     Never returns."""
     code = 1
@@ -130,9 +145,12 @@ def _child(jobs: range, part: Path, work: Work, read_end: int, write_end: int) -
         with open(write_end, "w", encoding="utf-8") as pipe:
             json.dump(outcome, pipe)
         code = 0
+    except (_Orphaned, BrokenPipeError):
+        # the parent is gone, say killed: stop, quietly, and take the part
+        # that no one will append
+        part.unlink(missing_ok=True)
     except BaseException:
-        # unreported, the part is appended by no one: say, the parent was
-        # killed and the pipe is broken
+        # unreported, the part is appended by no one
         part.unlink(missing_ok=True)
         sys.excepthook(*sys.exc_info())  # prints the traceback
         sys.stderr.flush()

@@ -139,13 +139,6 @@ class PairBinding:
     assistant_span: OpinionSpan
 
 
-@dataclass(slots=True)
-class DialogPair:
-    kind: PairKind
-    customer_turn: Turn
-    assistant_turn: Turn
-
-
 def _seeded_candidates(
     pool: list[OpinionSpan], rng: random.Random, k: int
 ) -> list[OpinionSpan]:
@@ -153,7 +146,6 @@ def _seeded_candidates(
     the search stays exhaustive."""
     top = pool[: max(1, k)]
     rest = pool[len(top):]
-    top = list(top)
     rng.shuffle(top)
     return top + rest
 
@@ -218,7 +210,6 @@ def instantiate_pair(
     state.  Every kind searches the same way; it only decides which
     (product, feature) targets the assistant may speak about.
     """
-    state.check(catalog)
     sig = SIGNATURES[kind]
     p1 = state.current_product
     feature_pool_label = sig.customer_label or sig.assistant_label
@@ -227,7 +218,7 @@ def instantiate_pair(
             customer_options: list[Optional[OpinionSpan]] = [None]
         else:
             pool = eligible_spans(index, p1, fa, sig.customer_label, state.used_spans)
-            customer_options = list(_seeded_candidates(pool, rng, k))
+            customer_options = _seeded_candidates(pool, rng, k)
         for customer_span in customer_options:
             used = state.used_spans
             if customer_span is not None:
@@ -409,9 +400,10 @@ def build_pair(
     phrasebank: Phrasebank,
     sentences: dict[str, tuple[str, ...]],
     k: int,
-) -> Optional[DialogPair]:
-    """Instantiate and realize one pair, advancing ``state`` past it; None,
-    with the state left as it is, when unsatisfiable."""
+) -> Optional[tuple[Turn, Turn]]:
+    """Instantiate and realize one pair, advancing ``state`` past it: the
+    customer turn and the assistant turn, or None, with the state left as it
+    is, when unsatisfiable."""
     binding = instantiate_pair(kind, state, index, catalog, rng, k)
     if binding is None:
         return None
@@ -436,4 +428,4 @@ def build_pair(
         feature=binding.feature_b,
         grounding=(GroundingRef.from_span(binding.assistant_span),),
     )
-    return DialogPair(kind, customer_turn, assistant_turn)
+    return customer_turn, assistant_turn

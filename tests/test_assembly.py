@@ -7,13 +7,13 @@ import json
 import random
 import subprocess
 import sys
-import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shoptalk import annotate, assembly
+from shoptalk import annotate, assembly, negotiation
 from shoptalk.annotate import OpinionSpan, PolarityConfig
 from shoptalk.assembly import (
     ConversationTemplate,
@@ -26,7 +26,7 @@ from shoptalk.assembly import (
     load_templates,
 )
 from shoptalk.corpus import Product, ProductCatalog
-from shoptalk.errors import GenerationExhaustedError, InvalidConfigError
+from shoptalk.errors import GenerationExhaustedError, InvalidConfigError, InvalidStateError
 from shoptalk.negotiation import PairKind, default_phrasebank
 from shoptalk.opinion_index import build_index
 from shoptalk.search_dialog import AlternativesSet
@@ -234,33 +234,6 @@ class TestGenerateConversation:
             for i, turn in enumerate(turns):
                 assert turn.speaker == (CUSTOMER if i % 2 == 0 else ASSISTANT)
 
-    def test_template_mismatch_raises_under_optimize(self):
-        # the check must not be an assert: python -O strips those
-        script = textwrap.dedent("""
-            import sys
-            from shoptalk.assembly import ConversationTemplate, _assemble
-            from shoptalk.errors import InvalidStateError
-            from shoptalk.negotiation import DialogPair, PairKind
-            from shoptalk.search_dialog import AlternativesSet
-            from shoptalk.turns import Turn
-
-            alternatives = AlternativesSet(seed_product="p1", members=("p1",))
-            turn = Turn(speaker="customer", text="x", act="request_inform")
-            pair = DialogPair(PairKind.REQUEST_INFORM, turn, turn)
-            template = ConversationTemplate(id=1, sequence=(PairKind.SEARCH_AGREEMENT,))
-            try:
-                _assemble("c0", template, 0, [], alternatives, [pair], ("p1",))
-            except InvalidStateError:
-                print("raised", sys.flags.optimize)
-            else:
-                print("accepted", sys.flags.optimize)
-        """)
-        result = subprocess.run(
-            [sys.executable, "-O", "-c", script],
-            capture_output=True, text=True, env=package_env(), check=True,
-        )
-        assert result.stdout.split() == ["raised", "1"]
-
 
 class TestTrySequence:
     def test_failed_attempt_leaks_nothing_into_the_next(self):
@@ -297,9 +270,127 @@ class TestTrySequence:
         for bad, good in itertools.product(failed, passed):
             assert attempt(bad) is None
             assert attempt(good) == outcomes[good]
-            pairs, trajectory = outcomes[good]
+            turns, trace, trajectory = outcomes[good]
             assert trajectory == ("p1", "p2", "p3")
-            assert [pair.kind for pair in pairs] == list(sequence)
+            assert [entry["kind"] for entry in trace] == [kind.value for kind in sequence]
+            assert [turn.act for turn in turns] == ["deny_switch_product"] * 4
+            assert [turn.product_id for turn in turns] == ["p1", "p2", "p2", "p3"]
+
+    def test_turns_and_trace_agree(self, world):
+        sequence = builtin_templates()[3].sequence
+        alternatives = AlternativesSet(
+            seed_product="B000000000", members=tuple(p.id for p in world.catalog),
+        )
+        attempts = [
+            _try_sequence(
+                sequence, alternatives, world, random.Random(rng_seed),
+                default_phrasebank(), 3,
+            )
+            for rng_seed in range(20)
+        ]
+        assert any(attempts)
+        for turns, trace, trajectory in filter(None, attempts):
+            assert len(turns) == 2 * len(sequence) == 2 * len(trace)
+            for kind, entry, customer, assistant in zip(
+                sequence, trace, turns[::2], turns[1::2]
+            ):
+                assert entry == {
+                    "kind": kind.value,
+                    "customer": {"product_id": customer.product_id,
+                                 "feature": customer.feature},
+                    "assistant": {"product_id": assistant.product_id,
+                                  "feature": assistant.feature},
+                }
+                assert (customer.speaker, assistant.speaker) == (CUSTOMER, ASSISTANT)
+                assert customer.act == assistant.act == kind.act
+            assert trajectory[0] == "B000000000"
+
+
+def pool_breach_world():
+    """p1 denies its battery; p2, in the alternatives set, and p3, in
+    neither the set nor p1's also-viewed list, praise theirs; p1's screen
+    serves a RequestInform.  Also returns the alternatives set."""
+    catalog = make_catalog([
+        Product(id=pid, title=f"Phone {pid}") for pid in ("p1", "p2", "p3")
+    ])
+    store = make_store([
+        make_review(f"rev-{pid}", pid, "First sentence here. Second sentence here.")
+        for pid in ("p1", "p2", "p3")
+    ])
+    spans = [
+        OpinionSpan("rev-p1", 0, "battery", "battery", -0.6, CONFIG.label(-0.6)),
+        OpinionSpan("rev-p1", 1, "screen", "screen", 0.7, CONFIG.label(0.7)),
+        OpinionSpan("rev-p2", 0, "battery", "battery", 0.7, CONFIG.label(0.7)),
+        OpinionSpan("rev-p3", 0, "battery", "battery", 0.8, CONFIG.label(0.8)),
+    ]
+    alternatives = AlternativesSet(seed_product="p1", members=("p1", "p2"))
+    return world_of(catalog, store, spans), alternatives
+
+
+# Runs the sequences named on the command line in a world whose product
+# switches are forged to leave the product pool, and prints, per sequence,
+# whether _try_sequence raised InvalidStateError, then sys.flags.optimize.
+POOL_BREACH_SCRIPT = """
+import random, sys
+
+from shoptalk import negotiation
+from shoptalk.assembly import _try_sequence
+from shoptalk.errors import InvalidStateError
+from shoptalk.negotiation import default_phrasebank, parse_kind
+from test_assembly import pool_breach_world
+
+world, alternatives = pool_breach_world()
+negotiation._switch_product_candidates = lambda *args: ["p3"]
+for names in sys.argv[1:]:
+    sequence = tuple(parse_kind(name) for name in names.split(","))
+    try:
+        _try_sequence(sequence, alternatives, world, random.Random(0),
+                      default_phrasebank(), 3)
+    except InvalidStateError:
+        print("raised", sys.flags.optimize)
+    else:
+        print("accepted", sys.flags.optimize)
+"""
+
+POOL_BREACH_SEQUENCES = [
+    (PairKind.DENY_SWITCH_PRODUCT,),
+    (PairKind.REQUEST_INFORM, PairKind.DENY_SWITCH_PRODUCT),
+]
+
+
+class TestPoolBreach:
+    """The product-pool check runs once, on each attempt's final state, so
+    a switch out of the pool raises even as the last pair."""
+
+    @pytest.mark.parametrize("sequence", POOL_BREACH_SEQUENCES)
+    def test_unforged_switch_stays_in_the_pool(self, sequence):
+        world, alternatives = pool_breach_world()
+        turns, _, trajectory = _try_sequence(
+            sequence, alternatives, world, random.Random(0), default_phrasebank(), 3,
+        )
+        assert trajectory == ("p1", "p2")
+        assert turns[-1].product_id == "p2"
+
+    @pytest.mark.parametrize("sequence", POOL_BREACH_SEQUENCES)
+    def test_forged_switch_out_of_the_pool_raises(self, sequence, monkeypatch):
+        world, alternatives = pool_breach_world()
+        monkeypatch.setattr(
+            negotiation, "_switch_product_candidates", lambda *args: ["p3"],
+        )
+        with pytest.raises(InvalidStateError, match="'p3' outside product pool"):
+            _try_sequence(
+                sequence, alternatives, world, random.Random(0), default_phrasebank(), 3,
+            )
+
+    def test_forged_switch_raises_under_optimize(self):
+        # the check must not be an assert: python -O strips those
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", POOL_BREACH_SCRIPT]
+            + [",".join(kind.value for kind in sequence) for sequence in POOL_BREACH_SEQUENCES],
+            capture_output=True, text=True, check=True,
+            env=package_env(), cwd=Path(__file__).parent,
+        )
+        assert result.stdout.split() == ["raised", "1"] * len(POOL_BREACH_SEQUENCES)
 
 
 class TestGenerateDataset:

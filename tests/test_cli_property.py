@@ -1,0 +1,174 @@
+"""The command line over drawn inputs: every stage ends in a result or in
+one error line, never in a traceback, and whatever generate writes
+validates and reproduces."""
+
+import io
+import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from shoptalk.cli import main
+from shoptalk.negotiation import PairKind
+
+PRODUCT_IDS = ["B1", "B2", "B3"]
+REVIEW_IDS = ["r1", "r2", "r3", "r4", "r5", "r6"]
+SENTENCES = [
+    "The battery is great.",
+    "The screen is terrible.",
+    "The camera is really good.",
+    "Sadly the sound turned out to be disappointing.",
+    "For this price the memory is surprisingly reliable.",
+    "I was really annoyed by the video.",
+    "The keyboard is excellent.",
+]
+
+# Strings that have broken some stage before, or could: a lone surrogate,
+# a bare carriage return, a line separator that str.splitlines splits on,
+# the empty string.
+AWKWARD_STRINGS = st.sampled_from(
+    ["", " ", "\ud800", "\udfff tail", "\r", "a\rb", "\u2028", "x\u2028y", "\u00dcn\u00ef"]
+) | st.text(max_size=6)
+AWKWARD_VALUES = AWKWARD_STRINGS | st.sampled_from(
+    [float("nan"), float("inf"), float("-inf"), 10**400, -(10**30), 1.5, 0, True, None,
+     [], {}, [[[["B1"]]]], {"id": "B1"}]
+)
+# Lines that are no record: deep nesting, non-object JSON, broken JSON.
+AWKWARD_LINES = st.sampled_from([
+    "[" * 5000 + "]" * 5000,
+    '{"id": ' + "[" * 3000 + "]" * 3000 + ', "title": "t"}',
+    "[1, 2]", '"B1"', "42", "NaN", "-Infinity", "null", "not json",
+    '{"id": "B1", "title": "unterminated', "\r", "\u2028",
+])
+
+
+@st.composite
+def json_lines(draw, records):
+    """``records`` as JSON texts, after up to three awkward edits: a value
+    replaced, a string value extended, or a line that is no record put in.
+    A line is \\u-escaped or not; unescaped, a lone surrogate makes the file
+    not UTF-8."""
+    records = list(records)
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(["replace", "extend", "line"]))
+        if edit == "line" or not records:
+            records.insert(draw(st.integers(0, len(records))), draw(AWKWARD_LINES))
+            continue
+        n = draw(st.integers(0, len(records) - 1))
+        if isinstance(records[n], str):
+            continue
+        key = draw(st.sampled_from(sorted(records[n]) + ["extra"]))
+        value = records[n].get(key)
+        if edit == "extend" and isinstance(value, str):
+            value += draw(AWKWARD_STRINGS)
+        else:
+            value = draw(AWKWARD_VALUES)
+        records[n] = {**records[n], key: value}
+    return [
+        r if isinstance(r, str) else json.dumps(r, ensure_ascii=draw(st.booleans()))
+        for r in records
+    ]
+
+
+def jsonl(lines):
+    return "".join(line + "\n" for line in lines)
+
+
+@st.composite
+def corpora(draw):
+    """meta.jsonl and reviews.jsonl: a few products with reviews made of
+    opinion sentences, edited awkwardly."""
+    ids = draw(st.lists(st.sampled_from(PRODUCT_IDS), min_size=1, max_size=3, unique=True))
+    products = [
+        {
+            "id": pid,
+            "title": draw(st.sampled_from(["Nova 5", "Sunny X", ""])),
+            "also_viewed": draw(st.lists(st.sampled_from(PRODUCT_IDS), max_size=2)),
+            "brand": draw(st.sampled_from(["Samsung", "Apple"])),
+            "os": draw(st.sampled_from(["android", "ios"])),
+        }
+        for pid in ids
+    ]
+    reviews = [
+        {
+            "id": f"r{n}",
+            "product_id": draw(st.sampled_from(ids)),
+            "text": " ".join(draw(st.lists(st.sampled_from(SENTENCES), min_size=1, max_size=4))),
+        }
+        for n in range(draw(st.integers(1, 8)))
+    ]
+    return jsonl(draw(json_lines(products))), jsonl(draw(json_lines(reviews)))
+
+
+@st.composite
+def template_files(draw):
+    """A templates file of up to three templates, edited awkwardly."""
+    templates = [
+        {"id": n, "pairs": draw(st.lists(
+            st.sampled_from([kind.value for kind in PairKind]), min_size=1, max_size=3,
+        ))}
+        for n in range(1, draw(st.integers(1, 3)) + 1)
+    ]
+    return "[" + ", ".join(draw(json_lines(templates))) + "]"
+
+
+def run(*argv):
+    """``main(argv)``: its exit code, which must be 0 or 1, with at most one
+    error line on stderr, and that only on failure."""
+    stderr = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(stderr):
+        code = main(list(argv))
+    errors = stderr.getvalue().splitlines()
+    assert code in (0, 1)
+    if code == 0:
+        assert errors == []
+    else:
+        assert len(errors) <= 1
+        assert all(e.startswith(("error: ", "io error: ")) for e in errors), errors
+    return code
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    corpus=corpora(),
+    templates=st.none() | template_files() | AWKWARD_LINES,
+    seed=st.integers(0, 3),
+)
+def test_ingest_generate_validate_stats(corpus, templates, seed):
+    meta, reviews = corpus
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "meta.jsonl").write_text(meta, encoding="utf-8", errors="surrogatepass")
+        (tmp / "reviews.jsonl").write_text(reviews, encoding="utf-8", errors="surrogatepass")
+        snapshot = str(tmp / "snapshot")
+        if run("ingest", "--meta", str(tmp / "meta.jsonl"),
+               "--reviews", str(tmp / "reviews.jsonl"), "--out", snapshot):
+            return
+        template_args = []
+        if templates is not None:
+            (tmp / "templates.json").write_text(
+                templates, encoding="utf-8", errors="surrogatepass"
+            )
+            template_args = ["--templates", str(tmp / "templates.json")]
+
+        outputs = []
+        for name in ("first", "again"):
+            out = tmp / name
+            code = run("generate", "--snapshot", snapshot, "--out", str(out),
+                       "--seed", str(seed), "--per-template", "1", *template_args)
+            outputs.append(
+                None if code else
+                ((out / "dataset.jsonl").read_bytes(), (out / "report.json").read_bytes())
+            )
+        assert outputs[0] == outputs[1]
+        if outputs[0] is None:
+            return
+
+        dataset = str(tmp / "first" / "dataset.jsonl")
+        assert run("validate", "--dataset", dataset, "--snapshot", snapshot,
+                   "--out", str(tmp / "violations.jsonl"), *template_args) == 0
+        assert (tmp / "violations.jsonl").read_text() == ""
+        assert run("stats", "--dataset", dataset) == 0

@@ -5,7 +5,11 @@ command the way a one-process run fails, leaving no file and no process."""
 import errno
 import json
 import os
+import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +17,7 @@ from shoptalk import assembly, fanout
 from shoptalk.cli import main
 from shoptalk.errors import UnboundSlotError
 
-from conftest import write_jsonl
+from conftest import package_env, write_jsonl
 
 PIPE_BUFFER = 64 * 1024
 
@@ -204,3 +208,69 @@ class TestChildFailure:
         assert capsys.readouterr().err == "error: slot {feature} left unbound\n"
         assert list(out.iterdir()) == []
         assert_no_child_left()
+
+
+# Generate on two processes, whatever the CPU count: the arguments of
+# ``generate`` come from the command line.
+TWO_PROCESS_GENERATE = """
+import sys
+from shoptalk import fanout
+from shoptalk.cli import main
+fanout.available_cpus = lambda: 2
+fanout.MIN_SHARE = 5
+sys.exit(main(["generate", *sys.argv[1:]]))
+"""
+
+
+def children_of(pid):
+    """The pids of ``pid``'s children, as Linux lists them."""
+    return [int(c) for c in Path(f"/proc/{pid}/task/{pid}/children").read_text().split()]
+
+
+def running(pid):
+    """Whether ``pid`` exists and is not a zombie."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+def wait_until(condition, seconds):
+    deadline = time.monotonic() + seconds
+    while not condition():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.005)
+    return True
+
+
+@pytest.mark.skipif(
+    not Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists(),
+    reason="reads a process's children from /proc, as Linux lists them",
+)
+class TestKilledParent:
+    def test_child_stops_once_the_parent_is_killed(self, tmp_path, snapshot_dir):
+        # 14,000 jobs: the child's 7,000 take seconds, unless it stops
+        out = tmp_path / "run"
+        parent = subprocess.Popen(
+            [sys.executable, "-c", TWO_PROCESS_GENERATE, "--out", str(out),
+             *sample_args(snapshot_dir, per_template=1000)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=package_env(),
+        )
+        child = None
+        try:
+            assert wait_until(lambda: children_of(parent.pid), 60)
+            [child] = children_of(parent.pid)
+            assert wait_until((out / "dataset.jsonl.part1.partial").exists, 30)
+            parent.send_signal(signal.SIGKILL)
+            parent.wait()
+            assert wait_until(lambda: not running(child), 0.5)
+            _, err = parent.communicate(timeout=30)
+        finally:
+            parent.kill()
+            if child is not None and running(child):
+                os.kill(child, signal.SIGKILL)
+        assert "Traceback" not in err
+        # the parent's own partial file may remain: nothing is left to remove it
+        assert [p.name for p in out.iterdir() if p.name != "dataset.jsonl.partial"] == []
