@@ -27,8 +27,8 @@ from typing import Iterable, Iterator, Optional
 from .assembly import Conversation, ConversationTemplate, builtin_templates
 from .corpus import ProductCatalog, ReviewStore
 from .errors import SchemaViolationError, parse_json, read_lines
-from .negotiation import SIGNATURES
-from .search_dialog import AlternativesSet
+from .negotiation import PairKind
+from .search_dialog import AlternativesSet, ProductPool
 from .turns import ASSISTANT, CUSTOMER, SEARCH_ACTS, GroundingRef, Turn
 from .world import World
 
@@ -39,11 +39,9 @@ RULE_POOL = "product_pool"
 RULE_REUSE = "span_reuse"
 RULE_ALTERNATION = "alternation"
 
-# The (customer, assistant) labels each evaluation act's grounding must
-# carry; None marks the neutral question, which carries none.
-_LABELS_BY_ACT = {
-    kind.act: (sig.customer_label, sig.assistant_label) for kind, sig in SIGNATURES.items()
-}
+# The pair kind of each evaluation act, whose labels its turns' grounding
+# must carry
+_KIND_BY_ACT = {kind.act: kind for kind in PairKind}
 
 
 def write_dataset(
@@ -382,11 +380,11 @@ def _check_refs(conversation: Conversation, world: World) -> Iterator[tuple[str,
     violation only; a ref that resolves must also carry the label its
     turn requires and the score the corpus index holds for its span."""
     for i, turn in enumerate(conversation.evaluation_turns):
-        labels = _LABELS_BY_ACT.get(turn.act)
-        if labels is None:
+        kind = _KIND_BY_ACT.get(turn.act)
+        if kind is None:
             yield RULE_GROUNDING, f"turn {i}: unknown act {turn.act}"
             continue
-        required = labels[0] if turn.speaker == CUSTOMER else labels[1]
+        required = kind.label(turn.speaker)
         if required is None:  # a neutral question
             if turn.grounding:
                 yield RULE_GROUNDING, f"turn {i}: neutral question must not carry grounding"
@@ -438,32 +436,19 @@ def _check_pool(
     if not trajectory or trajectory[0] != alternatives.seed_product:
         yield RULE_POOL, "trajectory does not start at the alternatives seed"
         return
-    members = alternatives.member_set
-    also_viewed: set[str] = set()
-    visited: list[str] = []
-
-    def visit(product_id: str) -> bool:
-        if product_id in visited:
-            return True
-        if product_id not in members and product_id not in also_viewed:
-            return False
-        visited.append(product_id)
-        product = catalog.get(product_id)
-        if product is not None:
-            also_viewed.update(product.also_viewed)
-        return True
-
-    visit(trajectory[0])
+    pool = ProductPool(alternatives, catalog)
+    pool.visit(trajectory[0])
     for i, turn in enumerate(conversation.evaluation_turns):
         if turn.product_id is None:
             yield RULE_POOL, f"turn {i}: missing product id"
-        elif not visit(turn.product_id):
+        elif turn.product_id not in pool.visited and not pool.visit(turn.product_id):
             yield RULE_POOL, (
                 f"turn {i}: product {turn.product_id} outside "
                 "alternatives + also-viewed chain"
             )
-    if tuple(visited) != trajectory:
-        yield RULE_POOL, f"recorded trajectory {trajectory} != recomputed {tuple(visited)}"
+    recomputed = tuple(pool.visited)
+    if recomputed != trajectory:
+        yield RULE_POOL, f"recorded trajectory {trajectory} != recomputed {recomputed}"
 
 
 def _check_reuse(conversation: Conversation) -> Iterator[tuple[str, str]]:

@@ -23,27 +23,42 @@ from .errors import (
     InvalidConfigError, InvalidStateError, PhrasebankError, UnboundSlotError, read_text,
 )
 from .opinion_index import OpinionIndex, SpanIdentity, eligible_spans, features_of
-from .search_dialog import AlternativesSet
+from .search_dialog import AlternativesSet, ProductPool
 from .turns import ASSISTANT, CUSTOMER, GroundingRef, Turn
 
 
 class PairKind(Enum):
-    """A pair kind; its value is its name in templates and pair traces,
-    and ``act`` is the act of both of its turns, a plain attribute."""
+    """A pair kind and its whole contract.  Its value is its name in
+    templates and pair traces; ``act`` is the act of both of its turns;
+    ``customer_label`` and ``assistant_label`` are the polarities each
+    turn's grounding carries (None: the neutral RequestInform question,
+    which carries none); ``switches`` is what the assistant moves to,
+    "product", "feature" or None for the customer's own slot."""
 
-    REQUEST_INFORM = ("RequestInform", "request_inform")
-    DENY_DISAGREEMENT = ("DenyDisagreement", "deny_disagreement")
-    DENY_SWITCH_PRODUCT = ("DenySwitchProduct", "deny_switch_product")
-    DENY_SWITCH_FEATURE = ("DenySwitchFeature", "deny_switch_feature")
-    SEARCH_AGREEMENT = ("SearchAgreement", "search_agreement")
-    SEARCH_SWITCH_FEATURE = ("SearchSwitchFeature", "search_switch_feature")
-    SEARCH_WARNING = ("SearchWarning", "search_warning")
+    REQUEST_INFORM = ("RequestInform", "request_inform", None, POSITIVE)
+    DENY_DISAGREEMENT = ("DenyDisagreement", "deny_disagreement", NEGATIVE, POSITIVE)
+    DENY_SWITCH_PRODUCT = (
+        "DenySwitchProduct", "deny_switch_product", NEGATIVE, POSITIVE, "product")
+    DENY_SWITCH_FEATURE = (
+        "DenySwitchFeature", "deny_switch_feature", NEGATIVE, POSITIVE, "feature")
+    SEARCH_AGREEMENT = ("SearchAgreement", "search_agreement", POSITIVE, POSITIVE)
+    SEARCH_SWITCH_FEATURE = (
+        "SearchSwitchFeature", "search_switch_feature", POSITIVE, POSITIVE, "feature")
+    SEARCH_WARNING = ("SearchWarning", "search_warning", POSITIVE, NEGATIVE, "feature")
 
-    def __new__(cls, value: str, act: str):
+    def __new__(cls, value: str, act: str, customer_label: Optional[str],
+                assistant_label: str, switches: Optional[str] = None):
         kind = object.__new__(cls)
         kind._value_ = value
         kind.act = act
+        kind.customer_label = customer_label
+        kind.assistant_label = assistant_label
+        kind.switches = switches
         return kind
+
+    def label(self, speaker: str) -> Optional[str]:
+        """The polarity the grounding of ``speaker``'s turn carries."""
+        return self.customer_label if speaker == CUSTOMER else self.assistant_label
 
 
 # Names accepted in template config files on top of the canonical ones.
@@ -65,33 +80,13 @@ def parse_kind(name: str) -> PairKind:
     raise InvalidConfigError(f"unknown pair kind {name!r}")
 
 
-@dataclass(frozen=True)
-class SlotSignature:
-    """Polarity and switching contract of one pair kind."""
-
-    customer_label: Optional[str]  # None: neutral question, no grounding
-    assistant_label: str
-    switches_product: bool = False
-    switches_feature: bool = False
-
-
-SIGNATURES = {
-    PairKind.REQUEST_INFORM: SlotSignature(None, POSITIVE),
-    PairKind.DENY_DISAGREEMENT: SlotSignature(NEGATIVE, POSITIVE),
-    PairKind.DENY_SWITCH_PRODUCT: SlotSignature(NEGATIVE, POSITIVE, switches_product=True),
-    PairKind.DENY_SWITCH_FEATURE: SlotSignature(NEGATIVE, POSITIVE, switches_feature=True),
-    PairKind.SEARCH_AGREEMENT: SlotSignature(POSITIVE, POSITIVE),
-    PairKind.SEARCH_SWITCH_FEATURE: SlotSignature(POSITIVE, POSITIVE, switches_feature=True),
-    PairKind.SEARCH_WARNING: SlotSignature(POSITIVE, NEGATIVE, switches_feature=True),
-}
-
-
 @dataclass(slots=True)
 class DialogState:
     """The search state of one attempt at a conversation, advanced in place
-    by each pair that binds; a failed attempt starts over from ``initial``."""
+    by each pair that binds; a failed attempt starts over from ``initial``.
+    Switch candidates exclude the visited products, so the current product
+    is the last one visited."""
 
-    current_product: str
     alternatives: AlternativesSet
     visited_products: list[str]
     used_spans: set[SpanIdentity]
@@ -99,8 +94,7 @@ class DialogState:
 
     @classmethod
     def initial(cls, alternatives: AlternativesSet) -> "DialogState":
-        seed = alternatives.seed_product
-        return cls(seed, alternatives, [seed], set(), set())
+        return cls(alternatives, [alternatives.seed_product], set(), set())
 
     def advance(self, binding: PairBinding) -> None:
         if binding.customer_span is not None:
@@ -109,21 +103,17 @@ class DialogState:
         self.discussed_features.add(binding.feature_a)
         self.discussed_features.add(binding.feature_b)
         if binding.product_b != binding.product_a:
-            self.current_product = binding.product_b
-            if binding.product_b not in self.visited_products:
-                self.visited_products.append(binding.product_b)
+            self.visited_products.append(binding.product_b)
 
     def check(self, catalog: ProductCatalog) -> None:
-        if self.current_product not in self.visited_products:
-            raise InvalidStateError("current product not in visited set")
-        members = self.alternatives.member_set
-        also_viewed: set[str] = set()
+        """Raise InvalidStateError unless each visited product is new and in
+        the product pool of those visited before it."""
+        pool = ProductPool(self.alternatives, catalog)
         for pid in self.visited_products:
-            if pid not in members and pid not in also_viewed:
+            if pid in pool.visited:
+                raise InvalidStateError(f"product {pid!r} visited twice")
+            if not pool.visit(pid):
                 raise InvalidStateError(f"visited product {pid!r} outside product pool")
-            product = catalog.get(pid)
-            if product is not None:
-                also_viewed.update(product.also_viewed)
 
 
 @dataclass(slots=True)
@@ -177,7 +167,7 @@ def _switch_product_candidates(
     builds it, so the few also-viewed ids outside it are merged into it
     rather than the whole pool being copied and sorted again."""
     alternatives = state.alternatives
-    current = catalog.get(state.current_product)
+    current = catalog.get(state.visited_products[-1])
     outside = sorted(
         {pid for pid in current.also_viewed if pid not in alternatives.member_set}
         if current is not None else ()
@@ -210,32 +200,31 @@ def instantiate_pair(
     state.  Every kind searches the same way; it only decides which
     (product, feature) targets the assistant may speak about.
     """
-    sig = SIGNATURES[kind]
-    p1 = state.current_product
-    feature_pool_label = sig.customer_label or sig.assistant_label
+    p1 = state.visited_products[-1]
+    customer_label, assistant_label = kind.customer_label, kind.assistant_label
+    feature_pool_label = customer_label or assistant_label
     for fa in _feature_order(index, p1, feature_pool_label, state.discussed_features, rng):
-        if sig.customer_label is None:
+        if customer_label is None:
             customer_options: list[Optional[OpinionSpan]] = [None]
         else:
-            pool = eligible_spans(index, p1, fa, sig.customer_label, state.used_spans)
+            pool = eligible_spans(index, p1, fa, customer_label, state.used_spans)
             customer_options = _seeded_candidates(pool, rng, k)
         for customer_span in customer_options:
             used = state.used_spans
             if customer_span is not None:
                 used = used | {customer_span.identity}
-            if sig.switches_product:
+            if kind.switches == "product":
                 candidates = _switch_product_candidates(state, catalog, index, rng)
                 targets = [(p2, fa) for p2 in candidates]
-            elif sig.switches_feature:
+            elif kind.switches == "feature":
                 features = _feature_order(
-                    index, p1, sig.assistant_label, state.discussed_features, rng,
-                    skip=fa,
+                    index, p1, assistant_label, state.discussed_features, rng, skip=fa,
                 )
                 targets = [(p1, fb) for fb in features]
             else:
                 targets = [(p1, fa)]
             for p2, fb in targets:
-                pool = eligible_spans(index, p2, fb, sig.assistant_label, used)
+                pool = eligible_spans(index, p2, fb, assistant_label, used)
                 if pool:
                     assistant_span = _seeded_candidates(pool, rng, k)[0]
                     return PairBinding(kind, p1, p2, fa, fb, customer_span, assistant_span)
@@ -254,8 +243,6 @@ class Phrasebank:
 
     def __init__(self, sections: dict[tuple[str, str], list[str]]):
         self.sections = sections
-        # the templates that embed {opinion}, found once by validate
-        self.opinion_templates: set[str] = set()
         self.validate()
 
     def variants(self, kind: PairKind, speaker: str) -> list[str]:
@@ -269,9 +256,7 @@ class Phrasebank:
                     raise PhrasebankError(
                         f"missing phrasebank section [{kind.act}.{speaker}]"
                     )
-                needs_opinion = not (
-                    kind is PairKind.REQUEST_INFORM and speaker == CUSTOMER
-                )
+                needs_opinion = kind.label(speaker) is not None
                 for template in templates:
                     used = _placeholders(template, f"[{kind.act}.{speaker}]")
                     unknown = used - self.PLACEHOLDERS
@@ -279,8 +264,6 @@ class Phrasebank:
                         raise PhrasebankError(
                             f"unknown placeholder {unknown} in [{kind.act}.{speaker}]"
                         )
-                    if "opinion" in used:
-                        self.opinion_templates.add(template)
                     if needs_opinion and "opinion" not in used:
                         raise PhrasebankError(
                             f"template in [{kind.act}.{speaker}] must embed {{opinion}}"
@@ -377,7 +360,7 @@ def _render(phrasebank, kind, speaker, rng, *, feature, product_title, span, sen
     opinion = ""
     if span is not None:
         opinion = _sentence_text(sentences, span)
-    elif template in phrasebank.opinion_templates:
+    elif kind.label(speaker) is not None:  # a grounded turn: its templates embed {opinion}
         raise UnboundSlotError(f"no span bound for [{kind.act}.{speaker}]")
     return template.format(feature=feature, product_title=product_title, opinion=opinion)
 

@@ -1,4 +1,6 @@
-"""Immutable opinion index: (product, feature, polarity) -> ranked spans.
+"""Opinion index: (product, feature, polarity) -> ranked spans.  A lazy
+world extends it in place, one batch of products at a time (see
+OpinionIndex.extend); nothing else changes it.
 
 Every opinion uttered downstream is grounded by a span retrieved here.
 Ranking is deterministic: descending |score|, ties broken by review id,

@@ -61,6 +61,31 @@ class AlternativesSet:
             raise ValueError("seed product must be a member of its alternatives set")
 
 
+class ProductPool:
+    """The products a conversation may visit: the members of its
+    alternatives set and the also-viewed ids of each product visited so
+    far.  A product outside the catalog is outside the pool.  Members are
+    looked up in ``member_set`` only, never walked: the set can reach
+    15,000 members."""
+
+    def __init__(self, alternatives: AlternativesSet, catalog: ProductCatalog):
+        self.members = alternatives.member_set
+        self.catalog = catalog
+        self.visited: list[str] = []
+        self.also_viewed: set[str] = set()
+
+    def visit(self, product_id: str) -> bool:
+        """Visit ``product_id`` if it is in the pool; whether it is."""
+        if product_id not in self.members and product_id not in self.also_viewed:
+            return False
+        product = self.catalog.get(product_id)
+        if product is None:
+            return False
+        self.visited.append(product_id)
+        self.also_viewed.update(product.also_viewed)
+        return True
+
+
 def sample_seed(
     catalog: ProductCatalog,
     index: OpinionIndex,

@@ -4,6 +4,7 @@ mutation each, and pinned reports of seeded forgery combinations), and
 dataset statistics."""
 
 import copy
+import dataclasses
 import hashlib
 import json
 import random
@@ -27,7 +28,7 @@ from shoptalk.negotiation import default_phrasebank
 from shoptalk.world import build_world
 
 import dataset_reference
-from conftest import JSON_VALUES
+from conftest import JSON_VALUES, make_catalog
 from dataset_reference import conversation_record, dataset_line
 
 
@@ -528,6 +529,34 @@ class TestValidate:
         report = validate(path, world)
         assert {v[1] for v in report.violations} == {"product_pool"}
         assert len(report.violations) == 1
+
+    def test_mutation_uncatalogued_also_viewed_flags_pool_only(
+        self, tmp_path, world, generated
+    ):
+        # real metadata links to products that are not in the catalog: such
+        # a product is outside the pool even where an also-viewed list names it
+        dangling = "ZZZ-not-in-catalog"
+        linked = dataclasses.replace(world, catalog=make_catalog([
+            dataclasses.replace(p, also_viewed=p.also_viewed + (dangling,))
+            for p in world.catalog
+        ]))
+        conversations, _ = generated
+        clean = tmp_path / "clean.jsonl"
+        write_dataset(conversations, clean)
+        assert validate(clean, linked).passed
+
+        def forge(record):
+            assert record["id"] == "t01-n01"
+            assert record["pair_trace"][0]["kind"] == "RequestInform"
+            turn = _evaluation_turns(record)[0]
+            assert (turn["act"], turn["speaker"]) == ("request_inform", "customer")
+            turn["product_id"] = dangling
+            record["pair_trace"][0]["customer"]["product_id"] = dangling
+            record["product_trajectory"].append(dangling)
+
+        path = mutate_dataset(tmp_path, conversations, forge)
+        report = validate(path, linked)
+        assert [v[:2] for v in report.violations] == [("t01-n01", "product_pool")] * 2
 
     def test_mutation_turn_feature_flags_grounding_only(self, tmp_path, world, generated):
         conversations, _ = generated

@@ -15,7 +15,6 @@ from shoptalk.annotate import NEGATIVE, POSITIVE, OpinionSpan, PolarityConfig
 from shoptalk.corpus import Product
 from shoptalk.errors import InvalidStateError, PhrasebankError, UnboundSlotError
 from shoptalk.negotiation import (
-    SIGNATURES,
     DialogState,
     PairBinding,
     PairKind,
@@ -81,10 +80,9 @@ def fresh_state(catalog, seed, members=None):
 
 
 def oracle_satisfiable(kind, state, index, catalog):
-    """Brute-force slot enumeration, written directly from the slot
-    signatures without reusing the production search order."""
-    sig = SIGNATURES[kind]
-    p1 = state.current_product
+    """Brute-force slot enumeration, written directly from the pair kind's
+    contract without reusing the production search order."""
+    p1 = state.visited_products[-1]
     features = {f for (pid, f, _lab) in index.entries if pid == p1}
 
     def free(product, feature, label, excluded):
@@ -94,15 +92,15 @@ def oracle_satisfiable(kind, state, index, catalog):
         ]
 
     for fa in features:
-        if sig.customer_label is None:
+        if kind.customer_label is None:
             customer_choices = [None]
         else:
-            customer_choices = free(p1, fa, sig.customer_label, state.used_spans)
+            customer_choices = free(p1, fa, kind.customer_label, state.used_spans)
         for customer in customer_choices:
             used = set(state.used_spans)
             if customer is not None:
                 used.add(customer.identity)
-            if sig.switches_product:
+            if kind.switches == "product":
                 pool = set(state.alternatives.members)
                 current = catalog.get(p1)
                 if current is not None:
@@ -115,39 +113,38 @@ def oracle_satisfiable(kind, state, index, catalog):
                         continue
                     if free(p2, fa, POSITIVE, used):
                         return True
-            elif sig.switches_feature:
+            elif kind.switches == "feature":
                 for fb in features - {fa}:
-                    if free(p1, fb, sig.assistant_label, used):
+                    if free(p1, fb, kind.assistant_label, used):
                         return True
             else:
-                if free(p1, fa, sig.assistant_label, used):
+                if free(p1, fa, kind.assistant_label, used):
                     return True
     return False
 
 
 def assert_binding_valid(kind, state, binding: PairBinding, index, catalog):
-    sig = SIGNATURES[kind]
-    assert binding.product_a == state.current_product
-    if sig.customer_label is None:
+    assert binding.product_a == state.visited_products[-1]
+    if kind.customer_label is None:
         assert binding.customer_span is None
     else:
         span = binding.customer_span
-        assert span.polarity_label == sig.customer_label
+        assert span.polarity_label == kind.customer_label
         assert span.identity not in state.used_spans
-        assert span in index.spans_for((binding.product_a, binding.feature_a, sig.customer_label))
+        assert span in index.spans_for((binding.product_a, binding.feature_a, kind.customer_label))
     assistant = binding.assistant_span
-    assert assistant.polarity_label == sig.assistant_label
+    assert assistant.polarity_label == kind.assistant_label
     assert assistant.identity not in state.used_spans
     if binding.customer_span is not None:
         assert assistant.identity != binding.customer_span.identity
-    assert assistant in index.spans_for((binding.product_b, binding.feature_b, sig.assistant_label))
-    if sig.switches_product:
+    assert assistant in index.spans_for((binding.product_b, binding.feature_b, kind.assistant_label))
+    if kind.switches == "product":
         assert binding.product_b != binding.product_a
         current = catalog.get(binding.product_a)
         pool = set(state.alternatives.members) | set(current.also_viewed)
         assert binding.product_b in pool - set(state.visited_products)
         assert binding.feature_b == binding.feature_a
-    elif sig.switches_feature:
+    elif kind.switches == "feature":
         assert binding.product_b == binding.product_a
         assert binding.feature_b != binding.feature_a
     else:
@@ -205,7 +202,7 @@ class TestPairKinds:
         assert binding is not None
         assert binding.product_b == "p2"
         state.advance(binding)
-        assert state.current_product == "p2"
+        assert state.visited_products[-1] == "p2"
         assert state.visited_products == ["p1", "p2"]
 
     def test_switch_product_can_use_also_viewed_outside_alternatives(self):
@@ -247,7 +244,6 @@ class TestPairKinds:
         catalog, _, index, _, spans = build_world({"p1": {"camera": [0.9]}})
         state = fresh_state(catalog, "p1")
         used = DialogState(
-            current_product=state.current_product,
             alternatives=state.alternatives,
             visited_products=state.visited_products,
             used_spans={spans[0].identity},
@@ -263,7 +259,7 @@ class TestPairKinds:
         )
         state = fresh_state(catalog, "p1")
         discussed = DialogState(
-            current_product="p1", alternatives=state.alternatives,
+            alternatives=state.alternatives,
             visited_products=["p1"], used_spans=set(),
             discussed_features={"camera"},
         )
@@ -277,7 +273,7 @@ class TestPairKinds:
         catalog, _, index, _, _ = build_world({"p1": {"camera": [0.9]}})
         state = fresh_state(catalog, "p1")
         discussed = DialogState(
-            current_product="p1", alternatives=state.alternatives,
+            alternatives=state.alternatives,
             visited_products=["p1"], used_spans=set(),
             discussed_features={"camera"},
         )
@@ -313,7 +309,7 @@ class TestStateCheck:
         alternatives = AlternativesSet(seed_product="p1", members=("p1", "p2"))
         object.__setattr__(alternatives, "members", Untouchable())
         return DialogState(
-            current_product=visited[-1], alternatives=alternatives,
+            alternatives=alternatives,
             visited_products=list(visited), used_spans=set(),
             discussed_features=set(),
         )
@@ -329,6 +325,22 @@ class TestStateCheck:
             self._state(("p1", "p3")).check(catalog)
         with pytest.raises(InvalidStateError):
             self._state(("p1", "p2", "p4")).check(catalog)
+
+    def test_also_viewed_id_outside_the_catalog_raises(self):
+        catalog, _, _, _, _ = build_world(
+            {"p1": {}, "p2": {}, "p3": {}}, also_viewed={"p2": ["p3", "zz-gone"]},
+        )
+        self._state(("p1", "p2", "p3")).check(catalog)
+        with pytest.raises(InvalidStateError, match="'zz-gone' outside product pool"):
+            self._state(("p1", "p2", "zz-gone")).check(catalog)
+
+    def test_revisited_product_raises(self):
+        # the current product is the last visited one, so a switch back to
+        # an earlier product must not pass
+        catalog, _, _, _, _ = build_world({"p1": {}, "p2": {}})
+        self._state(("p1", "p2")).check(catalog)
+        with pytest.raises(InvalidStateError, match="'p1' visited twice"):
+            self._state(("p1", "p2", "p1")).check(catalog)
 
 
 def random_world(rng):
@@ -370,7 +382,6 @@ def random_state(rng, catalog, spans):
     all_features = {s.feature_canonical for s in spans}
     discussed = set(rng.sample(sorted(all_features), rng.randrange(0, len(all_features) + 1)))
     return DialogState(
-        current_product=visited[-1],
         alternatives=alternatives,
         visited_products=visited,
         used_spans=used,
@@ -381,7 +392,7 @@ def random_state(rng, catalog, spans):
 def reference_switch_candidates(state, catalog, index, rng):
     """The switch candidates as first computed: the whole pool (alternatives
     set and the current product's also-viewed ids) copied and sorted."""
-    current = catalog.get(state.current_product)
+    current = catalog.get(state.visited_products[-1])
     pool = set(state.alternatives.members)
     if current is not None:
         pool.update(current.also_viewed)
@@ -411,7 +422,6 @@ class TestSwitchCandidates:
         seed = data.draw(st.sampled_from(members))
         visited = (seed, *data.draw(st.lists(some, max_size=3)))
         state = DialogState(
-            current_product=visited[-1],
             alternatives=AlternativesSet(seed_product=seed, members=members),
             visited_products=list(visited),
             used_spans=set(),
@@ -472,7 +482,7 @@ class TestStateAdvance:
         assert binding.assistant_span.identity in state.used_spans
         assert "battery" in state.discussed_features
         assert state.visited_products == ["p1", "p2"]
-        assert state.current_product == "p2"
+        assert state.visited_products[-1] == "p2"
 
     def test_instantiate_leaves_state_alone(self):
         catalog, _, index, _, _ = build_world(
@@ -501,7 +511,7 @@ class TestStateAdvance:
         assert pair is not None
         assert state == expected
         assert state.visited_products == ["p1", "p2"]
-        assert state.current_product == "p2"
+        assert state.visited_products[-1] == "p2"
 
     def test_unsatisfiable_build_pair_leaves_state_alone(self):
         # a negative battery span is left for the customer, but no other
@@ -531,7 +541,7 @@ class TestStateAdvance:
         state.advance(binding)
         assert state.discussed_features == {"design", "signal"}
         assert state.visited_products == ["p1"]
-        assert state.current_product == "p1"
+        assert state.visited_products[-1] == "p1"
 
 
 GOLDEN_RI_CUSTOMER = "Can you give me your thoughts on its {feature}?"
@@ -729,13 +739,6 @@ class TestPhrasebank:
         with pytest.raises(UnboundSlotError, match=r"\[deny_disagreement\.customer\]"):
             realize(unbound, default_phrasebank(), random.Random(0), catalog, sentences)
 
-    def test_opinion_templates_recorded_at_load(self):
-        bank = default_phrasebank()
-        neutral = set(bank.variants(PairKind.REQUEST_INFORM, CUSTOMER))
-        every = {t for templates in bank.sections.values() for t in templates}
-        assert bank.opinion_templates == every - neutral
-        assert all("{opinion}" in template for template in bank.opinion_templates)
-
     def test_default_bank_has_three_variants_everywhere(self):
         bank = default_phrasebank()
         for kind in PairKind:
@@ -755,12 +758,15 @@ class TestSlotSignatures:
             PairKind.SEARCH_SWITCH_FEATURE: (POSITIVE, POSITIVE, False, True),
             PairKind.SEARCH_WARNING: (POSITIVE, NEGATIVE, False, True),
         }
-        assert set(SIGNATURES) == set(PairKind)
-        for kind, sig in SIGNATURES.items():
+        assert set(expected) == set(PairKind)
+        for kind in PairKind:
             assert (
-                sig.customer_label, sig.assistant_label,
-                sig.switches_product, sig.switches_feature,
+                kind.customer_label, kind.assistant_label,
+                kind.switches == "product", kind.switches == "feature",
             ) == expected[kind]
+            assert kind.switches in ("product", "feature", None)
+            assert kind.label(CUSTOMER) == kind.customer_label
+            assert kind.label(ASSISTANT) == kind.assistant_label
 
 
 class TestParseKind:
