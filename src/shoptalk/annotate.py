@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, NamedTuple, Optional
 
-from .corpus import Review
+from .corpus import Review, require_utf8
 from .errors import (
     InvalidConfigError,
     InvalidLexiconError,
@@ -374,7 +374,8 @@ def import_annotations(
 
 def _annotation_fields(record) -> tuple[str, int, str, float]:
     """(review_id, sentence_ordinal, feature, score) of one annotation
-    record, each of its JSON type; raises ValueError otherwise."""
+    record, each of its JSON type and each string encoding as UTF-8;
+    raises ValueError otherwise."""
     if not isinstance(record, dict):
         raise ValueError("record is not an object")
     review_id, ordinal = record["review_id"], record["sentence_ordinal"]
@@ -385,6 +386,8 @@ def _annotation_fields(record) -> tuple[str, int, str, float]:
         raise ValueError("sentence_ordinal must be an integer")
     if type(feature) is not str:
         raise ValueError("feature must be a string")
+    require_utf8("review_id", review_id)
+    require_utf8("feature", feature)
     if type(score) not in (int, float):
         raise ValueError("score must be a number")
     try:

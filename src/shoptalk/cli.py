@@ -9,14 +9,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from . import annotate, assembly, dataset_io, fanout
 from .corpus import ingest_metadata, ingest_reviews, write_catalog, write_reviews
-from .errors import InvalidConfigError, ShoptalkError, parse_json, read_text
+from .errors import InvalidConfigError, ShoptalkError, parse_json, partial_path, read_text
 from .negotiation import default_phrasebank, load_phrasebank
 from .world import World, build_world
 
@@ -128,19 +129,30 @@ def cmd_generate(args: argparse.Namespace) -> int:
     phrasebank = (
         load_phrasebank(args.phrasebank) if args.phrasebank else default_phrasebank()
     )
+    total = len(templates) * settings.per_template
+    ranges = fanout.split(total)
+    # range 0 writes the dataset; each other range writes a part file that
+    # range 0 appends once the range is done
+    parts = [out / "dataset.jsonl"]
+    parts += [out / f"dataset.jsonl.part{w}" for w in range(1, len(ranges))]
 
-    def generate(
-        jobs: Iterable[int], path: Path, parts: Iterable[Path]
-    ) -> assembly.GenerationReport:
+    def generate(w: int, jobs: Iterable[int], later: Iterator) -> dict:
         conversations, report = assembly.generate_dataset(
             templates, args.seed, world, phrasebank=phrasebank, settings=settings,
             jobs=jobs,
         )
-        dataset_io.write_dataset(conversations, path, parts)
-        return report
+        dataset_io.write_dataset(conversations, parts[w], (parts[v] for v, _ in enumerate(later, 1)))
+        return report.counts()
 
-    total = len(templates) * settings.per_template
-    report = fanout.run(total, out / "dataset.jsonl", generate)
+    def discard(w: int) -> None:
+        parts[w].unlink(missing_ok=True)
+        partial_path(parts[w]).unlink(missing_ok=True)
+
+    report = assembly.GenerationReport(
+        requested=total, settings={"master_seed": args.seed, **asdict(settings)}
+    )
+    for counts in fanout.run(ranges, generate, "generating jobs", discard):
+        report.add(counts)
     run_report = report.to_record()
     run_report["config"] = config
     run_report["spans_indexed"] = sum(map(len, world.index.entries.values()))
@@ -164,7 +176,20 @@ def cmd_validate(args: argparse.Namespace) -> int:
     config = dict(_effective_config(args, ["t_pos", "t_neg"]), strict=False)
     templates = _templates(args)
     world = _load_world(args, config, lazy=True)
-    report = dataset_io.validate(args.dataset, world, templates)
+    # each range checks the lines that begin in it; the last reads to the
+    # end, wherever that is (a pipe's size reads 0)
+    spans = fanout.split(os.path.getsize(args.dataset), dataset_io.MIN_RANGE_BYTES)
+
+    def check(w: int, jobs: Iterable[int], later: Iterator) -> list:
+        stop = spans[w].stop if w < len(spans) - 1 else None
+        part = dataset_io.validate(args.dataset, world, templates, spans[w].start, stop)
+        return [part.conversations_checked, part.violations]
+
+    checked = fanout.run(spans, check, "validating bytes")
+    report = dataset_io.ValidationReport(
+        sum(count for count, _ in checked),
+        sorted(tuple(violation) for _, violations in checked for violation in violations),
+    )
     print(report.summary())
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

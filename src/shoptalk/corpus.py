@@ -34,7 +34,7 @@ from json.encoder import encode_basestring_ascii as _ascii
 from pathlib import Path
 from typing import Callable, Iterator, Optional
 
-from .errors import DuplicateIdError, MalformedRecordError, parse_json, read_lines
+from .errors import DuplicateIdError, MalformedRecordError, parse_json, read_lines, replacing
 
 SEARCHABLE_FEATURES = ("brand", "os", "memory", "color")
 
@@ -188,7 +188,7 @@ def _iter_records(path: Path, report: IngestReport, strict: bool, parse: Callabl
         yield line_no, parsed
 
 
-def _require_utf8(key: str, *values: str) -> None:
+def require_utf8(key: str, *values: str) -> None:
     """Raise ValueError unless every value encodes as UTF-8; ASCII text,
     the common case, is not encoded at all."""
     for value in values:
@@ -206,20 +206,20 @@ def _parse_product(record: dict) -> Product:
         raise ValueError("missing or empty id")
     if title is None or not isinstance(title, str):
         raise ValueError("missing title")
-    _require_utf8("id", product_id)
-    _require_utf8("title", title)
+    require_utf8("id", product_id)
+    require_utf8("title", title)
     for key in SEARCHABLE_FEATURES:
         value = record.get(key)
         if value is not None:
             if not isinstance(value, str):
                 raise ValueError(f"{key} must be a string")
-            _require_utf8(key, value)
+            require_utf8(key, value)
     also_viewed = record.get("also_viewed")
     if also_viewed is None:  # absent or null: none, as for the other optional keys
         also_viewed = []
     if not isinstance(also_viewed, list) or not all(isinstance(v, str) for v in also_viewed):
         raise ValueError("also_viewed must be a list of strings")
-    _require_utf8("also_viewed", *also_viewed)
+    require_utf8("also_viewed", *also_viewed)
     return Product(
         id=product_id,
         title=title,
@@ -269,9 +269,9 @@ def _parse_review(record: dict) -> Review:
         text = normalize_text(text)
     elif not isinstance(text, str):
         raise ValueError("normalized_text must be a string")
-    _require_utf8("id", review_id)
-    _require_utf8("product_id", product_id)
-    _require_utf8("text", text)
+    require_utf8("id", review_id)
+    require_utf8("product_id", product_id)
+    require_utf8("text", text)
     return Review(id=review_id, product_id=product_id, normalized_text=text)
 
 
@@ -306,8 +306,9 @@ def ingest_reviews(
 # strings with ASCII escapes, a product's absent optional keys omitted.
 
 def write_catalog(catalog: ProductCatalog, path: str | Path) -> None:
-    """Write a catalog back to meta.jsonl (round-trips through ingest)."""
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write a catalog back to meta.jsonl (round-trips through ingest), in
+    place of ``path`` once it is whole (see errors.replacing)."""
+    with replacing(path) as fh:
         for product in catalog:
             fh.write(_product_line(product))
 
@@ -327,8 +328,9 @@ def _product_line(product: Product) -> str:
 
 def write_reviews(store: ReviewStore, path: str | Path) -> None:
     """Write a review store to reviews.jsonl as {id, product_id,
-    normalized_text} records (round-trips through ingest)."""
-    with open(path, "w", encoding="utf-8") as fh:
+    normalized_text} records (round-trips through ingest), in place of
+    ``path`` once it is whole (see errors.replacing)."""
+    with replacing(path) as fh:
         for review in store:
             fh.write(
                 f'{{"id": {_ascii(review.id)}, '

@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, Optional
 
 from .assembly import Conversation, ConversationTemplate, builtin_templates
 from .corpus import ProductCatalog, ReviewStore
-from .errors import SchemaViolationError, parse_json, read_lines
+from .errors import SchemaViolationError, lines_before, parse_json, read_lines, replacing
 from .negotiation import PairKind
 from .search_dialog import AlternativesSet, ProductPool
 from .turns import ASSISTANT, CUSTOMER, SEARCH_ACTS, GroundingRef, Turn
@@ -49,30 +49,18 @@ def write_dataset(
 ) -> None:
     """Write one conversation per line, each as soon as ``conversations``
     yields it; key order is canonical so equal datasets are byte-identical.
-    Each file ``parts`` yields after that is appended whole.  The lines go
-    to a partial file beside ``path`` (see partial_path) that replaces it
-    only once the last one is written, so a run that fails leaves no
-    truncated dataset."""
-    path = Path(path)
-    partial = partial_path(path)
-    try:
-        # not opened for appending: sendfile cannot write to such a file
-        with open(partial, "w", encoding="utf-8") as fh:
-            for conversation in conversations:
-                fh.write(_conversation_line(conversation))
-            fh.flush()
-            for part in parts:
-                with open(part, "rb") as src:
-                    _append(src.fileno(), fh.fileno(), os.fstat(src.fileno()).st_size)
-        os.replace(partial, path)
-    except BaseException:
-        partial.unlink(missing_ok=True)
-        raise
-
-
-def partial_path(path: Path) -> Path:
-    """Where write_dataset writes ``path`` until it is complete."""
-    return path.with_name(path.name + ".partial")
+    Each file ``parts`` yields after that is appended whole.  The file
+    replaces ``path`` only once the last line is written (see
+    errors.replacing), so a run that fails leaves no truncated dataset."""
+    # replacing opens the file for writing, not appending: sendfile cannot
+    # write to a file opened for appending
+    with replacing(path) as fh:
+        for conversation in conversations:
+            fh.write(_conversation_line(conversation))
+        fh.flush()
+        for part in parts:
+            with open(part, "rb") as src:
+                _append(src.fileno(), fh.fileno(), os.fstat(src.fileno()).st_size)
 
 
 def _append(src: int, dst: int, size: int) -> None:
@@ -254,10 +242,14 @@ def conversation_from_record(record: dict) -> Conversation:
     )
 
 
-def read_dataset(path: str | Path) -> Iterator[Conversation]:
-    """The conversations of a dataset file, one at a time in file order;
-    a line that is not one raises SchemaViolationError naming it."""
-    for line_no, line in read_lines(path):
+def read_dataset(
+    path: str | Path, start: int = 0, stop: Optional[int] = None
+) -> Iterator[Conversation]:
+    """The conversations of a dataset file, one at a time in file order,
+    or of the lines that begin in its byte range [start, stop) (see
+    errors.read_lines); a line that is not one raises SchemaViolationError
+    naming its line of the file."""
+    for line_no, line in read_lines(path, start, stop):
         try:
             record = _object(parse_json(line), "line")
             version = record.get("schema_version")
@@ -265,7 +257,7 @@ def read_dataset(path: str | Path) -> Iterator[Conversation]:
                 raise ValueError(f"unsupported schema_version {version!r}")
             conversation = conversation_from_record(record)
         except (ValueError, KeyError, TypeError, OverflowError) as exc:
-            raise SchemaViolationError(line_no, str(exc)) from exc
+            raise SchemaViolationError(lines_before(path, start) + line_no, str(exc)) from exc
         yield conversation
 
 
@@ -297,17 +289,31 @@ class ValidationReport:
         return "\n".join(lines)
 
 
+# Fewest dataset bytes per validating process.  On 2 vCPUs with Python
+# 3.11, validating a dataset of the bundled sample in two processes against
+# one (medians of six alternating runs) took 0.23 s against 0.21 s for 70
+# conversations (259 kB), 0.25 s against 0.26 s for 280 (1.0 MB) and
+# 0.31 s against 0.36 s for 980 (3.6 MB); 70 conversations (397 kB) of a
+# 50,000-review corpus took 1.10 s either way.
+MIN_RANGE_BYTES = 256 * 1024
+
+
 def validate(
     dataset_path: str | Path,
     world: World,
     templates: Optional[list[ConversationTemplate]] = None,
+    start: int = 0,
+    stop: Optional[int] = None,
 ) -> ValidationReport:
     """Apply all six rules to every conversation, re-deriving every check
     from the corpus world rather than trusting generator metadata.  The
-    conversations are read one at a time, in file order; before its checks
-    run, the world derives the products a conversation names that it has
-    not derived yet (see World.cover).  The violations are sorted at the
-    end, so the report does not depend on that order."""
+    conversations are read one at a time, in file order, from the lines
+    that begin in the byte range [start, stop) (see read_dataset); before
+    its checks run, the world derives the products a conversation names
+    that it has not derived yet (see World.cover).  No conversation's
+    checks depend on another's, and the violations are sorted at the end,
+    so the report does not depend on that order: the reports of ranges
+    that part a dataset add up to the dataset's."""
     # each template's declared pair kinds and the act of each evaluation turn
     shapes = {
         t.id: (
@@ -317,7 +323,7 @@ def validate(
         for t in (templates if templates is not None else builtin_templates())
     }
     report = ValidationReport()
-    for conversation in read_dataset(dataset_path):
+    for conversation in read_dataset(dataset_path, start, stop):
         report.conversations_checked += 1
         world.cover(_named_products(conversation, world.store))
         for rule, detail in chain(

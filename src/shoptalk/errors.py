@@ -1,8 +1,11 @@
-"""Exception types shared across the pipeline, and the readers that
-raise them."""
+"""Exception types shared across the pipeline, the readers that raise
+them, and the one way a file is written in place of another."""
 
 import json
+import os
+import sys
 from contextlib import contextmanager
+from itertools import chain
 from pathlib import Path
 
 
@@ -57,14 +60,73 @@ def read_text(path) -> str:
         return Path(path).read_text(encoding="utf-8")
 
 
-def read_lines(path):
+def read_lines(path, start: int = 0, stop=None):
     """(line number, line) for each non-blank line of the UTF-8 text file
     ``path``, one at a time.  Lines end at ``\\n`` only: a bare ``\\r`` is
-    JSON whitespace, not the end of a record.  See decoding."""
-    with decoding(path), open(path, "r", encoding="utf-8", newline="\n") as fh:
-        for line_no, line in enumerate(fh, 1):
-            if line.strip():
-                yield line_no, line
+    JSON whitespace, not the end of a record.  With a byte range, only the
+    lines that begin in it are read: those that begin at byte ``start`` or
+    later and, unless ``stop`` is None, before byte ``stop``.  So ranges
+    that meet part the lines between them whatever bytes the cuts fall on.
+    The line numbers count every line, blank ones too, from 1 at the
+    range's first line; see lines_before.  See decoding."""
+    with decoding(path), open(path, "rb") as fh:
+        position, stop = start, sys.maxsize if stop is None else stop
+        if start:
+            # a range that starts inside a line leaves that line to the
+            # range it began in
+            fh.seek(start - 1)
+            position += len(fh.readline()) - 1
+        # lines taken in batches of about 64 KiB cost less than one by one
+        lines = chain.from_iterable(iter(lambda: fh.readlines(1 << 16), []))
+        for line_no, line in enumerate(lines, 1):
+            if position >= stop:
+                return
+            position += len(line)
+            text = line.decode()
+            if text.strip():
+                yield line_no, text
+
+
+def lines_before(path, start: int) -> int:
+    """The number of lines of ``path`` before the first line that
+    read_lines(path, start) reads: add it to that reader's line numbers to
+    get the file's own.  It reads the bytes up to ``start``, so readers
+    call it only to name a line in an error."""
+    if not start:
+        return 0
+    count = 0
+    with open(path, "rb") as fh:
+        left = start - 1
+        while left:
+            chunk = fh.read(min(left, 1 << 20))
+            if not chunk:
+                return count
+            count += chunk.count(b"\n")
+            left -= len(chunk)
+        return count + fh.readline().endswith(b"\n")
+
+
+def partial_path(path: Path) -> Path:
+    """Where a file is written until it is complete (see replacing)."""
+    return path.with_name(path.name + ".partial")
+
+
+@contextmanager
+def replacing(path):
+    """A UTF-8 text file open for writing in place of ``path``.  The text
+    goes to a partial file beside it (see partial_path) that replaces
+    ``path`` only once the block ends; if the block fails, the partial file
+    is removed and ``path`` is left as it was, so no reader ever meets a
+    half-written file."""
+    path = Path(path)
+    partial = partial_path(path)
+    try:
+        with open(partial, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 def parse_json(text: str):
@@ -119,8 +181,8 @@ class GenerationExhaustedError(ShoptalkError):
 
 
 class ForkedProcessError(ShoptalkError):
-    """A forked process generating a range of a run ended without sending
-    its report."""
+    """A forked process running a range of a command's work ended without
+    sending its value (see fanout.run)."""
 
 
 class SchemaViolationError(ShoptalkError):

@@ -1,17 +1,18 @@
-"""Generate on every available CPU, into one dataset.
+"""Run one piece of work over contiguous ranges, on every available CPU.
 
-The jobs of a run, numbered in (template id, instance ordinal) order, are
-split into contiguous ranges, one per process.  The calling process runs
-range 0 itself, into the dataset's partial file.  Each other range runs in
-a process forked once per range after everything generation reads has
-been built; it writes its range to a part file beside the dataset and sends
-its report counts back over a pipe.  The parent appends the parts in range
-order and adds the counts in range order, so the dataset and the report do
-not depend on the number of processes.  Every conversation draws from its
-own seed stream, so no range depends on another.
+The work of a command is numbered, in units the command picks (the jobs
+of a generation, the bytes of a dataset), and split into contiguous
+ranges, one per process.  Each range after the first runs in a process
+forked once per range after everything the work reads has been built; the
+calling process then runs the first range itself.  A child sends the JSON
+value its work returns back over a pipe, and run returns every range's
+value in range order.  A work whose ranges do not depend on one another,
+and whose values are combined in range order, so gives the same result on
+any number of processes.
 
 A child shares the parent's pages copy-on-write, and pays a fault for each
-page it writes to before it earns anything: hence MIN_SHARE.
+page it writes to before it earns anything: hence the fewest units per
+process that each command sets, MIN_SHARE for the jobs of a generation.
 """
 
 from __future__ import annotations
@@ -22,11 +23,8 @@ import os
 import signal
 import sys
 from dataclasses import dataclass
-from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Iterator
+from typing import BinaryIO, Callable, Iterable, Iterator, Optional
 
-from .assembly import GenerationReport
-from .dataset_io import partial_path
 from .errors import ForkedProcessError, ShoptalkError
 
 # Fewest jobs per process.  On 2 vCPUs with Python 3.11, a child forked
@@ -35,17 +33,17 @@ from .errors import ForkedProcessError, ShoptalkError
 # conversation costs 0.2-1.4 ms.
 MIN_SHARE = 1000
 
-# work(jobs, path, parts) -> report: generate ``jobs`` into ``path``, then
-# append the files ``parts`` yields
-Work = Callable[[Iterable[int], Path, Iterable[Path]], GenerationReport]
+# work(w, jobs, later) -> JSON value: do range ``w``, whose units ``jobs``
+# yields; see run for ``later``
+Work = Callable[[int, Iterable[int], Iterator], object]
 
 
 @dataclass
 class _Child:
     pid: int
-    jobs: range
-    report: BinaryIO  # read end of the pipe the child sends its outcome on
-    part: Path
+    w: int
+    units: range
+    result: BinaryIO  # read end of the pipe the child sends its outcome on
     reaped: bool = False
 
 
@@ -57,22 +55,32 @@ def available_cpus() -> int:
         return 1
 
 
-def split(total: int) -> list[range]:
-    """``total`` jobs as contiguous ranges, one per process."""
-    n = max(1, min(available_cpus(), total // MIN_SHARE))
+def split(total: int, min_share: Optional[int] = None) -> list[range]:
+    """``total`` units as contiguous ranges, one per process, each of at
+    least ``min_share`` units (None: MIN_SHARE)."""
+    n = max(1, min(available_cpus(), total // (MIN_SHARE if min_share is None else min_share)))
     return [range(total * w // n, total * (w + 1) // n) for w in range(n)]
 
 
-def run(total: int, path: Path, work: Work) -> GenerationReport:
-    """Run ``work`` over the ``total`` jobs split into ranges and return the
-    report of all of them: range 0 here, into ``path``, and each other
-    range in a forked child, into a part file that range 0's ``work``
-    appends.  A child's ShoptalkError or OSError is raised here as a
-    ShoptalkError or an OSError with the same message, so the command prints
-    the line a one-process run prints; any other failure of a child raises
-    ForkedProcessError.  No child outlives this call, and no part file is
-    left behind."""
-    ranges = split(total)
+def run(
+    ranges: list[range], work: Work, doing: str,
+    discard: Callable[[int], None] = lambda w: None,
+) -> list:
+    """The value of ``work`` for each of ``ranges``, in range order: range
+    0 runs here and each other range in a forked child.  Here ``later``
+    yields the other ranges' values one at a time, in range order, each
+    once its child has exited, so range 0's work can take them as they
+    come; those it does not take are read once it returns.  In a child
+    ``later`` yields nothing, and ``jobs`` stops the child, quietly, once
+    its parent is gone.
+
+    A child's ShoptalkError or OSError is raised here as a ShoptalkError or
+    an OSError with the same message, so the command prints the line a
+    one-process run prints; any other failure of a child raises
+    ForkedProcessError, naming the range as "the process ``doing`` first-
+    last".  No child outlives this call: once each has exited, and in a
+    child that cannot send its value, ``discard(w)`` removes what the work
+    of range ``w`` left behind."""
     children: list[_Child] = []
     try:
         if len(ranges) > 1:
@@ -80,28 +88,28 @@ def run(total: int, path: Path, work: Work) -> GenerationReport:
             # parent's pages
             gc.freeze()
             try:
-                for w, jobs in enumerate(ranges[1:], 1):
-                    children.append(_fork(jobs, path.with_name(f"{path.name}.part{w}"), work))
+                for w in range(1, len(ranges)):
+                    children.append(_fork(w, ranges[w], work, discard, children))
             finally:
                 gc.unfreeze()
-        added: list[dict] = []
-        report = work(ranges[0], path, _join(children, added))
-        for counts in added:
-            report.add(counts)
-        return report
+        values: list = []
+        later = _join(children, doing, values)
+        first = work(0, ranges[0], later)
+        for _ in later:
+            pass
+        return [first, *values]
     finally:
         for child in children:
-            child.report.close()
+            child.result.close()
             if not child.reaped:
                 os.kill(child.pid, signal.SIGKILL)
                 os.waitpid(child.pid, 0)
-            child.part.unlink(missing_ok=True)
-            partial_path(child.part).unlink(missing_ok=True)
+            discard(child.w)
 
 
 class _Orphaned(Exception):
-    """The process that forked a child is gone: no one will read its report
-    or append its part."""
+    """The process that forked a child is gone: no one will read its
+    value."""
 
 
 def _while_parent(jobs: range, parent: int) -> Iterator[int]:
@@ -113,31 +121,39 @@ def _while_parent(jobs: range, parent: int) -> Iterator[int]:
         yield job
 
 
-def _fork(jobs: range, part: Path, work: Work) -> _Child:
+def _fork(
+    w: int, units: range, work: Work, discard: Callable[[int], None], earlier: list[_Child]
+) -> _Child:
     parent = os.getpid()
     read_end, write_end = os.pipe()
     try:
         pid = os.fork()
         if pid == 0:
-            _child(_while_parent(jobs, parent), part, work, read_end, write_end)
+            _child(w, _while_parent(units, parent), work, discard, read_end, write_end, earlier)
     except OSError:
         os.close(read_end)
         raise
     finally:
         os.close(write_end)
-    return _Child(pid, jobs, os.fdopen(read_end, "rb"), part)
+    return _Child(pid, w, units, os.fdopen(read_end, "rb"))
 
 
-def _child(jobs: Iterable[int], part: Path, work: Work, read_end: int, write_end: int) -> None:
-    """The whole life of a child: run ``jobs``, send the outcome, exit.
+def _child(
+    w: int, jobs: Iterable[int], work: Work, discard: Callable[[int], None],
+    read_end: int, write_end: int, earlier: list[_Child],
+) -> None:
+    """The whole life of a child: run range ``w``, send the outcome, exit.
     Never returns."""
     code = 1
     try:
-        # a child must not hold a reader of its own pipe: were the parent
-        # gone, a report larger than the pipe's buffer would block forever
+        # a child must hold no reader of its own pipe or of an earlier
+        # child's: were the parent gone, a value larger than the pipe's
+        # buffer would block forever, or until this child exits
         os.close(read_end)
+        for child in earlier:
+            child.result.close()
         try:
-            outcome = {"counts": work(jobs, part, ()).counts()}
+            outcome = {"value": work(w, jobs, iter(()))}
         except ShoptalkError as exc:
             outcome = {"error": str(exc)}
         except OSError as exc:
@@ -146,25 +162,25 @@ def _child(jobs: Iterable[int], part: Path, work: Work, read_end: int, write_end
             json.dump(outcome, pipe)
         code = 0
     except (_Orphaned, BrokenPipeError):
-        # the parent is gone, say killed: stop, quietly, and take the part
-        # that no one will append
-        part.unlink(missing_ok=True)
+        # the parent is gone, say killed: stop, quietly, and take away what
+        # no one will use
+        discard(w)
     except BaseException:
-        # unreported, the part is appended by no one
-        part.unlink(missing_ok=True)
+        # unreported, what the work left is used by no one
+        discard(w)
         sys.excepthook(*sys.exc_info())  # prints the traceback
         sys.stderr.flush()
     finally:
         os._exit(code)
 
 
-def _join(children: list[_Child], added: list[dict]) -> Iterator[Path]:
-    """Each child's part file, in range order, once the child has exited
-    with its counts; the counts go to ``added``."""
+def _join(children: list[_Child], doing: str, values: list) -> Iterator:
+    """Each child's value, in range order, once the child has exited with
+    it; each also goes to ``values``."""
     for child in children:
-        # read to the end before waiting: a report larger than the pipe's
+        # read to the end before waiting: a value larger than the pipe's
         # buffer blocks the child until it is read
-        outcome = child.report.read()
+        outcome = child.result.read()
         _, status = os.waitpid(child.pid, 0)
         child.reaped = True
         outcome = json.loads(outcome) if outcome else {}
@@ -172,10 +188,10 @@ def _join(children: list[_Child], added: list[dict]) -> Iterator[Path]:
             raise ShoptalkError(outcome["error"])
         if "io_error" in outcome:
             raise OSError(outcome["io_error"])
-        if status != 0 or "counts" not in outcome:
+        if status != 0 or "value" not in outcome:
             raise ForkedProcessError(
-                f"the process generating jobs {child.jobs.start}-{child.jobs.stop - 1} "
+                f"the process {doing} {child.units.start}-{child.units.stop - 1} "
                 f"ended with status {os.waitstatus_to_exitcode(status)}"
             )
-        added.append(outcome["counts"])
-        yield child.part
+        values.append(outcome["value"])
+        yield outcome["value"]

@@ -551,9 +551,12 @@ class TestImportAnnotations:
         '{"review_id": "r1", "sentence_ordinal": 0, "feature": "battery", "score": true}',
         '["r1", 0, "battery", 0.5]',
         "[" * 100_000,
+        # a lone surrogate, which a JSON escape can spell, does not encode
+        '{"review_id": "r1", "sentence_ordinal": 0, "feature": "battery\\ud800", "score": 0.5}',
+        '{"review_id": "r1\\ud800", "sentence_ordinal": 0, "feature": "battery", "score": 0.5}',
     ], ids=["list-review-id", "score-400-digits", "ordinal-true", "ordinal-string",
             "score-nan", "feature-number", "score-true", "not-an-object",
-            "nested-too-deeply"])
+            "nested-too-deeply", "feature-surrogate", "review-id-surrogate"])
     def test_ill_typed_record_skipped_or_named(self, tmp_path, line):
         path = tmp_path / "ann.jsonl"
         path.write_text(line + "\n")

@@ -602,3 +602,27 @@ class TestUnencodableText:
         assert generate(tmp_path / "strict", "--strict") == 1
         err = capsys.readouterr().err
         assert err == "error: malformed record at line 1: text does not encode as UTF-8\n"
+
+    def test_imported_feature_skipped_or_named(self, tmp_path, snapshot_dir, capsys):
+        # a feature that matches the word "video" but keeps the surrogate
+        # once reached the dataset writer as a bare UnicodeEncodeError
+        annotations = write_jsonl(tmp_path / "annotations.jsonl", [
+            {"review_id": json.loads(line)["id"], "sentence_ordinal": ordinal,
+             "feature": f"video{SURROGATE}", "score": 0.9}
+            for line in (snapshot_dir / "reviews.jsonl").read_text().splitlines()
+            for ordinal in range(4)
+        ])
+
+        def generate(out, *extra):
+            return main(["generate", "--snapshot", str(snapshot_dir), "--out", str(out),
+                         "--seed", "7", "--per-template", "2",
+                         "--annotations", str(annotations), *extra])
+
+        run = tmp_path / "run"
+        assert generate(run) == 0
+        assert main(["validate", "--dataset", str(run / "dataset.jsonl"),
+                     "--snapshot", str(snapshot_dir), "--annotations", str(annotations)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        assert generate(tmp_path / "strict", "--strict") == 1
+        err = capsys.readouterr().err
+        assert err == "error: malformed record at line 1: feature does not encode as UTF-8\n"

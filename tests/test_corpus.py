@@ -413,6 +413,35 @@ class TestSnapshotWriters:
         assert path.read_bytes().decode("utf-8") == expected
 
 
+    @pytest.mark.parametrize("name", ["catalog.jsonl", "reviews.jsonl"])
+    def test_failure_mid_file_leaves_the_old_file(
+        self, tmp_path, sample_corpus_paths, monkeypatch, name
+    ):
+        meta, reviews = sample_corpus_paths
+        catalog = ingest_metadata(meta)
+        write, records = {
+            "catalog.jsonl": (write_catalog, catalog),
+            "reviews.jsonl": (write_reviews, ingest_reviews(reviews, catalog)),
+        }[name]
+        path = tmp_path / name
+        write(records, path)
+        old = path.read_bytes()
+        ascii_string = corpus._ascii
+        calls = []
+
+        def fail_on_the_hundredth(text):
+            calls.append(text)
+            if len(calls) == 100:
+                raise OSError(28, "No space left on device")
+            return ascii_string(text)
+
+        monkeypatch.setattr(corpus, "_ascii", fail_on_the_hundredth)
+        with pytest.raises(OSError, match="No space left"):
+            write(records, path)
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == [name]
+
+
 class TestSnapshotGolden:
     """The SHA-256 of the catalog.jsonl and reviews.jsonl ``shoptalk
     ingest`` writes, pinned for the bundled sample and for a small corpus

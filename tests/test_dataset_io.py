@@ -325,10 +325,12 @@ def drawn_record(data, conversation):
     generated_shape = st.fixed_dictionaries(
         {"kind": DATASET_TEXT, "customer": side, "assistant": side}
     )
-    record["pair_trace"] = data.draw(st.lists(
-        generated_shape | st.dictionaries(DATASET_TEXT, JSON_VALUES, max_size=3),
-        max_size=3,
-    ))
+    # a free-form entry whose kind is not a string is a schema violation,
+    # and the record would give no conversation to write
+    free_form = st.dictionaries(DATASET_TEXT, JSON_VALUES, max_size=3).filter(
+        lambda entry: type(entry.get("kind", "")) is str
+    )
+    record["pair_trace"] = data.draw(st.lists(generated_shape | free_form, max_size=3))
     return record
 
 
