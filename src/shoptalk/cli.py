@@ -17,7 +17,9 @@ from typing import Iterable, Iterator
 
 from . import annotate, assembly, dataset_io, fanout
 from .corpus import ingest_metadata, ingest_reviews, write_catalog, write_reviews
-from .errors import InvalidConfigError, ShoptalkError, parse_json, partial_path, read_text
+from .errors import (
+    InvalidConfigError, ShoptalkError, parse_json, partial_path, read_text, replacing,
+)
 from .negotiation import default_phrasebank, load_phrasebank
 from .world import World, build_world
 
@@ -103,7 +105,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         "review_report": vars(store.report),
         "config": config,
     }
-    with open(out / "ingest_report.json", "w", encoding="utf-8") as fh:
+    with replacing(out / "ingest_report.json") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
     print(f"ingested {len(catalog)} products, {len(store)} reviews -> {out}")
     if catalog.report.malformed or store.report.malformed:
@@ -156,7 +158,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     run_report = report.to_record()
     run_report["config"] = config
     run_report["spans_indexed"] = sum(map(len, world.index.entries.values()))
-    with open(out / "report.json", "w", encoding="utf-8") as fh:
+    with replacing(out / "report.json") as fh:
         json.dump(run_report, fh, indent=2, sort_keys=True)
     print(
         f"generated {report.successes}/{report.requested} conversations "
@@ -192,7 +194,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     )
     print(report.summary())
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with replacing(args.out) as fh:
             for record in report.to_records():
                 fh.write(json.dumps(record, sort_keys=True) + "\n")
     return 0 if report.passed else 1
@@ -202,7 +204,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     result = dataset_io.stats(args.dataset)
     print(result.summary())
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with replacing(args.out) as fh:
             json.dump(result.to_record(), fh, indent=2, sort_keys=True)
     return 0
 

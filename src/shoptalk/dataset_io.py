@@ -16,7 +16,6 @@ only a ref that resolves is checked for polarity.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 from itertools import chain
@@ -73,25 +72,12 @@ def _append(src: int, dst: int, size: int) -> None:
         offset += sent
 
 
-# A line is encoded straight from the records, keys in sorted order.  It is
-# the line ``json.dumps(record, sort_keys=True, ensure_ascii=False)`` writes
-# for the conversation as nested dicts (the reference writer in
-# tests/dataset_reference.py): strings go through the encoder json.dumps
-# uses, numbers through ``repr`` with NaN and the infinities spelled as
-# json.dumps spells them (a dataset that was read can hold them).  A
-# pair-trace entry of the shape generation makes is written here too; any
-# other entry a read dataset holds goes through json.dumps.
-
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-_TRACE_KEYS = frozenset(("kind", "customer", "assistant"))
-_SIDE_KEYS = frozenset(("feature", "product_id"))
-_STRING_OR_NULL = (str, type(None))
-
-
-def _number(value: float) -> str:
-    text = repr(value)
-    return _NON_FINITE.get(text, text)
-
+# A line is encoded straight from the records, keys in sorted order: the
+# line ``json.dumps(record, sort_keys=True, ensure_ascii=False)`` writes for
+# the conversation as nested dicts (the reference writer in
+# tests/dataset_reference.py).  Only generation writes lines: every score is
+# finite, which ``repr`` spells as json.dumps does, and every pair-trace
+# entry has the one shape assembly._try_sequence builds.
 
 def _optional(value: Optional[str]) -> str:
     return "null" if value is None else _string(value)
@@ -100,7 +86,7 @@ def _optional(value: Optional[str]) -> str:
 def _ref_json(ref: GroundingRef) -> str:
     return (
         f'{{"feature": {_string(ref.feature)}, "label": {_string(ref.label)}, '
-        f'"review_id": {_string(ref.review_id)}, "score": {_number(ref.score)}, '
+        f'"review_id": {_string(ref.review_id)}, "score": {ref.score!r}, '
         f'"sentence_ordinal": {ref.sentence_ordinal}}}'
     )
 
@@ -114,25 +100,16 @@ def _turn_json(turn: Turn) -> str:
     )
 
 
-def _side_json(side) -> Optional[str]:
-    """A pair-trace side of the shape generation makes, {feature,
-    product_id} each a string or null, as JSON; None for any other value."""
-    if type(side) is dict and side.keys() == _SIDE_KEYS:
-        feature, product_id = side["feature"], side["product_id"]
-        if type(feature) in _STRING_OR_NULL and type(product_id) in _STRING_OR_NULL:
-            return f'{{"feature": {_optional(feature)}, "product_id": {_optional(product_id)}}}'
-    return None
+def _side_json(side: dict) -> str:
+    feature, product_id = _optional(side["feature"]), _optional(side["product_id"])
+    return f'{{"feature": {feature}, "product_id": {product_id}}}'
 
 
 def _trace_json(entry: dict) -> str:
-    if type(entry) is dict and entry.keys() == _TRACE_KEYS and type(entry["kind"]) is str:
-        assistant, customer = _side_json(entry["assistant"]), _side_json(entry["customer"])
-        if assistant is not None and customer is not None:
-            return (
-                f'{{"assistant": {assistant}, "customer": {customer}, '
-                f'"kind": {_string(entry["kind"])}}}'
-            )
-    return json.dumps(entry, sort_keys=True, ensure_ascii=False)
+    return (
+        f'{{"assistant": {_side_json(entry["assistant"])}, '
+        f'"customer": {_side_json(entry["customer"])}, "kind": {_string(entry["kind"])}}}'
+    )
 
 
 def _conversation_line(conversation: Conversation) -> str:

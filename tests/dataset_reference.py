@@ -9,7 +9,7 @@ message; see test_dataset_io.TestReaderEquivalence.
 The writer is the record-building code the dataset was once written with:
 each conversation became nested dicts, then ``json.dumps`` with sorted
 keys.  ``write_dataset`` must write the same line for every conversation
-the reader gives; see test_dataset_io.TestWriterEquivalence."""
+generation makes; see test_dataset_io.TestWriterEquivalence."""
 
 from __future__ import annotations
 

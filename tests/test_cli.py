@@ -409,6 +409,65 @@ class TestStatsCommand:
             assert "Traceback" not in err
 
 
+class TestReportsWrittenWhole:
+    """Each report a command writes replaces the old one only once it is
+    whole: a write that fails part-way leaves the old report and nothing
+    beside it, and the command ends in one error line."""
+
+    @pytest.mark.parametrize("command", ["ingest", "generate", "validate", "stats"])
+    def test_failure_mid_report_leaves_the_old_report(
+        self, tmp_path, sample_corpus_paths, snapshot_dir, monkeypatch, capsys, command
+    ):
+        meta, reviews = sample_corpus_paths
+        run = tmp_path / "run"
+        assert main(["generate", "--snapshot", str(snapshot_dir), "--out", str(run),
+                     "--seed", "7", "--per-template", "1"]) == 0
+        # two tampered conversations: validate reports two violations
+        tampered = tmp_path / "tampered.jsonl"
+        records = [json.loads(l) for l in (run / "dataset.jsonl").read_text().splitlines()]
+        for record in records[:2]:
+            record["product_trajectory"] = []
+        write_jsonl(tampered, records)
+        argv, report, dumper = {
+            "ingest": (["ingest", "--meta", str(meta), "--reviews", str(reviews),
+                        "--out", str(snapshot_dir)], snapshot_dir / "ingest_report.json", "dump"),
+            "generate": (["generate", "--snapshot", str(snapshot_dir), "--out", str(run),
+                          "--seed", "7", "--per-template", "1"], run / "report.json", "dump"),
+            "validate": (["validate", "--dataset", str(tampered), "--snapshot",
+                          str(snapshot_dir), "--out", str(tmp_path / "violations.jsonl")],
+                         tmp_path / "violations.jsonl", "dumps"),
+            "stats": (["stats", "--dataset", str(run / "dataset.jsonl"),
+                       "--out", str(tmp_path / "stats.json")], tmp_path / "stats.json", "dump"),
+        }[command]
+        main(argv)
+        old = report.read_bytes()
+        assert old
+        beside = sorted(report.parent.iterdir())
+        dump, dumps = json.dump, json.dumps
+        calls = []
+
+        def dump_part_way(value, fh, **kwargs):
+            text = dumps(value, **kwargs)
+            fh.write(text[: len(text) // 2])
+            raise OSError(28, "No space left on device")
+
+        def dumps_then_fail(value, **kwargs):
+            calls.append(value)
+            if len(calls) == 2:
+                raise OSError(28, "No space left on device")
+            return dumps(value, **kwargs)
+
+        monkeypatch.setattr(json, dumper, dump_part_way if dumper == "dump" else dumps_then_fail)
+        capsys.readouterr()
+        assert main(argv) == 1
+        monkeypatch.undo()
+        assert capsys.readouterr().err.splitlines() == [
+            "io error: [Errno 28] No space left on device"
+        ]
+        assert report.read_bytes() == old
+        assert sorted(report.parent.iterdir()) == beside
+
+
 def _write(path, content):
     if isinstance(content, bytes):
         path.write_bytes(content)

@@ -1,6 +1,6 @@
 """The command line over drawn inputs: every stage ends in a result or in
 one error line, never in a traceback, and whatever generate writes
-validates and reproduces."""
+validates, reproduces, and is the line json.dumps writes for its record."""
 
 import io
 import json
@@ -15,7 +15,6 @@ from shoptalk.cli import main
 from shoptalk.negotiation import PairKind
 
 PRODUCT_IDS = ["B1", "B2", "B3"]
-REVIEW_IDS = ["r1", "r2", "r3", "r4", "r5", "r6"]
 SENTENCES = [
     "The battery is great.",
     "The screen is terrible.",
@@ -25,6 +24,7 @@ SENTENCES = [
     "I was really annoyed by the video.",
     "The keyboard is excellent.",
 ]
+FEATURES = ["battery", "screen", "camera", "sound", "price", "memory", "video", "keyboard"]
 
 # Strings that have broken some stage before, or could: a lone surrogate,
 # a bare carriage return, a line separator that str.splitlines splits on,
@@ -79,8 +79,10 @@ def jsonl(lines):
 
 @st.composite
 def corpora(draw):
-    """meta.jsonl and reviews.jsonl: a few products with reviews made of
-    opinion sentences, edited awkwardly."""
+    """meta.jsonl and reviews.jsonl, a few products with reviews made of
+    opinion sentences, and an annotations file or None, its records for
+    drawn reviews and sentence ordinals, each naming a feature of its
+    sentence if there is one; all edited awkwardly."""
     ids = draw(st.lists(st.sampled_from(PRODUCT_IDS), min_size=1, max_size=3, unique=True))
     products = [
         {
@@ -92,15 +94,32 @@ def corpora(draw):
         }
         for pid in ids
     ]
-    reviews = [
-        {
-            "id": f"r{n}",
-            "product_id": draw(st.sampled_from(ids)),
-            "text": " ".join(draw(st.lists(st.sampled_from(SENTENCES), min_size=1, max_size=4))),
-        }
-        for n in range(draw(st.integers(1, 8)))
+    texts = [
+        draw(st.lists(st.sampled_from(SENTENCES), min_size=1, max_size=4))
+        for _ in range(draw(st.integers(1, 8)))
     ]
-    return jsonl(draw(json_lines(products))), jsonl(draw(json_lines(reviews)))
+    reviews = [
+        {"id": f"r{n}", "product_id": draw(st.sampled_from(ids)), "text": " ".join(sentences)}
+        for n, sentences in enumerate(texts)
+    ]
+    annotations = None
+    if draw(st.booleans()):
+        records = []
+        for _ in range(draw(st.integers(0, 6))):
+            n, ordinal = draw(st.integers(0, len(texts) - 1)), draw(st.integers(-1, 4))
+            sentence = texts[n][ordinal].lower() if 0 <= ordinal < len(texts[n]) else ""
+            records.append({
+                "review_id": f"r{n}",
+                "sentence_ordinal": ordinal,
+                "feature": draw(st.sampled_from(
+                    [f for f in FEATURES if f in sentence] or FEATURES
+                )),
+                "score": draw(st.floats(-1.5, 1.5)),
+            })
+        annotations = jsonl(draw(json_lines(records)))
+    return (
+        jsonl(draw(json_lines(products))), jsonl(draw(json_lines(reviews))), annotations
+    )
 
 
 @st.composite
@@ -135,10 +154,11 @@ def run(*argv):
 @given(
     corpus=corpora(),
     templates=st.none() | template_files() | AWKWARD_LINES,
+    strict=st.booleans(),
     seed=st.integers(0, 3),
 )
-def test_ingest_generate_validate_stats(corpus, templates, seed):
-    meta, reviews = corpus
+def test_ingest_generate_validate_stats(corpus, templates, strict, seed):
+    meta, reviews, annotations = corpus
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         (tmp / "meta.jsonl").write_text(meta, encoding="utf-8", errors="surrogatepass")
@@ -147,18 +167,24 @@ def test_ingest_generate_validate_stats(corpus, templates, seed):
         if run("ingest", "--meta", str(tmp / "meta.jsonl"),
                "--reviews", str(tmp / "reviews.jsonl"), "--out", snapshot):
             return
-        template_args = []
+        shared_args = []
         if templates is not None:
             (tmp / "templates.json").write_text(
                 templates, encoding="utf-8", errors="surrogatepass"
             )
-            template_args = ["--templates", str(tmp / "templates.json")]
+            shared_args = ["--templates", str(tmp / "templates.json")]
+        if annotations is not None:
+            (tmp / "annotations.jsonl").write_text(
+                annotations, encoding="utf-8", errors="surrogatepass"
+            )
+            shared_args += ["--annotations", str(tmp / "annotations.jsonl")]
 
         outputs = []
         for name in ("first", "again"):
             out = tmp / name
             code = run("generate", "--snapshot", snapshot, "--out", str(out),
-                       "--seed", str(seed), "--per-template", "1", *template_args)
+                       "--seed", str(seed), "--per-template", "1", *shared_args,
+                       *(["--strict"] if strict else []))
             outputs.append(
                 None if code else
                 ((out / "dataset.jsonl").read_bytes(), (out / "report.json").read_bytes())
@@ -166,9 +192,12 @@ def test_ingest_generate_validate_stats(corpus, templates, seed):
         assert outputs[0] == outputs[1]
         if outputs[0] is None:
             return
+        for line in outputs[0][0].splitlines(keepends=True):
+            line = line.decode("utf-8")
+            assert line == json.dumps(json.loads(line), sort_keys=True, ensure_ascii=False) + "\n"
 
         dataset = str(tmp / "first" / "dataset.jsonl")
         assert run("validate", "--dataset", dataset, "--snapshot", snapshot,
-                   "--out", str(tmp / "violations.jsonl"), *template_args) == 0
+                   "--out", str(tmp / "violations.jsonl"), *shared_args) == 0
         assert (tmp / "violations.jsonl").read_text() == ""
         assert run("stats", "--dataset", dataset) == 0
