@@ -117,8 +117,13 @@ def replacing(path):
     goes to a partial file beside it (see partial_path) that replaces
     ``path`` only once the block ends; if the block fails, the partial file
     is removed and ``path`` is left as it was, so no reader ever meets a
-    half-written file."""
-    path = Path(path)
+    half-written file.  A symbolic link stays and the file it leads to is
+    replaced; a FIFO or a device (``/dev/stdout``, say) is written to."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
+        return
+    path = Path(os.path.realpath(path))
     partial = partial_path(path)
     try:
         with open(partial, "w", encoding="utf-8") as fh:

@@ -3,7 +3,10 @@
 import builtins
 import hashlib
 import json
+import os
 import random
+import stat
+import threading
 from collections import Counter
 from pathlib import Path
 
@@ -466,6 +469,44 @@ class TestReportsWrittenWhole:
         ]
         assert report.read_bytes() == old
         assert sorted(report.parent.iterdir()) == beside
+    @pytest.fixture
+    def dataset(self, tmp_path, snapshot_dir):
+        run = tmp_path / "run"
+        assert main(["generate", "--snapshot", str(snapshot_dir), "--out", str(run),
+                     "--seed", "7", "--per-template", "1"]) == 0
+        return run / "dataset.jsonl"
+
+    def _stats(self, dataset, out):
+        assert main(["stats", "--dataset", str(dataset), "--out", str(out)]) == 0
+        return json.loads(out.read_text()) if out.is_file() else None
+
+    def test_symlink_keeps_its_place(self, tmp_path, dataset):
+        target = tmp_path / "reports" / "stats.json"
+        target.parent.mkdir()
+        target.write_text("old")
+        link = tmp_path / "stats.json"
+        link.symlink_to(target)
+        assert self._stats(dataset, link)["conversations"] > 0
+        assert link.is_symlink() and link.resolve() == target
+        assert sorted(p.name for p in target.parent.iterdir()) == ["stats.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "reports", "run", "snapshot", "stats.json"
+        ]
+
+    def test_fifo_is_written_not_replaced(self, tmp_path, dataset):
+        fifo = tmp_path / "stats.json"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        try:
+            self._stats(dataset, fifo)
+        finally:
+            reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert json.loads(received[0])["conversations"] > 0
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert not (tmp_path / "stats.json.partial").exists()
 
 
 def _write(path, content):

@@ -323,7 +323,7 @@ def drawn_record(data, conversation):
         for ref in turn["grounding"]:
             ref.update(review_id=data.draw(DATASET_TEXT), label=data.draw(DATASET_TEXT),
                        score=data.draw(st.floats(allow_nan=False, allow_infinity=False)))
-    side = st.fixed_dictionaries({"feature": DATASET_TEXT, "product_id": DATASET_TEXT})
+    side = st.fixed_dictionaries({"feature": optional, "product_id": optional})
     entry = st.fixed_dictionaries({"kind": DATASET_TEXT, "customer": side, "assistant": side})
     record["pair_trace"] = data.draw(st.lists(entry, max_size=3))
     return record
