@@ -436,7 +436,7 @@ def parse_lexicons(text: str) -> Lexicons:
     negators: set[str] = set()
     intensifiers: dict[str, float] = {}
     section = None
-    for line_no, raw in enumerate(text.splitlines(), 1):
+    for line_no, raw in enumerate(text.split("\n"), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

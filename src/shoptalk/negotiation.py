@@ -294,7 +294,7 @@ def _placeholders(template: str, section: str) -> set[str]:
 def parse_phrasebank(text: str) -> Phrasebank:
     sections: dict[tuple[str, str], list[str]] = {}
     current: Optional[tuple[str, str]] = None
-    for line_no, raw in enumerate(text.splitlines(), 1):
+    for line_no, raw in enumerate(text.split("\n"), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -328,50 +328,40 @@ def realize(
     rng: random.Random,
     catalog: ProductCatalog,
     sentences: dict[str, tuple[str, ...]],
-) -> tuple[str, str]:
-    """Render the customer and assistant texts; grounded sentences are
-    embedded verbatim."""
-    customer_text = _render(
-        phrasebank, binding.kind, CUSTOMER, rng,
-        feature=binding.feature_a,
-        product_title=_title(catalog, binding.product_a),
-        span=binding.customer_span,
-        sentences=sentences,
+) -> tuple[Turn, Turn]:
+    """The pair's customer turn and assistant turn; each grounded sentence
+    is embedded verbatim and referenced by its turn's grounding."""
+    kind = binding.kind
+    return (
+        _turn(kind, CUSTOMER, binding.product_a, binding.feature_a, binding.customer_span,
+              phrasebank, rng, catalog, sentences),
+        _turn(kind, ASSISTANT, binding.product_b, binding.feature_b, binding.assistant_span,
+              phrasebank, rng, catalog, sentences),
     )
-    assistant_text = _render(
-        phrasebank, binding.kind, ASSISTANT, rng,
-        feature=binding.feature_b,
-        product_title=_title(catalog, binding.product_b),
-        span=binding.assistant_span,
-        sentences=sentences,
-    )
-    return customer_text, assistant_text
 
 
-def _title(catalog: ProductCatalog, product_id: str) -> str:
+def _turn(kind, speaker, product_id, feature, span, phrasebank, rng, catalog, sentences) -> Turn:
+    """The one place a turn is rendered: a seeded template variant filled
+    with the product's title, the feature and, for a grounded turn, its
+    sentence, which the turn's one grounding ref points to."""
+    template = rng.choice(phrasebank.variants(kind, speaker))
     product = catalog.get(product_id)
     if product is None:
         raise UnboundSlotError(f"product {product_id!r} not in catalog")
-    return product.title
-
-
-def _render(phrasebank, kind, speaker, rng, *, feature, product_title, span, sentences):
-    template = rng.choice(phrasebank.variants(kind, speaker))
-    opinion = ""
+    opinion, grounding = "", ()
     if span is not None:
-        opinion = _sentence_text(sentences, span)
+        review_sentences = sentences.get(span.review_id)
+        if review_sentences is None or not 0 <= span.sentence_ordinal < len(review_sentences):
+            raise UnboundSlotError(
+                f"span references missing sentence {span.review_id}#{span.sentence_ordinal}"
+            )
+        opinion = review_sentences[span.sentence_ordinal]
+        grounding = (GroundingRef(span.review_id, span.sentence_ordinal, span.feature_canonical,
+                                  span.polarity_score, span.polarity_label),)
     elif kind.label(speaker) is not None:  # a grounded turn: its templates embed {opinion}
         raise UnboundSlotError(f"no span bound for [{kind.act}.{speaker}]")
-    return template.format(feature=feature, product_title=product_title, opinion=opinion)
-
-
-def _sentence_text(sentences: dict[str, tuple[str, ...]], span: OpinionSpan) -> str:
-    review_sentences = sentences.get(span.review_id)
-    if review_sentences is None or not 0 <= span.sentence_ordinal < len(review_sentences):
-        raise UnboundSlotError(
-            f"span references missing sentence {span.review_id}#{span.sentence_ordinal}"
-        )
-    return review_sentences[span.sentence_ordinal]
+    text = template.format(feature=feature, product_title=product.title, opinion=opinion)
+    return Turn(speaker, text, kind.act, product_id, feature, grounding)
 
 
 def build_pair(
@@ -391,24 +381,4 @@ def build_pair(
     if binding is None:
         return None
     state.advance(binding)
-    customer_text, assistant_text = realize(binding, phrasebank, rng, catalog, sentences)
-    customer_grounding = ()
-    if binding.customer_span is not None:
-        customer_grounding = (GroundingRef.from_span(binding.customer_span),)
-    customer_turn = Turn(
-        speaker=CUSTOMER,
-        text=customer_text,
-        act=kind.act,
-        product_id=binding.product_a,
-        feature=binding.feature_a,
-        grounding=customer_grounding,
-    )
-    assistant_turn = Turn(
-        speaker=ASSISTANT,
-        text=assistant_text,
-        act=kind.act,
-        product_id=binding.product_b,
-        feature=binding.feature_b,
-        grounding=(GroundingRef.from_span(binding.assistant_span),),
-    )
-    return customer_turn, assistant_turn
+    return realize(binding, phrasebank, rng, catalog, sentences)

@@ -10,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .annotate import OpinionSpan
-
 CUSTOMER = "customer"
 ASSISTANT = "assistant"
 
@@ -29,16 +27,6 @@ class GroundingRef:
     feature: str
     score: float
     label: str
-
-    @classmethod
-    def from_span(cls, span: OpinionSpan) -> "GroundingRef":
-        return cls(
-            review_id=span.review_id,
-            sentence_ordinal=span.sentence_ordinal,
-            feature=span.feature_canonical,
-            score=span.polarity_score,
-            label=span.polarity_label,
-        )
 
     @property
     def identity(self) -> tuple[str, int, str]:

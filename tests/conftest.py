@@ -35,6 +35,13 @@ JSON_VALUES = st.recursive(
     max_leaves=6,
 )
 
+# Characters at which str.splitlines() ends a line but a phrasebank or
+# lexicon line does not: those lines end at "\n" only.
+NOT_LINE_ENDS = pytest.mark.parametrize(
+    "mark", ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"],
+    ids=lambda mark: f"U+{ord(mark):04X}",
+)
+
 
 def make_catalog(products: list[Product]) -> ProductCatalog:
     return ProductCatalog({p.id: p for p in products}, IngestReport())

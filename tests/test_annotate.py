@@ -6,6 +6,7 @@ import json
 import math
 import random
 import re
+from importlib.resources import files
 
 import pytest
 from hypothesis import example, given, settings
@@ -22,6 +23,7 @@ from shoptalk.annotate import (
     default_lexicons,
     extract_opinions,
     import_annotations,
+    load_lexicons,
     merge_spans,
     parse_lexicons,
     read_annotations,
@@ -32,7 +34,9 @@ from shoptalk.corpus import Review
 from shoptalk.errors import InvalidLexiconError, MalformedRecordError
 from shoptalk.world import Derivation
 
-from conftest import JSON_VALUES, load_corpus_script, make_review, make_store, write_jsonl
+from conftest import (
+    JSON_VALUES, NOT_LINE_ENDS, load_corpus_script, make_review, make_store, write_jsonl,
+)
 
 
 LEX = Lexicons(
@@ -476,6 +480,21 @@ class TestLexiconValidation:
         assert lex.sentiment_terms == {"good": 0.5}
         assert "not" in lex.negators
         assert lex.intensifiers == {"very": 1.5}
+
+    @NOT_LINE_ENDS
+    def test_lines_end_at_newline_only(self, mark):
+        lex = parse_lexicons(f"[features]\nbattery{mark}life\tbattery\n")
+        assert lex.feature_terms == {f"battery{mark}life": "battery"}
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["CRLF", "CR"])
+    def test_crlf_and_cr_files_load(self, tmp_path, newline):
+        # a file is read with universal newlines, so its "\r" ends a line
+        path = tmp_path / "lexicon.txt"
+        path.write_text(
+            files("shoptalk").joinpath("data/lexicon.txt").read_text(encoding="utf-8"),
+            encoding="utf-8", newline=newline,
+        )
+        assert load_lexicons(path) == default_lexicons()
 
     def test_parse_rejects_unknown_section(self):
         with pytest.raises(InvalidLexiconError):

@@ -6,12 +6,13 @@ import io
 import json
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from importlib.resources import files
 from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from shoptalk.cli import main
+from shoptalk.cli import DEFAULTS, main
 from shoptalk.negotiation import PairKind
 
 PRODUCT_IDS = ["B1", "B2", "B3"]
@@ -134,6 +135,53 @@ def template_files(draw):
     return "[" + ", ".join(draw(json_lines(templates))) + "]"
 
 
+BUNDLED_PHRASEBANK = files("shoptalk").joinpath("data/phrasebank.txt").read_text(
+    encoding="utf-8"
+)
+TEMPLATE_LINES = [
+    n for n, line in enumerate(BUNDLED_PHRASEBANK.split("\n"))
+    if line.strip() and not line.startswith(("#", "["))
+]
+
+
+@st.composite
+def phrasebank_files(draw):
+    """The bundled phrasebank with one to three of its templates edited: an
+    awkward string put in at a word boundary, or in place of a word."""
+    lines = BUNDLED_PHRASEBANK.split("\n")
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.sampled_from(TEMPLATE_LINES))
+        words = lines[n].split(" ")
+        at = draw(st.integers(0, len(words)))
+        cut = at + 1 if at < len(words) and draw(st.booleans()) else at
+        lines[n] = " ".join(words[:at] + [draw(AWKWARD_STRINGS)] + words[cut:])
+    return "\n".join(lines)
+
+
+def setting_values(key):
+    """A value that is valid for the config key ``key``, or an awkward one.
+    A retry budget stays below 100: an unsatisfiable template runs every
+    attempt the budget allows."""
+    default = DEFAULTS[key]
+    valid = {
+        bool: st.booleans(), int: st.integers(1, 5), float: st.floats(-1, 1),
+    }[type(default)]
+    if key == "retry_budget":
+        return valid | AWKWARD_VALUES.filter(lambda v: not isinstance(v, int) or v < 100)
+    return valid | AWKWARD_VALUES
+
+
+@st.composite
+def config_files(draw):
+    """A config file: up to three known keys, each set to a valid or an
+    awkward value, and, one time in four, an unknown key."""
+    keys = draw(st.lists(st.sampled_from(sorted(DEFAULTS)), max_size=3, unique=True))
+    config = {key: draw(setting_values(key)) for key in keys}
+    if draw(st.integers(0, 3)) == 0:
+        config[draw(AWKWARD_STRINGS.filter(lambda k: k not in DEFAULTS))] = 1
+    return json.dumps(config, ensure_ascii=draw(st.booleans()))
+
+
 def run(*argv):
     """``main(argv)``: its exit code, which must be 0 or 1, with at most one
     error line on stderr, and that only on failure."""
@@ -154,10 +202,12 @@ def run(*argv):
 @given(
     corpus=corpora(),
     templates=st.none() | template_files() | AWKWARD_LINES,
+    phrasebank=st.none() | phrasebank_files(),
+    config=st.none() | config_files(),
     strict=st.booleans(),
     seed=st.integers(0, 3),
 )
-def test_ingest_generate_validate_stats(corpus, templates, strict, seed):
+def test_ingest_generate_validate_stats(corpus, templates, phrasebank, config, strict, seed):
     meta, reviews, annotations = corpus
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -178,13 +228,22 @@ def test_ingest_generate_validate_stats(corpus, templates, strict, seed):
                 annotations, encoding="utf-8", errors="surrogatepass"
             )
             shared_args += ["--annotations", str(tmp / "annotations.jsonl")]
+        if config is not None:
+            (tmp / "config.json").write_text(config, encoding="utf-8", errors="surrogatepass")
+            shared_args += ["--config", str(tmp / "config.json")]
+        generate_args = []
+        if phrasebank is not None:
+            (tmp / "phrasebank.txt").write_text(
+                phrasebank, encoding="utf-8", errors="surrogatepass"
+            )
+            generate_args = ["--phrasebank", str(tmp / "phrasebank.txt")]
 
         outputs = []
         for name in ("first", "again"):
             out = tmp / name
             code = run("generate", "--snapshot", snapshot, "--out", str(out),
                        "--seed", str(seed), "--per-template", "1", *shared_args,
-                       *(["--strict"] if strict else []))
+                       *generate_args, *(["--strict"] if strict else []))
             outputs.append(
                 None if code else
                 ((out / "dataset.jsonl").read_bytes(), (out / "report.json").read_bytes())
