@@ -3,7 +3,7 @@ product metadata and reviews.
 
 Pipeline: ingest a catalog and reviews (corpus), extract feature/opinion
 spans (annotate), index them (opinion_index) -- the last two derived by
-world.build_world, each review at most once per command -- run the
+World.cover (world), each review at most once per command -- run the
 feature/value search dialog (search_dialog), instantiate negotiation
 dialog pairs (negotiation), compose conversations from templates
 (assembly), and serialize/validate datasets (dataset_io).

@@ -5,8 +5,9 @@ annotations file (``annotations.jsonl`` with keys review_id,
 sentence_ordinal, feature, score), parsed once by read_annotations.
 Imported spans override lexicon spans for the same (sentence, canonical
 feature).  Both read a sentence map (review id -> tuple of sentence
-texts, a sentence's ordinal being its position) that the caller splits
-once, for all reviews or a batch of them; see world.Derivation.
+texts, a sentence's ordinal being its position) that World.cover, which
+derives the world of both ``generate`` and ``validate``, splits once per
+batch of products; ``generate`` covers every product in one batch.
 
 The scorer reads a sentence in one pass over its words.  Lexicons compiles
 a role table, so a word costs one lookup.  A sentiment word's weight, with
@@ -344,9 +345,9 @@ def import_annotations(
     A record becomes a span when its sentence is in the map and holds its
     feature; out-of-range scores are clamped with a counter.  Every other
     record of the file, for a review outside the map or malformed, is
-    counted as skipped.  A world resolves each review once, so the records
-    of the map's reviews are taken out of ``annotations`` here, and their
-    memory is free before the spans are merged and indexed."""
+    counted as skipped.  World.cover derives each review once, so the
+    records of the map's reviews are taken out of ``annotations`` here, and
+    their memory is free before the spans are merged and indexed."""
     result = ImportResult(spans=[])
     for review_id, review_sentences in sentences.items():
         for ordinal, feature, score in annotations.by_review.pop(review_id, ()):

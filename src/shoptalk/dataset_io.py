@@ -2,10 +2,10 @@
 
 One conversation per line (``dataset.jsonl``); ``schema_version`` must be
 the JSON integer 1.  The validator trusts nothing from the generator:
-substring and polarity checks are recomputed against a world (see
-world.build_world) freshly derived from the ingested corpus.  It reads the
-dataset once and derives each product's part of that world when a
-conversation first names the product, so its cost follows the products the
+substring and polarity checks are recomputed against a world freshly
+derived from the ingested corpus, through the World.cover that derives
+``generate``'s world.  It reads the dataset once and covers each product
+when a conversation first names it, so its cost follows the products the
 dataset names, not the corpus size.
 
 Each rule is a generator of its (rule, detail) violations.  Grounding and
@@ -286,8 +286,8 @@ def validate(
     from the corpus world rather than trusting generator metadata.  The
     conversations are read one at a time, in file order, from the lines
     that begin in the byte range [start, stop) (see read_dataset); before
-    its checks run, the world derives the products a conversation names
-    that it has not derived yet (see World.cover).  No conversation's
+    its checks run, the world covers the products a conversation names
+    that are not covered yet (see World.cover).  No conversation's
     checks depend on another's, and the violations are sorted at the end,
     so the report does not depend on that order: the reports of ranges
     that part a dataset add up to the dataset's."""

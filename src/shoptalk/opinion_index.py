@@ -1,6 +1,6 @@
-"""Opinion index: (product, feature, polarity) -> ranked spans.  A lazy
-world extends it in place, one batch of products at a time (see
-OpinionIndex.extend); nothing else changes it.
+"""Opinion index: (product, feature, polarity) -> ranked spans.  World.cover,
+for both commands, extends it in place one batch of products at a time, and
+``generate`` covers every product in one batch; nothing else changes it.
 
 Every opinion uttered downstream is grounded by a span retrieved here.
 Ranking is deterministic: descending |score|, ties broken by review id,

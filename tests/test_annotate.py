@@ -30,12 +30,13 @@ from shoptalk.annotate import (
     sentence_map,
     split_sentences,
 )
-from shoptalk.corpus import Review
+from shoptalk.corpus import Product, Review
 from shoptalk.errors import InvalidLexiconError, MalformedRecordError
-from shoptalk.world import Derivation
+from shoptalk.world import build_world
 
 from conftest import (
-    JSON_VALUES, NOT_LINE_ENDS, load_corpus_script, make_review, make_store, write_jsonl,
+    JSON_VALUES, NOT_LINE_ENDS, load_corpus_script, make_catalog, make_review, make_store,
+    write_jsonl,
 )
 
 
@@ -351,10 +352,11 @@ class TestReferenceEquivalence:
                                                       (0, "battery", -0.5),
                                                       (1, "screens", 0.05)])],
              PolarityConfig(t_pos=-0.6, t_neg=-1.0))
-    def test_derivation_matches_reference(self, reviews, config):
+    def test_derivation_matches_reference(self, tmp_path_factory, reviews, config):
         """The world's index against the reference split, extractor, merge
         (which sorted) and index build, with imported annotations that
         collide with lexicon spans."""
+        catalog = make_catalog([Product(id=pid, title=pid) for pid in ("p0", "p1", "p2")])
         store = make_store([make_review(f"r{k}", product_id, text)
                             for k, (product_id, text, _) in enumerate(reviews)])
         records = {f"r{k}": found for k, (_, _, found) in enumerate(reviews) if found}
@@ -363,7 +365,12 @@ class TestReferenceEquivalence:
             return Annotations({r: list(found) for r, found in records.items()},
                                sum(map(len, records.values())))
 
-        _, index = Derivation(store, PHRASE_LEX, config, annotations())(store)
+        path = write_jsonl(tmp_path_factory.mktemp("ann") / "ann.jsonl", [
+            {"review_id": r, "sentence_ordinal": ordinal, "feature": feature, "score": score}
+            for r, found in records.items()
+            for ordinal, feature, score in found
+        ])
+        index = build_world(catalog, store, PHRASE_LEX, config, path).index
         sentences = {r.id: tuple(reference.split_sentences(r)) for r in store}
         spans = [
             span

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shoptalk import annotate, assembly, negotiation
-from shoptalk.annotate import OpinionSpan, PolarityConfig
+from shoptalk import assembly, negotiation
+from shoptalk.annotate import Lexicons, OpinionSpan, PolarityConfig
 from shoptalk.assembly import (
     ConversationTemplate,
     GenerationSettings,
@@ -31,7 +31,7 @@ from shoptalk.negotiation import PairKind, default_phrasebank
 from shoptalk.opinion_index import build_index
 from shoptalk.search_dialog import AlternativesSet
 from shoptalk.turns import ASSISTANT, CUSTOMER
-from shoptalk.world import World
+from shoptalk.world import World, build_world
 
 from conftest import JSON_VALUES, make_catalog, make_review, make_store, package_env
 from dataset_reference import dataset_line
@@ -40,9 +40,11 @@ CONFIG = PolarityConfig()
 
 
 def world_of(catalog, store, spans) -> World:
-    """A world over hand-made spans, bypassing the lexicon."""
-    sentences = annotate.sentence_map(store)
-    return World(catalog, store, sentences, build_index(store, sentences, spans))
+    """A world over hand-made spans: an empty lexicon finds none, and the
+    index is extended with ``spans``."""
+    world = build_world(catalog, store, Lexicons())
+    world.index.extend(build_index(store, world.sentences, spans))
+    return world
 
 
 class TestBuiltinTemplates:

@@ -6,6 +6,8 @@ import json
 import os
 import random
 import stat
+import subprocess
+import sys
 import threading
 from collections import Counter
 from pathlib import Path
@@ -16,7 +18,7 @@ from shoptalk import annotate, assembly
 from shoptalk.cli import main
 from shoptalk.errors import UnboundSlotError
 
-from conftest import load_corpus_script, named_products, write_jsonl
+from conftest import load_corpus_script, named_products, package_env, write_jsonl
 
 
 @pytest.fixture
@@ -361,6 +363,32 @@ class TestValidateCommand:
         monkeypatch.undo()
         assert opened[(out / "dataset.jsonl").resolve()] == 1
         assert opened[annotations.resolve()] == 1
+
+
+class TestReaderGone:
+    def test_closed_stdout_ends_quietly(self, tmp_path, snapshot_dir, sample_corpus_paths):
+        """A reader that goes away after one line, as ``| head -1`` does,
+        ends the command with exit status 1 and nothing on stderr."""
+        meta, reviews = sample_corpus_paths
+        first = tmp_path / "first.jsonl"
+        first.write_text(reviews.read_text().splitlines(keepends=True)[0])
+        sparse = tmp_path / "sparse"
+        assert main(["ingest", "--meta", str(meta), "--reviews", str(first),
+                     "--out", str(sparse)]) == 0
+        run = tmp_path / "run"
+        assert main(["generate", "--snapshot", str(snapshot_dir), "--out", str(run),
+                     "--seed", "1", "--per-template", "25"]) == 0
+        # nearly every ref of 350 conversations is a grounding violation
+        # against one review: about 100 kB to print, beyond a pipe's 64 KiB
+        validate = subprocess.Popen(
+            [sys.executable, "-m", "shoptalk.cli", "validate",
+             "--dataset", str(run / "dataset.jsonl"), "--snapshot", str(sparse)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0, env=package_env(),
+        )
+        assert validate.stdout.readline() == b"conversations checked: 350\n"
+        validate.stdout.close()
+        assert validate.stderr.read() == b""
+        assert validate.wait() == 1
 
 
 class TestHelp:

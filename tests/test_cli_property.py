@@ -144,17 +144,63 @@ TEMPLATE_LINES = [
 ]
 
 
+def awkward_words(draw, text):
+    """``text`` with an awkward string put in at a word boundary, or in
+    place of a word."""
+    words = text.split(" ")
+    at = draw(st.integers(0, len(words)))
+    cut = at + 1 if at < len(words) and draw(st.booleans()) else at
+    return " ".join(words[:at] + [draw(AWKWARD_STRINGS)] + words[cut:])
+
+
 @st.composite
 def phrasebank_files(draw):
-    """The bundled phrasebank with one to three of its templates edited: an
-    awkward string put in at a word boundary, or in place of a word."""
+    """The bundled phrasebank with one to three of its templates edited
+    (see awkward_words)."""
     lines = BUNDLED_PHRASEBANK.split("\n")
     for _ in range(draw(st.integers(1, 3))):
         n = draw(st.sampled_from(TEMPLATE_LINES))
-        words = lines[n].split(" ")
-        at = draw(st.integers(0, len(words)))
-        cut = at + 1 if at < len(words) and draw(st.booleans()) else at
-        lines[n] = " ".join(words[:at] + [draw(AWKWARD_STRINGS)] + words[cut:])
+        lines[n] = awkward_words(draw, lines[n])
+    return "\n".join(lines)
+
+
+BUNDLED_LEXICON = files("shoptalk").joinpath("data/lexicon.txt").read_text(encoding="utf-8")
+
+
+def entry_sections(text):
+    """Line number -> section header, for each entry line of a lexicon."""
+    sections, section = {}, None
+    for n, line in enumerate(text.split("\n")):
+        if line.startswith("["):
+            section = line
+        elif line.strip() and not line.startswith("#"):
+            sections[n] = section
+    return sections
+
+
+ENTRY_SECTIONS = entry_sections(BUNDLED_LEXICON)
+WEIGHT_LINES = [n for n, section in ENTRY_SECTIONS.items()
+                if section in ("[sentiment]", "[intensifiers]")]
+# out of range for a sentiment weight and for an intensifier alike
+BAD_WEIGHTS = st.sampled_from(["-2", "-1.5", "1e400", "nan", "inf", "-inf"])
+
+
+@st.composite
+def lexicon_files(draw):
+    """The bundled lexicon with one to three of its entries edited: a term
+    or a value edited as a phrasebank template is (see awkward_words), or a
+    weight set out of range."""
+    lines = BUNDLED_LEXICON.split("\n")
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            n = draw(st.sampled_from(WEIGHT_LINES))
+            lines[n] = lines[n].split("\t")[0] + "\t" + draw(BAD_WEIGHTS)
+            continue
+        n = draw(st.sampled_from(sorted(ENTRY_SECTIONS)))
+        parts = lines[n].split("\t")
+        at = draw(st.integers(0, len(parts) - 1))
+        parts[at] = awkward_words(draw, parts[at])
+        lines[n] = "\t".join(parts)
     return "\n".join(lines)
 
 
@@ -203,34 +249,40 @@ def run(*argv):
     corpus=corpora(),
     templates=st.none() | template_files() | AWKWARD_LINES,
     phrasebank=st.none() | phrasebank_files(),
+    lexicon=st.none() | lexicon_files(),
     config=st.none() | config_files(),
     strict=st.booleans(),
     seed=st.integers(0, 3),
 )
-def test_ingest_generate_validate_stats(corpus, templates, phrasebank, config, strict, seed):
+def test_ingest_generate_validate_stats(corpus, templates, phrasebank, lexicon, config,
+                                        strict, seed):
     meta, reviews, annotations = corpus
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         (tmp / "meta.jsonl").write_text(meta, encoding="utf-8", errors="surrogatepass")
         (tmp / "reviews.jsonl").write_text(reviews, encoding="utf-8", errors="surrogatepass")
+        config_args = []
+        if config is not None:
+            (tmp / "config.json").write_text(config, encoding="utf-8", errors="surrogatepass")
+            config_args = ["--config", str(tmp / "config.json")]
         snapshot = str(tmp / "snapshot")
         if run("ingest", "--meta", str(tmp / "meta.jsonl"),
-               "--reviews", str(tmp / "reviews.jsonl"), "--out", snapshot):
+               "--reviews", str(tmp / "reviews.jsonl"), "--out", snapshot, *config_args):
             return
-        shared_args = []
+        shared_args = list(config_args)
         if templates is not None:
             (tmp / "templates.json").write_text(
                 templates, encoding="utf-8", errors="surrogatepass"
             )
-            shared_args = ["--templates", str(tmp / "templates.json")]
+            shared_args += ["--templates", str(tmp / "templates.json")]
         if annotations is not None:
             (tmp / "annotations.jsonl").write_text(
                 annotations, encoding="utf-8", errors="surrogatepass"
             )
             shared_args += ["--annotations", str(tmp / "annotations.jsonl")]
-        if config is not None:
-            (tmp / "config.json").write_text(config, encoding="utf-8", errors="surrogatepass")
-            shared_args += ["--config", str(tmp / "config.json")]
+        if lexicon is not None:
+            (tmp / "lexicon.txt").write_text(lexicon, encoding="utf-8", errors="surrogatepass")
+            shared_args += ["--lexicon", str(tmp / "lexicon.txt")]
         generate_args = []
         if phrasebank is not None:
             (tmp / "phrasebank.txt").write_text(

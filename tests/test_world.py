@@ -4,8 +4,8 @@ products, exactly what the whole derivation holds for them."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shoptalk.annotate import default_lexicons
-from shoptalk.corpus import Product
+from shoptalk.annotate import default_lexicons, split_sentences
+from shoptalk.corpus import Product, ingest_metadata, ingest_reviews
 from shoptalk.world import build_world
 
 from conftest import make_catalog, make_review, make_store, write_jsonl
@@ -68,3 +68,29 @@ def test_lazy_world_equals_whole_world_restricted(tmp_path_factory, texts, impor
     assert list(index.non_neutral_counts.items()) == restricted(
         full.non_neutral_counts, covered.__contains__)
     assert set(lazy.pending) == {r.product_id for r in store} - covered
+
+
+def test_whole_world_is_one_cover_of_every_product(tmp_path, sample_corpus_paths):
+    """The bundled sample with imported annotations: a record for each
+    feature and sentence, which overrides the lexicon's span if the sentence
+    holds the feature and is skipped if not, and a malformed one."""
+    meta, reviews = sample_corpus_paths
+    catalog = ingest_metadata(meta)
+    store = ingest_reviews(reviews, catalog)
+    records = [{"review_id": "r-ghost", "sentence_ordinal": 0, "feature": "memory"}]
+    for n, review in enumerate(store):
+        for ordinal, text in enumerate(split_sentences(review)):
+            for feature in ("memory", "video", "keyboard", "the sound"):
+                records.append({"review_id": review.id, "sentence_ordinal": ordinal,
+                                "feature": feature, "score": (n % 7 - 3) / 2})
+    path = write_jsonl(tmp_path / "ann.jsonl", records)
+    whole = build_world(catalog, store, LEXICONS, annotations=path)
+    lazy = build_world(catalog, store, LEXICONS, annotations=path, lazy=True)
+    lazy.cover(catalog.ids())
+
+    assert lazy.sentences == whole.sentences
+    assert lazy.index.entries == whole.index.entries
+    assert lazy.index.feature_ranks == whole.index.feature_ranks
+    assert list(lazy.index.non_neutral_counts.items()) == (
+        list(whole.index.non_neutral_counts.items()))
+    assert lazy.pending == whole.pending == {}
