@@ -152,24 +152,14 @@ class GenerationReport:
     # not part of the record
     causes: list[str] = field(default_factory=list)
 
-    def counts(self) -> dict:
-        """What a range of the jobs adds to the run's report, as JSON."""
-        return {
-            "successes": self.successes,
-            "attempts": self.attempts,
-            "exhausted": self.exhausted,
-            "per_template": list(self.per_template.items()),
-            "causes": self.causes,
-        }
-
-    def add(self, counts: dict) -> None:
-        """Add the counts of the next range of the jobs."""
-        self.successes += counts["successes"]
-        self.attempts += counts["attempts"]
-        self.exhausted += counts["exhausted"]
-        for template_id, n in counts["per_template"]:
+    def add(self, other: GenerationReport) -> None:
+        """Add the report of the next range of the same run's jobs."""
+        self.successes += other.successes
+        self.attempts += other.attempts
+        self.exhausted += other.exhausted
+        for template_id, n in other.per_template.items():
             self.per_template[template_id] = self.per_template.get(template_id, 0) + n
-        self.causes += [c for c in counts["causes"] if c not in self.causes]
+        self.causes += [c for c in other.causes if c not in self.causes]
 
     def to_record(self) -> dict:
         return {

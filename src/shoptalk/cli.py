@@ -8,6 +8,7 @@ equal inputs and seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -138,23 +139,21 @@ def cmd_generate(args: argparse.Namespace) -> int:
     parts = [out / "dataset.jsonl"]
     parts += [out / f"dataset.jsonl.part{w}" for w in range(1, len(ranges))]
 
-    def generate(w: int, jobs: Iterable[int], later: Iterator) -> dict:
+    def generate(w: int, jobs: Iterable[int], later: Iterator) -> assembly.GenerationReport:
         conversations, report = assembly.generate_dataset(
             templates, args.seed, world, phrasebank=phrasebank, settings=settings,
             jobs=jobs,
         )
         dataset_io.write_dataset(conversations, parts[w], (parts[v] for v, _ in enumerate(later, 1)))
-        return report.counts()
+        return report
 
     def discard(w: int) -> None:
         parts[w].unlink(missing_ok=True)
         partial_path(parts[w]).unlink(missing_ok=True)
 
-    report = assembly.GenerationReport(
-        requested=total, settings={"master_seed": args.seed, **asdict(settings)}
-    )
-    for counts in fanout.run(ranges, generate, "generating jobs", discard):
-        report.add(counts)
+    report, *others = fanout.run(ranges, generate, "generating jobs", discard)
+    for other in others:
+        report.add(other)
     run_report = report.to_record()
     run_report["config"] = config
     run_report["spans_indexed"] = sum(map(len, world.index.entries.values()))
@@ -182,15 +181,14 @@ def cmd_validate(args: argparse.Namespace) -> int:
     # end, wherever that is (a pipe's size reads 0)
     spans = fanout.split(os.path.getsize(args.dataset), dataset_io.MIN_RANGE_BYTES)
 
-    def check(w: int, jobs: Iterable[int], later: Iterator) -> list:
+    def check(w: int, jobs: Iterable[int], later: Iterator) -> dataset_io.ValidationReport:
         stop = spans[w].stop if w < len(spans) - 1 else None
-        part = dataset_io.validate(args.dataset, world, templates, spans[w].start, stop)
-        return [part.conversations_checked, part.violations]
+        return dataset_io.validate(args.dataset, world, templates, spans[w].start, stop)
 
-    checked = fanout.run(spans, check, "validating bytes")
+    parts = fanout.run(spans, check, "validating bytes")
     report = dataset_io.ValidationReport(
-        sum(count for count, _ in checked),
-        sorted(tuple(violation) for _, violations in checked for violation in violations),
+        sum(part.conversations_checked for part in parts),
+        sorted(violation for part in parts for violation in part.violations),
     )
     print(report.summary())
     if args.out:
@@ -270,8 +268,11 @@ def main(argv=None) -> int:
     except ShoptalkError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except BrokenPipeError:  # the reader went away: end quietly, exit flushing to devnull
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except BrokenPipeError:  # the reader went away: end quietly
+        with contextlib.suppress(ValueError):  # io.UnsupportedOperation: no descriptor
+            stdout = sys.stdout.fileno()
+            with open(os.devnull, "wb") as devnull:  # what is left flushes there at exit
+                os.dup2(devnull.fileno(), stdout)
         return 1
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)

@@ -186,8 +186,8 @@ class GenerationExhaustedError(ShoptalkError):
 
 
 class ForkedProcessError(ShoptalkError):
-    """A forked process running a range of a command's work ended without
-    sending its value (see fanout.run)."""
+    """A forked process running a range of a command's work did not exit
+    0: what it sent of its value is not decoded (see fanout.run)."""
 
 
 class SchemaViolationError(ShoptalkError):

@@ -4,11 +4,12 @@ The work of a command is numbered, in units the command picks (the jobs
 of a generation, the bytes of a dataset), and split into contiguous
 ranges, one per process.  Each range after the first runs in a process
 forked once per range after everything the work reads has been built; the
-calling process then runs the first range itself.  A child sends the JSON
+calling process then runs the first range itself.  A child pickles the
 value its work returns back over a pipe, and run returns every range's
-value in range order.  A work whose ranges do not depend on one another,
-and whose values are combined in range order, so gives the same result on
-any number of processes.
+value as its work returned it, in range order: no caller reshapes a value
+for the pipe.  A work whose ranges do not depend on one another, and
+whose values are combined in range order, so gives the same result on any
+number of processes.
 
 A child shares the parent's pages copy-on-write, and pays a fault for each
 page it writes to before it earns anything: hence the fewest units per
@@ -18,8 +19,8 @@ process that each command sets, MIN_SHARE for the jobs of a generation.
 from __future__ import annotations
 
 import gc
-import json
 import os
+import pickle
 import signal
 import sys
 from dataclasses import dataclass
@@ -33,8 +34,8 @@ from .errors import ForkedProcessError, ShoptalkError
 # conversation costs 0.2-1.4 ms.
 MIN_SHARE = 1000
 
-# work(w, jobs, later) -> JSON value: do range ``w``, whose units ``jobs``
-# yields; see run for ``later``
+# work(w, jobs, later) -> any value pickle carries: do range ``w``, whose
+# units ``jobs`` yields; see run for ``later``
 Work = Callable[[int, Iterable[int], Iterator], object]
 
 
@@ -155,11 +156,13 @@ def _child(
         try:
             outcome = {"value": work(w, jobs, iter(()))}
         except ShoptalkError as exc:
+            # by its message: an error with its own __init__, say
+            # MalformedRecordError, does not unpickle
             outcome = {"error": str(exc)}
         except OSError as exc:
             outcome = {"io_error": str(exc)}
-        with open(write_end, "w", encoding="utf-8") as pipe:
-            json.dump(outcome, pipe)
+        with open(write_end, "wb") as pipe:
+            pickle.dump(outcome, pipe)
         code = 0
     except (_Orphaned, BrokenPipeError):
         # the parent is gone, say killed: stop, quietly, and take away what
@@ -176,22 +179,23 @@ def _child(
 
 def _join(children: list[_Child], doing: str, values: list) -> Iterator:
     """Each child's value, in range order, once the child has exited with
-    it; each also goes to ``values``."""
+    it; each also goes to ``values``.  Only the outcome of a child that
+    exited 0 is decoded: it sent the whole of it."""
     for child in children:
         # read to the end before waiting: a value larger than the pipe's
         # buffer blocks the child until it is read
         outcome = child.result.read()
         _, status = os.waitpid(child.pid, 0)
         child.reaped = True
-        outcome = json.loads(outcome) if outcome else {}
-        if "error" in outcome:
-            raise ShoptalkError(outcome["error"])
-        if "io_error" in outcome:
-            raise OSError(outcome["io_error"])
-        if status != 0 or "value" not in outcome:
+        if status != 0:
             raise ForkedProcessError(
                 f"the process {doing} {child.units.start}-{child.units.stop - 1} "
                 f"ended with status {os.waitstatus_to_exitcode(status)}"
             )
+        outcome = pickle.loads(outcome)
+        if "error" in outcome:
+            raise ShoptalkError(outcome["error"])
+        if "io_error" in outcome:
+            raise OSError(outcome["io_error"])
         values.append(outcome["value"])
         yield outcome["value"]

@@ -638,7 +638,9 @@ class TestImportAnnotations:
         ("The BATTERY is good.", "Battery", "BATTERY"),
         ("Its Battery-Life is good.", "battery life", "Battery-Life"),
         ("Batteryless phones need a battery.", "battery", "battery"),
-    ], ids=["inside-a-word", "case-insensitive", "multi-word", "skips-a-longer-word"])
+        ("The battery is good!!!", "!!!", None),
+    ], ids=["inside-a-word", "case-insensitive", "multi-word", "skips-a-longer-word",
+            "feature-of-no-word"])
     def test_feature_matches_whole_words(self, tmp_path, text, feature, surface):
         sentences = sentence_map(make_store([make_review("r1", "p1", text)]))
         path = write_jsonl(tmp_path / "ann.jsonl", [

@@ -1,7 +1,9 @@
 """End-to-end command-line behavior on the bundled sample corpus."""
 
 import builtins
+import contextlib
 import hashlib
+import io
 import json
 import os
 import random
@@ -43,6 +45,22 @@ class TestIngest:
         report = json.loads((out / "ingest_report.json").read_text())
         assert report["products"] >= 30
         assert report["reviews"] >= 300
+
+    def test_repeated_review_id_counted_or_named(self, tmp_path, sample_corpus_paths, capsys):
+        # the sample's reviews and a copy of its first line
+        meta, reviews = sample_corpus_paths
+        lines = reviews.read_text().splitlines(keepends=True)
+        repeated = tmp_path / "reviews.jsonl"
+        repeated.write_text("".join(lines + lines[:1]))
+        args = ["ingest", "--meta", str(meta), "--reviews", str(repeated)]
+        assert main(args + ["--out", str(tmp_path / "lenient")]) == 0
+        report = json.loads((tmp_path / "lenient" / "ingest_report.json").read_text())
+        assert (report["reviews"], report["review_report"]["duplicate_reviews"]) == (
+            len(lines), 1)
+        capsys.readouterr()
+        assert main(args + ["--out", str(tmp_path / "strict"), "--strict"]) == 1
+        assert capsys.readouterr().err == (
+            "error: malformed record at line 321: duplicate review id 'B000000000-r00'\n")
 
     def test_missing_file_names_path(self, tmp_path, capsys):
         code = main(["ingest", "--meta", str(tmp_path / "nope.jsonl"),
@@ -366,9 +384,14 @@ class TestValidateCommand:
 
 
 class TestReaderGone:
-    def test_closed_stdout_ends_quietly(self, tmp_path, snapshot_dir, sample_corpus_paths):
-        """A reader that goes away after one line, as ``| head -1`` does,
-        ends the command with exit status 1 and nothing on stderr."""
+    """A reader that goes away ends the command with exit status 1 and
+    nothing on stderr."""
+
+    @pytest.fixture
+    def sparse_run(self, tmp_path, snapshot_dir, sample_corpus_paths):
+        """A 350-conversation dataset and a snapshot of the sample's first
+        review: nearly every ref is a grounding violation against it, about
+        100 kB to print, beyond a pipe's 64 KiB."""
         meta, reviews = sample_corpus_paths
         first = tmp_path / "first.jsonl"
         first.write_text(reviews.read_text().splitlines(keepends=True)[0])
@@ -378,17 +401,38 @@ class TestReaderGone:
         run = tmp_path / "run"
         assert main(["generate", "--snapshot", str(snapshot_dir), "--out", str(run),
                      "--seed", "1", "--per-template", "25"]) == 0
-        # nearly every ref of 350 conversations is a grounding violation
-        # against one review: about 100 kB to print, beyond a pipe's 64 KiB
+        return run / "dataset.jsonl", sparse
+
+    def test_closed_stdout_ends_quietly(self, sparse_run):
+        """As ``| head -1`` does, after one line."""
+        dataset, sparse = sparse_run
         validate = subprocess.Popen(
             [sys.executable, "-m", "shoptalk.cli", "validate",
-             "--dataset", str(run / "dataset.jsonl"), "--snapshot", str(sparse)],
+             "--dataset", str(dataset), "--snapshot", str(sparse)],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0, env=package_env(),
         )
         assert validate.stdout.readline() == b"conversations checked: 350\n"
         validate.stdout.close()
         assert validate.stderr.read() == b""
         assert validate.wait() == 1
+
+    def test_closed_fifo_with_stdout_of_no_descriptor(self, tmp_path, sparse_run, capsys):
+        """An in-process caller whose stdout is no file, writing --out into
+        a FIFO whose reader leaves after 10 bytes."""
+        dataset, sparse = sparse_run
+        fifo = tmp_path / "violations"
+        os.mkfifo(fifo)
+        reader = subprocess.Popen(["head", "-c", "10", str(fifo)], stdout=subprocess.PIPE)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()) as stdout:
+                code = main(["validate", "--dataset", str(dataset), "--snapshot", str(sparse),
+                             "--out", str(fifo)])
+            assert reader.communicate(timeout=30)[0] == b'{"conversa'
+        finally:
+            reader.kill()
+        assert code == 1
+        assert stdout.getvalue().startswith("conversations checked: 350\n")
+        assert capsys.readouterr().err == ""
 
 
 class TestHelp:
@@ -554,6 +598,8 @@ BAD_GENERATE_INPUTS = {
     "per-template-zero": lambda tmp: (["--per-template", "0"], "per_template"),
     "t-pos-above-one": lambda tmp: (["--t-pos", "2"], "t_pos"),
     "retry-budget-zero": lambda tmp: (["--retry-budget", "0"], "retry_budget"),
+    "top-k-zero": lambda tmp: (["--top-k", "0"], "top_k"),
+    "p-skip-above-one": lambda tmp: (["--p-skip", "1.5"], "p_skip"),
     "min-opinions-negative": lambda tmp: (["--min-opinions", "-3"], "min_opinions"),
     "templates-not-a-list": lambda tmp: (
         ["--templates", _write(tmp / "t.json", '{"id": 1, "pairs": ["RequestInform"]}')],

@@ -140,6 +140,26 @@ class TestReadDatasetTypes:
             list(read_dataset(path))
         assert exc_info.value.line_no == 2
 
+    @pytest.mark.parametrize("edit, reason", [
+        (lambda record: record["product_trajectory"].append(7),
+         "product_trajectory must be a list of strings"),
+        (lambda record: record["alternatives"]["members"].append(None),
+         "members must be a list of strings"),
+        (lambda record: record["pair_trace"][0].update(kind=7),
+         "pair_trace kind must be a string"),
+    ], ids=["trajectory-number", "member-null", "trace-kind-number"])
+    def test_non_string_rejected_with_line_number(self, tmp_path, generated, edit, reason):
+        conversations, _ = generated
+        record = copy.deepcopy(conversation_record(conversations[1]))
+        edit(record)
+        path = tmp_path / "typed.jsonl"
+        write_dataset(conversations[:1], path)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(record) + "\n")
+        with pytest.raises(SchemaViolationError) as exc_info:
+            list(read_dataset(path))
+        assert str(exc_info.value) == f"schema violation at line 2: {reason}"
+
 
 def _objects(value):
     """Every JSON object in ``value``, itself included."""

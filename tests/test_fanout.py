@@ -5,6 +5,7 @@ command the way a one-process run fails, leaving no file and no process."""
 import errno
 import json
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -93,6 +94,20 @@ class TestSplit:
         assert [job for r in ranges for job in r] == list(range(total))
 
 
+class TestValues:
+    def test_value_comes_back_as_returned(self):
+        # dicts keyed by tuples and holding tuples, which JSON cannot
+        # carry; range 1's value does not fit in the pipe's buffer
+        def work(w, jobs, later):
+            return {(w, job): (f"sentence {job} " * 8, job) for job in jobs}
+
+        ranges = [range(0, 10), range(10, 2010), range(2010, 2020)]
+        values = fanout.run(ranges, work, "testing jobs")
+        assert values == [work(w, jobs, iter(())) for w, jobs in enumerate(ranges)]
+        assert len(pickle.dumps(values[1])) > PIPE_BUFFER
+        assert_no_child_left()
+
+
 class TestByteIdentity:
     # 28 processes at most with 140 jobs and 5 per process
     @pytest.mark.parametrize("cpus", [2, 3, 50])
@@ -115,7 +130,8 @@ class TestByteIdentity:
         assert outputs(tmp_path / "many") == outputs(tmp_path / "one")
 
         # some template exhausts in more than one range, and some child's
-        # report does not fit in the pipe's buffer
+        # exhausted entries would not fit in the pipe's buffer as JSON
+        # (a child's pickled report is at most 29.5 kB; TestValues sends more)
         report = json.loads((tmp_path / "one" / "report.json").read_text())
         monkeypatch.setattr(fanout, "available_cpus", lambda: cpus)
         monkeypatch.setattr(fanout, "MIN_SHARE", 100)

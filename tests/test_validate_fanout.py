@@ -254,6 +254,36 @@ class TestErrors:
             "ended with status 1")
         assert_no_child_left()
 
+    def test_death_mid_send_is_named_not_decoded(
+        self, tmp_path, sample_run, monkeypatch, capsys
+    ):
+        # the child sends half its outcome and exits 9: what reached the
+        # pipe is not decoded
+        snapshot, lines = sample_run
+        content = b"".join(forged(lines))
+        dataset = tmp_path / "dataset.jsonl"
+        dataset.write_bytes(content)
+        parent, dump = os.getpid(), fanout.pickle.dump
+
+        def die_mid_send(outcome, pipe):
+            if os.getpid() == parent:
+                return dump(outcome, pipe)
+            sent = fanout.pickle.dumps(outcome)
+            pipe.write(sent[:len(sent) // 2])
+            pipe.flush()
+            os._exit(9)
+
+        monkeypatch.setattr(fanout.pickle, "dump", die_mid_send)
+        with monkeypatch.context() as patch:
+            patch.setattr(fanout, "available_cpus", lambda: 2)
+            last = fanout.split(len(content), 1)[-1]
+        code, out, err, report = validate(monkeypatch, capsys, dataset, snapshot,
+                                          tmp_path / "violations.jsonl", 2, 1)
+        assert (code, out, report) == (1, "", None)
+        assert err == (f"error: the process validating bytes {last.start}-{last.stop - 1} "
+                       "ended with status 9\n")
+        assert_no_child_left()
+
 
 # Validate on two processes, whatever the CPU count, the child slowed so
 # that it is still at work when the parent is killed: the arguments of
