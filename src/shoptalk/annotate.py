@@ -59,15 +59,18 @@ _ASCII_WORDS = str.maketrans(
 # A maximal run of sentence marks followed by a space or the end of text.
 _SENTENCE_END = re.compile(r"[.!?]+(?= |\Z)")
 
+# The lexicon scorer's reach, in words: each side of a feature phrase, and
+# before a sentiment word for a negator there to flip it
+WINDOW = 6
+NEGATION_LOOKBACK = 3
+
 
 @dataclass(frozen=True)
 class PolarityConfig:
-    """Thresholds and window sizes for the lexicon scorer."""
+    """Label thresholds for polarity scores."""
 
     t_pos: float = 0.1
     t_neg: float = -0.1
-    window: int = 6
-    negation_lookback: int = 3
 
     def __post_init__(self):
         if not -1.0 <= self.t_neg <= self.t_pos <= 1.0:
@@ -75,8 +78,6 @@ class PolarityConfig:
                 "thresholds must satisfy -1 <= t_neg <= t_pos <= 1, "
                 f"got t_neg={self.t_neg}, t_pos={self.t_pos}"
             )
-        if self.window < 1 or self.negation_lookback < 0:
-            raise InvalidConfigError("window must be >= 1, negation_lookback >= 0")
 
     def label(self, score: float) -> str:
         if score >= self.t_pos:
@@ -235,7 +236,6 @@ def extract_opinions(
     lowered, words = _words(text)
     roles = lexicons.roles
     intensifiers = lexicons.intensifiers
-    lookback = config.negation_lookback
     features = []  # (first word, last word, canonical)
     weights = []  # (word, effective sentiment weight)
     resume = 0
@@ -249,7 +249,7 @@ def extract_opinions(
             while p >= 0 and words[p] in intensifiers:
                 weight *= intensifiers[words[p]]
                 p -= 1
-            if not lexicons.negators.isdisjoint(words[max(0, i - lookback) : i]):
+            if not lexicons.negators.isdisjoint(words[max(0, i - NEGATION_LOOKBACK) : i]):
                 weight = -weight
             weights.append((i, weight))
         if longest and i >= resume:
@@ -261,10 +261,9 @@ def extract_opinions(
                     features.append((i, i + n - 1, canonical))
                     resume = i + n
                     break
-    window = config.window
     spans = []
     for first, last, canonical in features:
-        lo, hi = first - window, last + window
+        lo, hi = first - WINDOW, last + WINDOW
         total = 0.0
         for t, weight in weights:
             if lo <= t < first or last < t <= hi:

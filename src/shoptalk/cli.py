@@ -8,7 +8,6 @@ equal inputs and seed.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import os
 import sys
@@ -268,12 +267,13 @@ def main(argv=None) -> int:
     except ShoptalkError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except BrokenPipeError:  # the reader went away: end quietly
-        with contextlib.suppress(ValueError):  # io.UnsupportedOperation: no descriptor
-            stdout = sys.stdout.fileno()
-            with open(os.devnull, "wb") as devnull:  # what is left flushes there at exit
-                os.dup2(devnull.fileno(), stdout)
+    except BrokenPipeError:  # stdout's reader went away: end quietly
+        with open(os.devnull, "wb") as devnull:  # what is left flushes there at exit
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
         return 1
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 1

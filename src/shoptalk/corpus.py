@@ -76,8 +76,6 @@ class Product:
     also_viewed: tuple[str, ...] = ()
 
     def searchable_value(self, feature: str) -> Optional[str]:
-        if feature not in SEARCHABLE_FEATURES:
-            raise KeyError(f"not a searchable feature: {feature!r}")
         return getattr(self, feature)
 
 
@@ -133,8 +131,6 @@ class ProductCatalog:
     def matching(self, feature: str, value: str) -> frozenset[str]:
         """Ids of the products whose ``feature`` equals ``value`` under
         ``str.lower()``; a product lacking the field matches nothing."""
-        if feature not in SEARCHABLE_FEATURES:
-            raise KeyError(f"not a searchable feature: {feature!r}")
         if self._search_index is None:
             self._search_index = self._build_search_index()
         return self._search_index.get((feature, value.lower()), frozenset())

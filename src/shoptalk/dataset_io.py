@@ -4,9 +4,10 @@ One conversation per line (``dataset.jsonl``); ``schema_version`` must be
 the JSON integer 1.  The validator trusts nothing from the generator:
 substring and polarity checks are recomputed against a world freshly
 derived from the ingested corpus, through the World.cover that derives
-``generate``'s world.  It reads the dataset once and covers each product
-when a conversation first names it, so its cost follows the products the
-dataset names, not the corpus size.
+``generate``'s world.  It reads the dataset once and, before a
+conversation's checks, covers the products of its refs' known reviews, the
+only products whose derivation a check reads (see _named_products), so its
+cost follows the reviews the dataset cites, not the corpus size.
 
 Each rule is a generator of its (rule, detail) violations.  Grounding and
 polarity share one walk that resolves each ref once: a ref that does not
@@ -316,15 +317,11 @@ def validate(
 
 
 def _named_products(conversation: Conversation, store: ReviewStore) -> Iterator[str]:
-    """Every product a conversation names: its seed, its trajectory, each
-    turn's product and the product of each grounding ref's review, so that
-    a ref forged into a review of an otherwise unnamed product is checked
-    against that product's sentences."""
-    yield conversation.alternatives.seed_product
-    yield from conversation.product_trajectory
+    """The product of each grounding ref's known review.  No check reads
+    another product's derivation: a turn product's index entries hold
+    spans of its own reviews only, so a ref into another product's review
+    fails the polarity lookup whether that product is covered or not."""
     for turn in conversation.evaluation_turns:
-        if turn.product_id is not None:
-            yield turn.product_id
         for ref in turn.grounding:
             review = store.get(ref.review_id)
             if review is not None:
@@ -374,7 +371,6 @@ def _check_refs(conversation: Conversation, world: World) -> Iterator[tuple[str,
             continue
         if not turn.grounding:
             yield RULE_GROUNDING, f"turn {i}: opinion turn lacks grounding"
-            continue
         for ref in turn.grounding:
             if ref.feature != turn.feature:
                 yield RULE_GROUNDING, (
@@ -384,7 +380,7 @@ def _check_refs(conversation: Conversation, world: World) -> Iterator[tuple[str,
             if world.store.get(ref.review_id) is None:
                 yield RULE_GROUNDING, f"turn {i}: unknown review {ref.review_id}"
                 continue
-            review_sentences = world.sentences.get(ref.review_id, ())
+            review_sentences = world.sentences[ref.review_id]
             if not 0 <= ref.sentence_ordinal < len(review_sentences):
                 yield RULE_GROUNDING, (
                     f"turn {i}: sentence ordinal {ref.sentence_ordinal} out of range"

@@ -118,10 +118,14 @@ def replacing(path):
     ``path`` only once the block ends; if the block fails, the partial file
     is removed and ``path`` is left as it was, so no reader ever meets a
     half-written file.  A symbolic link stays and the file it leads to is
-    replaced; a FIFO or a device (``/dev/stdout``, say) is written to."""
+    replaced; a FIFO or a device (``/dev/stdout``, say) is written to, and
+    its reader going away is an OSError that names ``path``."""
     if os.path.exists(path) and not os.path.isfile(path):
-        with open(path, "w", encoding="utf-8") as fh:
-            yield fh
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                yield fh
+        except BrokenPipeError:
+            raise OSError(f"the reader of {str(path)!r} went away") from None
         return
     path = Path(os.path.realpath(path))
     partial = partial_path(path)

@@ -164,9 +164,9 @@ def _child(
         with open(write_end, "wb") as pipe:
             pickle.dump(outcome, pipe)
         code = 0
-    except (_Orphaned, BrokenPipeError):
-        # the parent is gone, say killed: stop, quietly, and take away what
-        # no one will use
+    except (_Orphaned, BrokenPipeError, KeyboardInterrupt):
+        # the parent is gone, say killed, or the whole process group was
+        # interrupted: stop, quietly, and take away what no one will use
         discard(w)
     except BaseException:
         # unreported, what the work left is used by no one

@@ -346,16 +346,9 @@ def _turn(kind, speaker, product_id, feature, span, phrasebank, rng, catalog, se
     sentence, which the turn's one grounding ref points to."""
     template = rng.choice(phrasebank.variants(kind, speaker))
     product = catalog.get(product_id)
-    if product is None:
-        raise UnboundSlotError(f"product {product_id!r} not in catalog")
     opinion, grounding = "", ()
     if span is not None:
-        review_sentences = sentences.get(span.review_id)
-        if review_sentences is None or not 0 <= span.sentence_ordinal < len(review_sentences):
-            raise UnboundSlotError(
-                f"span references missing sentence {span.review_id}#{span.sentence_ordinal}"
-            )
-        opinion = review_sentences[span.sentence_ordinal]
+        opinion = sentences[span.review_id][span.sentence_ordinal]
         grounding = (GroundingRef(span.review_id, span.sentence_ordinal, span.feature_canonical,
                                   span.polarity_score, span.polarity_label),)
     elif kind.label(speaker) is not None:  # a grounded turn: its templates embed {opinion}

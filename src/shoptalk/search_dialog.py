@@ -137,8 +137,6 @@ def generate_search_dialog(
     customer answers with the seed's value or skips with probability
     ``p_skip``.  The seed is always a member of the result."""
     seed = catalog.get(seed_product)
-    if seed is None:
-        raise KeyError(f"unknown seed product {seed_product!r}")
     turns: list[Turn] = []
     chosen: dict[str, Optional[str]] = {}
     for feature in SEARCHABLE_FEATURES:

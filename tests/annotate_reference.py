@@ -13,7 +13,9 @@ import re
 
 from shoptalk.annotate import (
     ABBREVIATIONS,
+    NEGATION_LOOKBACK,
     NEUTRAL,
+    WINDOW,
     Lexicons,
     OpinionSpan,
     PolarityConfig,
@@ -93,9 +95,9 @@ def _find_features(tokens, lexicons: Lexicons) -> list[tuple[int, int, str]]:
     return matches
 
 
-def _score_window(tokens, first, last, lexicons: Lexicons, config: PolarityConfig) -> float:
-    lo = max(0, first - config.window)
-    hi = min(len(tokens) - 1, last + config.window)
+def _score_window(tokens, first, last, lexicons: Lexicons) -> float:
+    lo = max(0, first - WINDOW)
+    hi = min(len(tokens) - 1, last + WINDOW)
     total = 0.0
     for t in range(lo, hi + 1):
         if first <= t <= last:
@@ -108,7 +110,7 @@ def _score_window(tokens, first, last, lexicons: Lexicons, config: PolarityConfi
         while p >= 0 and tokens[p][0] in lexicons.intensifiers:
             weight *= lexicons.intensifiers[tokens[p][0]]
             p -= 1
-        lookback = range(max(0, t - config.negation_lookback), t)
+        lookback = range(max(0, t - NEGATION_LOOKBACK), t)
         if any(tokens[q][0] in lexicons.negators for q in lookback):
             weight = -weight
         total += weight
@@ -126,7 +128,7 @@ def extract_opinions(
     spans = []
     for first, last, canonical in _find_features(tokens, lexicons):
         surface = text[tokens[first][1] : tokens[last][2]]
-        score = round(_score_window(tokens, first, last, lexicons, config), 6)
+        score = round(_score_window(tokens, first, last, lexicons), 6)
         spans.append(
             OpinionSpan(
                 review_id=review_id,

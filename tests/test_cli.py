@@ -7,10 +7,12 @@ import io
 import json
 import os
 import random
+import signal
 import stat
 import subprocess
 import sys
 import threading
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -384,8 +386,9 @@ class TestValidateCommand:
 
 
 class TestReaderGone:
-    """A reader that goes away ends the command with exit status 1 and
-    nothing on stderr."""
+    """A reader of stdout that goes away ends the command with exit status
+    1 and nothing on stderr; a reader of an ``--out`` FIFO that goes away
+    is an ``io error:`` line that names the FIFO, and stdout stays whole."""
 
     @pytest.fixture
     def sparse_run(self, tmp_path, snapshot_dir, sample_corpus_paths):
@@ -420,19 +423,108 @@ class TestReaderGone:
         """An in-process caller whose stdout is no file, writing --out into
         a FIFO whose reader leaves after 10 bytes."""
         dataset, sparse = sparse_run
+        argv = ["validate", "--dataset", str(dataset), "--snapshot", str(sparse), "--out"]
+        with contextlib.redirect_stdout(io.StringIO()) as whole:
+            assert main([*argv, str(tmp_path / "violations.jsonl")]) == 1
         fifo = tmp_path / "violations"
         os.mkfifo(fifo)
         reader = subprocess.Popen(["head", "-c", "10", str(fifo)], stdout=subprocess.PIPE)
         try:
             with contextlib.redirect_stdout(io.StringIO()) as stdout:
-                code = main(["validate", "--dataset", str(dataset), "--snapshot", str(sparse),
-                             "--out", str(fifo)])
+                code = main([*argv, str(fifo)])
             assert reader.communicate(timeout=30)[0] == b'{"conversa'
         finally:
             reader.kill()
         assert code == 1
-        assert stdout.getvalue().startswith("conversations checked: 350\n")
-        assert capsys.readouterr().err == ""
+        assert stdout.getvalue() == whole.getvalue()
+        assert capsys.readouterr().err == f"io error: the reader of {str(fifo)!r} went away\n"
+
+
+class TestInterrupted:
+    """Ctrl-C, sent to the command's process group (as a terminal does) or
+    to the command alone, ends it with exit status 130, one line on stderr
+    and no file left in its out directory."""
+
+    @staticmethod
+    def _interrupt(argv, ready, target, then=lambda: None):
+        """Start the command, wait for ``ready()`` to hold, send SIGINT to
+        ``target`` and call ``then()``; the exit status, stdout and
+        stderr."""
+        command = subprocess.Popen(
+            [sys.executable, "-m", "shoptalk.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=package_env(),
+            start_new_session=True,
+        )
+        try:
+            deadline = time.monotonic() + 60
+            while not ready():
+                assert command.poll() is None, command.communicate()
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            if target == "group":
+                os.killpg(command.pid, signal.SIGINT)
+            else:
+                os.kill(command.pid, signal.SIGINT)
+            then()
+            out, err = command.communicate(timeout=60)
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(command.pid, signal.SIGKILL)
+            command.wait()
+        return command.returncode, out, err
+
+    @pytest.mark.parametrize("target", ["group", "command"])
+    def test_generate(self, tmp_path, snapshot_dir, target):
+        """Mid-generation, with 14,000 jobs: on two CPUs or more, range 0
+        writes the dataset while a child writes its part file."""
+        run = tmp_path / "run"
+        code, out, err = self._interrupt(
+            ["generate", "--snapshot", str(snapshot_dir), "--out", str(run),
+             "--seed", "1", "--per-template", "1000"],
+            (run / "dataset.jsonl.partial").exists, target,
+        )
+        assert (code, out, err) == (130, b"", b"interrupted\n")
+        assert list(run.iterdir()) == []
+
+    @pytest.mark.parametrize("target", ["group", "command"])
+    def test_validate(self, tmp_path, snapshot_dir, target):
+        """While it reads a dataset from a FIFO.  A signal that arrives just
+        before a read blocks is acted on once the read returns: here, at
+        the end of the file, which comes right after the signal."""
+        run = tmp_path / "run"
+        assert main(["generate", "--snapshot", str(snapshot_dir), "--out", str(run),
+                     "--seed", "1", "--per-template", "1"]) == 0
+        head = b"".join((run / "dataset.jsonl").read_bytes().splitlines(keepends=True)[:2])
+        fifo = tmp_path / "dataset.jsonl"
+        os.mkfifo(fifo)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        writer = []
+
+        def reading():
+            """Whether validate has opened the FIFO: then it has its first
+            two lines."""
+            try:
+                writer.append(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            except OSError:  # ENXIO: no reader yet
+                return False
+            os.write(writer[0], head)
+            return True
+
+        def end():
+            while writer:
+                os.close(writer.pop())
+
+        try:
+            code, out, err = self._interrupt(
+                ["validate", "--dataset", str(fifo), "--snapshot", str(snapshot_dir),
+                 "--out", str(out_dir / "violations.jsonl")],
+                reading, target, end,
+            )
+        finally:
+            end()
+        assert (code, out, err) == (130, b"", b"interrupted\n")
+        assert list(out_dir.iterdir()) == []
 
 
 class TestHelp:

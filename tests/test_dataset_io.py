@@ -551,6 +551,19 @@ class TestValidate:
         report = validate(path, linked)
         assert [v[:2] for v in report.violations] == [("t01-n01", "product_pool")] * 2
 
+    def test_mutation_missing_product_id_flags_pool_only(self, tmp_path, world, generated):
+        conversations, _ = generated
+
+        def forget(record):
+            assert record["pair_trace"][0]["kind"] == "RequestInform"
+            _evaluation_turns(record)[0]["product_id"] = None
+
+        path = mutate_dataset(tmp_path, conversations, forget)
+        report = validate(path, world)
+        assert [v[1:] for v in report.violations] == [
+            ("product_pool", "turn 0: missing product id")
+        ]
+
     def test_mutation_turn_feature_flags_grounding_only(self, tmp_path, world, generated):
         conversations, _ = generated
 
@@ -682,6 +695,34 @@ class TestScopedValidation:
         path = self._one_conversation(tmp_path, generated, retarget)
         violations = self._validate_both(path, world)
         assert {"product_pool", "polarity"} <= {v[1] for v in violations}
+
+    @pytest.mark.parametrize("where", ["seed", "trajectory", "neutral turn"])
+    def test_product_no_ref_names(self, tmp_path, world, generated, where):
+        """A lazy world covers only the products of the refs' reviews: a
+        seed, trajectory or neutral turn's product forged to a product the
+        conversation does not name leaves that product uncovered."""
+        conversation = generated[0][0]
+        named = {conversation.alternatives.seed_product, *conversation.product_trajectory}
+        for turn in conversation.evaluation_turns:
+            named.add(turn.product_id)
+            named.update(world.store.get(ref.review_id).product_id for ref in turn.grounding)
+        other = next(r.product_id for r in world.store if r.product_id not in named)
+
+        def forge(record):
+            if where == "seed":  # and the trajectory's start, which must equal it
+                alternatives = record["alternatives"]
+                alternatives["seed_product"] = record["product_trajectory"][0] = other
+                alternatives["members"] = sorted({*alternatives["members"], other})
+            elif where == "trajectory":
+                record["product_trajectory"].append(other)
+            else:
+                neutral = _evaluation_turns(record)[0]
+                assert (neutral["act"], neutral["grounding"]) == ("request_inform", [])
+                neutral["product_id"] = other
+
+        path = self._one_conversation(tmp_path, generated, forge)
+        violations = self._validate_both(path, world)
+        assert {v[1] for v in violations} == {"product_pool"}
 
     def test_unknown_review(self, tmp_path, world, generated):
         def dangle(record):

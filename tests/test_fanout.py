@@ -203,6 +203,19 @@ class TestChildFailure:
         assert list(out.iterdir()) == []
         assert_no_child_left()
 
+    def test_interrupted_child_ends_quietly(self, tmp_path, snapshot_dir, monkeypatch, capfd):
+        """A Ctrl-C reaches every process of the group; here it reaches one
+        child alone, so no parent kills it first: it removes its part file
+        and prints nothing."""
+        failing(monkeypatch, "t14-n05", KeyboardInterrupt())
+        out = tmp_path / "run"
+        assert generate(monkeypatch, out, sample_args(snapshot_dir), cpus=3, min_share=5) == 1
+        assert capfd.readouterr().err == (
+            "error: the process generating jobs 93-139 ended with status 1\n"
+        )
+        assert list(out.iterdir()) == []
+        assert_no_child_left()
+
     def test_failure_in_parent_kills_the_children(
         self, tmp_path, snapshot_dir, monkeypatch, capsys
     ):
