@@ -10,16 +10,17 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import sys
+import tempfile
+from contextlib import ExitStack
 from dataclasses import asdict, fields
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from . import annotate, assembly, dataset_io, fanout
 from .corpus import ingest_metadata, ingest_reviews, write_catalog, write_reviews
-from .errors import (
-    InvalidConfigError, ShoptalkError, parse_json, partial_path, read_text, replacing,
-)
+from .errors import InvalidConfigError, ShoptalkError, parse_json, read_text, replacing
 from .negotiation import default_phrasebank, load_phrasebank
 from .world import World, build_world
 
@@ -133,24 +134,26 @@ def cmd_generate(args: argparse.Namespace) -> int:
     )
     total = len(templates) * settings.per_template
     ranges = fanout.split(total)
-    # range 0 writes the dataset; each other range writes a part file that
-    # range 0 appends once the range is done
-    parts = [out / "dataset.jsonl"]
-    parts += [out / f"dataset.jsonl.part{w}" for w in range(1, len(ranges))]
 
-    def generate(w: int, jobs: Iterable[int], later: Iterator) -> assembly.GenerationReport:
-        conversations, report = assembly.generate_dataset(
-            templates, args.seed, world, phrasebank=phrasebank, settings=settings,
-            jobs=jobs,
-        )
-        dataset_io.write_dataset(conversations, parts[w], (parts[v] for v, _ in enumerate(later, 1)))
-        return report
+    with replacing(out / "dataset.jsonl") as fh, ExitStack() as files:
+        # range 0 writes the dataset; each other range writes an unnamed
+        # file, which no process can leave behind however it ends, appended
+        # to the dataset in range order once every range is done
+        parts = [fh] + [
+            files.enter_context(tempfile.TemporaryFile("w+", encoding="utf-8", dir=out))
+            for _ in ranges[1:]
+        ]
 
-    def discard(w: int) -> None:
-        parts[w].unlink(missing_ok=True)
-        partial_path(parts[w]).unlink(missing_ok=True)
+        def generate(w: int, jobs: Iterable[int]) -> assembly.GenerationReport:
+            conversations, report = assembly.generate_dataset(
+                templates, args.seed, world, phrasebank=phrasebank, settings=settings,
+                jobs=jobs,
+            )
+            dataset_io.write_dataset(conversations, parts[w])
+            return report
 
-    report, *others = fanout.run(ranges, generate, "generating jobs", discard)
+        report, *others = fanout.run(ranges, generate, "generating jobs")
+        dataset_io.append_files(fh, parts[1:])
     for other in others:
         report.add(other)
     run_report = report.to_record()
@@ -180,7 +183,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     # end, wherever that is (a pipe's size reads 0)
     spans = fanout.split(os.path.getsize(args.dataset), dataset_io.MIN_RANGE_BYTES)
 
-    def check(w: int, jobs: Iterable[int], later: Iterator) -> dataset_io.ValidationReport:
+    def check(w: int, jobs: Iterable[int]) -> dataset_io.ValidationReport:
         stop = spans[w].stop if w < len(spans) - 1 else None
         return dataset_io.validate(args.dataset, world, templates, spans[w].start, stop)
 
@@ -257,9 +260,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _terminated(signum, frame):
+    raise SystemExit(128 + signal.SIGTERM)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # SIGTERM (as timeout and kill send it) unwinds the command, so that
+    # what it leaves is removed as on any failure
+    previous = signal.signal(signal.SIGTERM, _terminated)
     try:
         code = args.func(args)
         sys.stdout.flush()  # so that a reader gone is seen here, not at exit
@@ -277,6 +287,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

@@ -22,11 +22,11 @@ from dataclasses import dataclass, field
 from itertools import chain
 from json.encoder import encode_basestring as _string
 from pathlib import Path
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, TextIO
 
 from .assembly import Conversation, ConversationTemplate, builtin_templates
 from .corpus import ProductCatalog, ReviewStore
-from .errors import SchemaViolationError, lines_before, parse_json, read_lines, replacing
+from .errors import SchemaViolationError, lines_before, parse_json, read_lines
 from .negotiation import PairKind
 from .search_dialog import AlternativesSet, ProductPool
 from .turns import ASSISTANT, CUSTOMER, SEARCH_ACTS, GroundingRef, Turn
@@ -44,23 +44,23 @@ RULE_ALTERNATION = "alternation"
 _KIND_BY_ACT = {kind.act: kind for kind in PairKind}
 
 
-def write_dataset(
-    conversations: Iterable[Conversation], path: str | Path, parts: Iterable[Path] = (),
-) -> None:
-    """Write one conversation per line, each as soon as ``conversations``
-    yields it; key order is canonical so equal datasets are byte-identical.
-    Each file ``parts`` yields after that is appended whole.  The file
-    replaces ``path`` only once the last line is written (see
-    errors.replacing), so a run that fails leaves no truncated dataset."""
-    # replacing opens the file for writing, not appending: sendfile cannot
-    # write to a file opened for appending
-    with replacing(path) as fh:
-        for conversation in conversations:
-            fh.write(_conversation_line(conversation))
-        fh.flush()
-        for part in parts:
-            with open(part, "rb") as src:
-                _append(src.fileno(), fh.fileno(), os.fstat(src.fileno()).st_size)
+def write_dataset(conversations: Iterable[Conversation], fh: TextIO) -> None:
+    """Write one conversation per line to the text file ``fh``, each as soon
+    as ``conversations`` yields it, then flush: a forked process leaves
+    through os._exit, which flushes nothing.  Key order is canonical so
+    equal datasets are byte-identical."""
+    for conversation in conversations:
+        fh.write(_conversation_line(conversation))
+    fh.flush()
+
+
+def append_files(fh: TextIO, files: Iterable[TextIO]) -> None:
+    """Append each of ``files`` whole, in order, after what ``fh`` holds.
+    ``fh`` must not be open for appending: sendfile cannot write to such a
+    file."""
+    fh.flush()
+    for part in files:
+        _append(part.fileno(), fh.fileno(), os.fstat(part.fileno()).st_size)
 
 
 def _append(src: int, dst: int, size: int) -> None:

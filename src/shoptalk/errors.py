@@ -106,20 +106,16 @@ def lines_before(path, start: int) -> int:
         return count + fh.readline().endswith(b"\n")
 
 
-def partial_path(path: Path) -> Path:
-    """Where a file is written until it is complete (see replacing)."""
-    return path.with_name(path.name + ".partial")
-
-
 @contextmanager
 def replacing(path):
     """A UTF-8 text file open for writing in place of ``path``.  The text
-    goes to a partial file beside it (see partial_path) that replaces
-    ``path`` only once the block ends; if the block fails, the partial file
-    is removed and ``path`` is left as it was, so no reader ever meets a
-    half-written file.  A symbolic link stays and the file it leads to is
-    replaced; a FIFO or a device (``/dev/stdout``, say) is written to, and
-    its reader going away is an OSError that names ``path``."""
+    goes to a partial file beside it, ``path`` with ``.partial`` added,
+    that replaces ``path`` only once the block ends; if the block fails,
+    the partial file is removed and ``path`` is left as it was, so no
+    reader ever meets a half-written file.  A symbolic link stays and the
+    file it leads to is replaced; a FIFO or a device (``/dev/stdout``, say)
+    is written to, and its reader going away is an OSError that names
+    ``path``."""
     if os.path.exists(path) and not os.path.isfile(path):
         try:
             with open(path, "w", encoding="utf-8") as fh:
@@ -128,7 +124,7 @@ def replacing(path):
             raise OSError(f"the reader of {str(path)!r} went away") from None
         return
     path = Path(os.path.realpath(path))
-    partial = partial_path(path)
+    partial = path.with_name(path.name + ".partial")
     try:
         with open(partial, "w", encoding="utf-8") as fh:
             yield fh

@@ -34,15 +34,14 @@ from .errors import ForkedProcessError, ShoptalkError
 # conversation costs 0.2-1.4 ms.
 MIN_SHARE = 1000
 
-# work(w, jobs, later) -> any value pickle carries: do range ``w``, whose
-# units ``jobs`` yields; see run for ``later``
-Work = Callable[[int, Iterable[int], Iterator], object]
+# work(w, jobs) -> any value pickle carries: do range ``w``, whose units
+# ``jobs`` yields
+Work = Callable[[int, Iterable[int]], object]
 
 
 @dataclass
 class _Child:
     pid: int
-    w: int
     units: range
     result: BinaryIO  # read end of the pipe the child sends its outcome on
     reaped: bool = False
@@ -63,25 +62,17 @@ def split(total: int, min_share: Optional[int] = None) -> list[range]:
     return [range(total * w // n, total * (w + 1) // n) for w in range(n)]
 
 
-def run(
-    ranges: list[range], work: Work, doing: str,
-    discard: Callable[[int], None] = lambda w: None,
-) -> list:
+def run(ranges: list[range], work: Work, doing: str) -> list:
     """The value of ``work`` for each of ``ranges``, in range order: range
-    0 runs here and each other range in a forked child.  Here ``later``
-    yields the other ranges' values one at a time, in range order, each
-    once its child has exited, so range 0's work can take them as they
-    come; those it does not take are read once it returns.  In a child
-    ``later`` yields nothing, and ``jobs`` stops the child, quietly, once
-    its parent is gone.
+    0 runs here and each other range in a forked child, whose ``jobs``
+    stops it, quietly, once its parent is gone.
 
     A child's ShoptalkError or OSError is raised here as a ShoptalkError or
     an OSError with the same message, so the command prints the line a
     one-process run prints; any other failure of a child raises
     ForkedProcessError, naming the range as "the process ``doing`` first-
-    last".  No child outlives this call: once each has exited, and in a
-    child that cannot send its value, ``discard(w)`` removes what the work
-    of range ``w`` left behind."""
+    last".  No child outlives this call.  A child leaves through os._exit,
+    which flushes no file: a work that writes one flushes it itself."""
     children: list[_Child] = []
     try:
         if len(ranges) > 1:
@@ -90,22 +81,16 @@ def run(
             gc.freeze()
             try:
                 for w in range(1, len(ranges)):
-                    children.append(_fork(w, ranges[w], work, discard, children))
+                    children.append(_fork(w, ranges[w], work, children))
             finally:
                 gc.unfreeze()
-        values: list = []
-        later = _join(children, doing, values)
-        first = work(0, ranges[0], later)
-        for _ in later:
-            pass
-        return [first, *values]
+        return [work(0, ranges[0]), *(_join(child, doing) for child in children)]
     finally:
         for child in children:
             child.result.close()
             if not child.reaped:
                 os.kill(child.pid, signal.SIGKILL)
                 os.waitpid(child.pid, 0)
-            discard(child.w)
 
 
 class _Orphaned(Exception):
@@ -122,26 +107,24 @@ def _while_parent(jobs: range, parent: int) -> Iterator[int]:
         yield job
 
 
-def _fork(
-    w: int, units: range, work: Work, discard: Callable[[int], None], earlier: list[_Child]
-) -> _Child:
+def _fork(w: int, units: range, work: Work, earlier: list[_Child]) -> _Child:
     parent = os.getpid()
     read_end, write_end = os.pipe()
     try:
         pid = os.fork()
         if pid == 0:
-            _child(w, _while_parent(units, parent), work, discard, read_end, write_end, earlier)
+            _child(w, _while_parent(units, parent), work, read_end, write_end, earlier)
     except OSError:
         os.close(read_end)
         raise
     finally:
         os.close(write_end)
-    return _Child(pid, w, units, os.fdopen(read_end, "rb"))
+    return _Child(pid, units, os.fdopen(read_end, "rb"))
 
 
 def _child(
-    w: int, jobs: Iterable[int], work: Work, discard: Callable[[int], None],
-    read_end: int, write_end: int, earlier: list[_Child],
+    w: int, jobs: Iterable[int], work: Work, read_end: int, write_end: int,
+    earlier: list[_Child],
 ) -> None:
     """The whole life of a child: run range ``w``, send the outcome, exit.
     Never returns."""
@@ -154,7 +137,7 @@ def _child(
         for child in earlier:
             child.result.close()
         try:
-            outcome = {"value": work(w, jobs, iter(()))}
+            outcome = {"value": work(w, jobs)}
         except ShoptalkError as exc:
             # by its message: an error with its own __init__, say
             # MalformedRecordError, does not unpickle
@@ -164,38 +147,33 @@ def _child(
         with open(write_end, "wb") as pipe:
             pickle.dump(outcome, pipe)
         code = 0
-    except (_Orphaned, BrokenPipeError, KeyboardInterrupt):
+    except (_Orphaned, BrokenPipeError, KeyboardInterrupt, SystemExit):
         # the parent is gone, say killed, or the whole process group was
-        # interrupted: stop, quietly, and take away what no one will use
-        discard(w)
+        # interrupted or terminated: stop, quietly
+        pass
     except BaseException:
-        # unreported, what the work left is used by no one
-        discard(w)
         sys.excepthook(*sys.exc_info())  # prints the traceback
         sys.stderr.flush()
     finally:
         os._exit(code)
 
 
-def _join(children: list[_Child], doing: str, values: list) -> Iterator:
-    """Each child's value, in range order, once the child has exited with
-    it; each also goes to ``values``.  Only the outcome of a child that
-    exited 0 is decoded: it sent the whole of it."""
-    for child in children:
-        # read to the end before waiting: a value larger than the pipe's
-        # buffer blocks the child until it is read
-        outcome = child.result.read()
-        _, status = os.waitpid(child.pid, 0)
-        child.reaped = True
-        if status != 0:
-            raise ForkedProcessError(
-                f"the process {doing} {child.units.start}-{child.units.stop - 1} "
-                f"ended with status {os.waitstatus_to_exitcode(status)}"
-            )
-        outcome = pickle.loads(outcome)
-        if "error" in outcome:
-            raise ShoptalkError(outcome["error"])
-        if "io_error" in outcome:
-            raise OSError(outcome["io_error"])
-        values.append(outcome["value"])
-        yield outcome["value"]
+def _join(child: _Child, doing: str) -> object:
+    """The value ``child`` sent, once it has exited with it.  Only the
+    outcome of a child that exited 0 is decoded: it sent the whole of it."""
+    # read to the end before waiting: a value larger than the pipe's buffer
+    # blocks the child until it is read
+    outcome = child.result.read()
+    _, status = os.waitpid(child.pid, 0)
+    child.reaped = True
+    if status != 0:
+        raise ForkedProcessError(
+            f"the process {doing} {child.units.start}-{child.units.stop - 1} "
+            f"ended with status {os.waitstatus_to_exitcode(status)}"
+        )
+    outcome = pickle.loads(outcome)
+    if "error" in outcome:
+        raise ShoptalkError(outcome["error"])
+    if "io_error" in outcome:
+        raise OSError(outcome["io_error"])
+    return outcome["value"]

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import strategies as st
 
 import shoptalk
+from shoptalk import dataset_io
 from shoptalk.annotate import default_lexicons
 from shoptalk.corpus import (
     IngestReport,
@@ -23,6 +24,7 @@ from shoptalk.corpus import (
     ingest_reviews,
     normalize_text,
 )
+from shoptalk.errors import replacing
 from shoptalk.world import World, build_world
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -64,6 +66,13 @@ def write_jsonl(path: Path, records: list[dict]) -> Path:
         for record in records:
             fh.write(json.dumps(record) + "\n")
     return path
+
+
+def write_dataset_file(conversations, path) -> None:
+    """Write ``conversations`` to the dataset file ``path`` as generate
+    writes one: through errors.replacing."""
+    with replacing(path) as fh:
+        dataset_io.write_dataset(conversations, fh)
 
 
 def named_products(dataset: Path, product_of: dict[str, str]) -> set[str]:

@@ -13,7 +13,7 @@ from shoptalk.assembly import (
     builtin_templates,
     generate_dataset,
 )
-from shoptalk.dataset_io import read_dataset, validate, write_dataset
+from shoptalk.dataset_io import read_dataset, validate
 from shoptalk.negotiation import (
     PairKind,
     default_phrasebank,
@@ -24,7 +24,7 @@ from shoptalk.opinion_index import eligible_spans
 from shoptalk.search_dialog import PreferenceProfile, filter_catalog
 from shoptalk.turns import CUSTOMER
 
-from conftest import DATA_DIR, package_env
+from conftest import DATA_DIR, package_env, write_dataset_file
 from dataset_reference import conversation_record
 from test_negotiation import (
     build_world,
@@ -46,7 +46,7 @@ def full_run(world, tmp_path_factory):
     conversations = list(conversations)  # generation runs as this consumes it
     elapsed = time.monotonic() - started
     path = tmp_path_factory.mktemp("acceptance") / "dataset.jsonl"
-    write_dataset(conversations, path)
+    write_dataset_file(conversations, path)
     return conversations, report, elapsed, path
 
 
@@ -145,7 +145,7 @@ def test_criterion_4_product_pool(world, full_run):
     import tempfile
     with tempfile.TemporaryDirectory() as tmp:
         chain_path = f"{tmp}/chain.jsonl"
-        write_dataset(conversations, chain_path)
+        write_dataset_file(conversations, chain_path)
         chain_validation = validate(chain_path, world, templates=[chained])
     assert [v for v in chain_validation.violations if v[1] == "product_pool"] == []
     chains = [c for c in conversations if len(c.product_trajectory) == 3]
@@ -188,7 +188,7 @@ def test_criterion_5_determinism(world, tmp_path):
         settings=GenerationSettings(per_template=3),
     )
     api_path = tmp_path / "api.jsonl"
-    write_dataset(api_run, api_path)
+    write_dataset_file(api_run, api_path)
     assert api_path.read_bytes() == paths[0].read_bytes()
 
     reduced_templates = [t for t in builtin_templates() if t.id != 5]
@@ -197,7 +197,7 @@ def test_criterion_5_determinism(world, tmp_path):
         settings=GenerationSettings(per_template=3),
     )
     reduced_path = tmp_path / "reduced.jsonl"
-    write_dataset(reduced, reduced_path)
+    write_dataset_file(reduced, reduced_path)
     full_lines = {
         json.loads(line)["id"]: line
         for line in paths[0].read_text().splitlines()

@@ -445,9 +445,12 @@ class TestInterrupted:
     to the command alone, ends it with exit status 130, one line on stderr
     and no file left in its out directory."""
 
-    @staticmethod
-    def _interrupt(argv, ready, target, then=lambda: None):
-        """Start the command, wait for ``ready()`` to hold, send SIGINT to
+    SIGNAL = signal.SIGINT
+    ENDING = (130, b"", b"interrupted\n")  # exit status, stdout, stderr
+
+    @classmethod
+    def _interrupt(cls, argv, ready, target, then=lambda: None):
+        """Start the command, wait for ``ready()`` to hold, send SIGNAL to
         ``target`` and call ``then()``; the exit status, stdout and
         stderr."""
         command = subprocess.Popen(
@@ -462,9 +465,9 @@ class TestInterrupted:
                 assert time.monotonic() < deadline
                 time.sleep(0.01)
             if target == "group":
-                os.killpg(command.pid, signal.SIGINT)
+                os.killpg(command.pid, cls.SIGNAL)
             else:
-                os.kill(command.pid, signal.SIGINT)
+                os.kill(command.pid, cls.SIGNAL)
             then()
             out, err = command.communicate(timeout=60)
         finally:
@@ -476,14 +479,15 @@ class TestInterrupted:
     @pytest.mark.parametrize("target", ["group", "command"])
     def test_generate(self, tmp_path, snapshot_dir, target):
         """Mid-generation, with 14,000 jobs: on two CPUs or more, range 0
-        writes the dataset while a child writes its part file."""
+        writes the dataset while a child writes its range to an unnamed
+        file."""
         run = tmp_path / "run"
         code, out, err = self._interrupt(
             ["generate", "--snapshot", str(snapshot_dir), "--out", str(run),
              "--seed", "1", "--per-template", "1000"],
             (run / "dataset.jsonl.partial").exists, target,
         )
-        assert (code, out, err) == (130, b"", b"interrupted\n")
+        assert (code, out, err) == self.ENDING
         assert list(run.iterdir()) == []
 
     @pytest.mark.parametrize("target", ["group", "command"])
@@ -523,8 +527,17 @@ class TestInterrupted:
             )
         finally:
             end()
-        assert (code, out, err) == (130, b"", b"interrupted\n")
+        assert (code, out, err) == self.ENDING
         assert list(out_dir.iterdir()) == []
+
+
+class TestTerminated(TestInterrupted):
+    """SIGTERM, as timeout, kill and a CI runner's cancellation send it, to
+    the process group or to the command alone, ends it with exit status
+    143, nothing on stderr and no file left in its out directory."""
+
+    SIGNAL = signal.SIGTERM
+    ENDING = (143, b"", b"")
 
 
 class TestHelp:

@@ -20,7 +20,6 @@ from shoptalk.dataset_io import (
     read_dataset,
     stats,
     validate,
-    write_dataset,
 )
 from shoptalk.errors import SchemaViolationError
 from shoptalk.annotate import default_lexicons
@@ -28,7 +27,7 @@ from shoptalk.negotiation import default_phrasebank
 from shoptalk.world import build_world
 
 import dataset_reference
-from conftest import JSON_VALUES, make_catalog
+from conftest import JSON_VALUES, make_catalog, write_dataset_file
 from dataset_reference import conversation_record, dataset_line
 
 
@@ -44,21 +43,21 @@ def generated(world):
 class TestRoundTrip:
     def test_empty_dataset(self, tmp_path):
         path = tmp_path / "empty.jsonl"
-        write_dataset([], path)
+        write_dataset_file([], path)
         assert path.read_text() == ""
         assert list(read_dataset(path)) == []
 
     def test_single_conversation_round_trips(self, tmp_path, generated):
         conversations, _ = generated
         path = tmp_path / "one.jsonl"
-        write_dataset(conversations[:1], path)
+        write_dataset_file(conversations[:1], path)
         again = list(read_dataset(path))
         assert again == conversations[:1]
 
     def test_full_run_round_trips_with_unique_ids(self, tmp_path, generated):
         conversations, _ = generated
         path = tmp_path / "all.jsonl"
-        write_dataset(conversations, path)
+        write_dataset_file(conversations, path)
         lines = path.read_text().splitlines()
         assert len(lines) == len(conversations)
         ids = [json.loads(line)["id"] for line in lines]
@@ -68,8 +67,8 @@ class TestRoundTrip:
     def test_rewrite_is_byte_identical(self, tmp_path, generated):
         conversations, _ = generated
         first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
-        write_dataset(conversations, first)
-        write_dataset(read_dataset(first), second)
+        write_dataset_file(conversations, first)
+        write_dataset_file(read_dataset(first), second)
         assert second.read_bytes() == first.read_bytes()
 
     def test_bare_carriage_return_is_whitespace(self, tmp_path, generated):
@@ -92,7 +91,7 @@ class TestRoundTrip:
     def test_garbage_line_raises_with_line_number(self, tmp_path, generated):
         conversations, _ = generated
         path = tmp_path / "garble.jsonl"
-        write_dataset(conversations[:2], path)
+        write_dataset_file(conversations[:2], path)
         with open(path, "a", encoding="utf-8") as fh:
             fh.write("not json\n")
         with pytest.raises(SchemaViolationError) as exc_info:
@@ -104,7 +103,7 @@ class TestRoundTrip:
         record = conversation_record(conversations[1])
         record["pair_trace"] = [1]
         path = tmp_path / "trace.jsonl"
-        write_dataset(conversations[:1], path)
+        write_dataset_file(conversations[:1], path)
         with open(path, "a", encoding="utf-8") as fh:
             fh.write(json.dumps(record) + "\n")
         with pytest.raises(SchemaViolationError) as exc_info:
@@ -133,7 +132,7 @@ class TestReadDatasetTypes:
         target = record if where == "record" else first_grounded_turn(record)["grounding"][0]
         target[key] = "PLACEHOLDER"
         path = tmp_path / "typed.jsonl"
-        write_dataset(conversations[:1], path)
+        write_dataset_file(conversations[:1], path)
         with open(path, "a", encoding="utf-8") as fh:
             fh.write(json.dumps(record).replace('"PLACEHOLDER"', literal) + "\n")
         with pytest.raises(SchemaViolationError) as exc_info:
@@ -153,7 +152,7 @@ class TestReadDatasetTypes:
         record = copy.deepcopy(conversation_record(conversations[1]))
         edit(record)
         path = tmp_path / "typed.jsonl"
-        write_dataset(conversations[:1], path)
+        write_dataset_file(conversations[:1], path)
         with open(path, "a", encoding="utf-8") as fh:
             fh.write(json.dumps(record) + "\n")
         with pytest.raises(SchemaViolationError) as exc_info:
@@ -302,7 +301,7 @@ class TestReaderEquivalence:
         record = copy.deepcopy(conversation_record(conversations[1]))
         edit(first_grounded_turn(record))
         path = tmp_path / "edited.jsonl"
-        write_dataset(conversations[:1], path)
+        write_dataset_file(conversations[:1], path)
         with open(path, "a", encoding="utf-8") as fh:
             fh.write(json.dumps(record) + "\n")
         self._check(path)
@@ -367,7 +366,7 @@ class TestWriterEquivalence:
         source, written = directory / "source.jsonl", directory / "written.jsonl"
         source.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
         conversations, _ = read_outcome(read_dataset, source)
-        write_dataset(conversations, written)
+        write_dataset_file(conversations, written)
         expected = "".join(dataset_line(c) for c in conversations)
         assert written.read_bytes().decode("utf-8") == expected
         return conversations
@@ -424,10 +423,19 @@ class TestWriterEquivalence:
         )
         conversations = list(conversations)
         path = tmp_path / "dataset.jsonl"
-        write_dataset(conversations, path)
+        write_dataset_file(conversations, path)
         assert len(conversations) == report.successes > 100
         expected = "".join(dataset_line(c) for c in conversations)
         assert path.read_bytes().decode("utf-8") == expected
+
+
+class TestAppendFiles:
+    def test_file_shorter_than_its_size_raises(self, tmp_path):
+        """As when a file shrinks while it is appended."""
+        (tmp_path / "part").write_bytes(b"0123\n")
+        with open(tmp_path / "part", "rb") as src, open(tmp_path / "dataset.jsonl", "wb") as dst:
+            with pytest.raises(OSError, match="file shrank while being appended: 5 of 9 bytes"):
+                dataset_io._append(src.fileno(), dst.fileno(), 9)
 
 
 def mutate_dataset(tmp_path, conversations, mutator, name="mutated.jsonl"):
@@ -453,7 +461,7 @@ class TestValidate:
     def test_fresh_dataset_is_clean(self, tmp_path, world, generated):
         conversations, _ = generated
         path = tmp_path / "clean.jsonl"
-        write_dataset(conversations, path)
+        write_dataset_file(conversations, path)
         report = validate(path, world)
         assert report.conversations_checked == len(conversations)
         assert report.passed
@@ -535,7 +543,7 @@ class TestValidate:
         ]))
         conversations, _ = generated
         clean = tmp_path / "clean.jsonl"
-        write_dataset(conversations, clean)
+        write_dataset_file(conversations, clean)
         assert validate(clean, linked).passed
 
         def forge(record):
@@ -938,7 +946,7 @@ class TestViolationGolden:
 class TestStats:
     def test_empty_dataset_all_zero(self, tmp_path):
         path = tmp_path / "empty.jsonl"
-        write_dataset([], path)
+        write_dataset_file([], path)
         result = stats(path)
         assert result.conversations == 0
         assert result.per_template == {}
@@ -952,7 +960,7 @@ class TestStats:
             settings=GenerationSettings(per_template=2),
         )
         path = tmp_path / "six.jsonl"
-        write_dataset(conversations, path)
+        write_dataset_file(conversations, path)
         result = stats(path)
         assert result.conversations == 6
         assert result.per_template == {1: 2, 9: 2, 10: 2}
@@ -977,7 +985,7 @@ class TestStats:
     def test_counts_match_generation_report(self, tmp_path, generated):
         conversations, report = generated
         path = tmp_path / "all.jsonl"
-        write_dataset(conversations, path)
+        write_dataset_file(conversations, path)
         result = stats(path)
         assert result.conversations == report.successes
         assert result.per_template == report.per_template
@@ -1023,7 +1031,7 @@ def streamed(world, tmp_path_factory):
             builtin_templates(), 7, world, phrasebank=default_phrasebank(),
             settings=GenerationSettings(per_template=10),
         )
-        write_dataset(conversations, path)
+        write_dataset_file(conversations, path)
     return path, report, live
 
 

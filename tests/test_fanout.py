@@ -98,12 +98,12 @@ class TestValues:
     def test_value_comes_back_as_returned(self):
         # dicts keyed by tuples and holding tuples, which JSON cannot
         # carry; range 1's value does not fit in the pipe's buffer
-        def work(w, jobs, later):
+        def work(w, jobs):
             return {(w, job): (f"sentence {job} " * 8, job) for job in jobs}
 
         ranges = [range(0, 10), range(10, 2010), range(2010, 2020)]
         values = fanout.run(ranges, work, "testing jobs")
-        assert values == [work(w, jobs, iter(())) for w, jobs in enumerate(ranges)]
+        assert values == [work(w, jobs) for w, jobs in enumerate(ranges)]
         assert len(pickle.dumps(values[1])) > PIPE_BUFFER
         assert_no_child_left()
 
@@ -205,8 +205,8 @@ class TestChildFailure:
 
     def test_interrupted_child_ends_quietly(self, tmp_path, snapshot_dir, monkeypatch, capfd):
         """A Ctrl-C reaches every process of the group; here it reaches one
-        child alone, so no parent kills it first: it removes its part file
-        and prints nothing."""
+        child alone, so no parent kills it first: it exits, prints nothing
+        and leaves no file behind."""
         failing(monkeypatch, "t14-n05", KeyboardInterrupt())
         out = tmp_path / "run"
         assert generate(monkeypatch, out, sample_args(snapshot_dir), cpus=3, min_share=5) == 1
@@ -251,6 +251,20 @@ sys.exit(main(["generate", *sys.argv[1:]]))
 """
 
 
+# Prepended to TWO_PROCESS_GENERATE: of 140 jobs, the last of range 0
+# (jobs 0-69), t07-n10, takes a minute.
+SLOW_END_OF_RANGE_0 = """
+import time
+from shoptalk import assembly
+generate_conversation = assembly.generate_conversation
+def slow(*args, **kwargs):
+    if kwargs["conversation_id"] == "t07-n10":
+        time.sleep(60)
+    return generate_conversation(*args, **kwargs)
+assembly.generate_conversation = slow
+"""
+
+
 def children_of(pid):
     """The pids of ``pid``'s children, as Linux lists them."""
     return [int(c) for c in Path(f"/proc/{pid}/task/{pid}/children").read_text().split()]
@@ -263,6 +277,20 @@ def running(pid):
     except FileNotFoundError:
         return False
     return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+def writing_unnamed(pid, directory):
+    """Whether ``pid`` holds open a file of ``directory`` that has no name
+    and is not empty, as Linux lists a process's open files."""
+    prefix = os.path.realpath(directory) + "/"
+    for fd in Path(f"/proc/{pid}/fd").iterdir():
+        try:
+            target = os.readlink(fd)
+            if target.startswith(prefix) and target.endswith(" (deleted)") and fd.stat().st_size:
+                return True
+        except FileNotFoundError:  # closed since it was listed
+            pass
+    return False
 
 
 def wait_until(condition, seconds):
@@ -291,7 +319,7 @@ class TestKilledParent:
         try:
             assert wait_until(lambda: children_of(parent.pid), 60)
             [child] = children_of(parent.pid)
-            assert wait_until((out / "dataset.jsonl.part1.partial").exists, 30)
+            assert wait_until(lambda: writing_unnamed(child, out), 30)
             parent.send_signal(signal.SIGKILL)
             parent.wait()
             assert wait_until(lambda: not running(child), 0.5)
@@ -303,3 +331,26 @@ class TestKilledParent:
         assert "Traceback" not in err
         # the parent's own partial file may remain: nothing is left to remove it
         assert [p.name for p in out.iterdir() if p.name != "dataset.jsonl.partial"] == []
+
+    def test_finished_child_leaves_nothing(self, tmp_path, snapshot_dir):
+        """The child has written its whole range and exited, unreaped,
+        while the parent is still in range 0: once the parent is killed, no
+        process is left to remove a file, and only the parent's partial
+        dataset remains."""
+        out = tmp_path / "run"
+        parent = subprocess.Popen(
+            [sys.executable, "-c", SLOW_END_OF_RANGE_0 + TWO_PROCESS_GENERATE,
+             "--out", str(out), *sample_args(snapshot_dir)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=package_env(),
+        )
+        try:
+            assert wait_until(lambda: children_of(parent.pid), 60)
+            [child] = children_of(parent.pid)
+            assert wait_until(lambda: not running(child), 60)
+            assert (out / "dataset.jsonl.partial").exists()
+            parent.send_signal(signal.SIGKILL)
+            _, err = parent.communicate(timeout=30)
+        finally:
+            parent.kill()
+        assert "Traceback" not in err
+        assert [p.name for p in out.iterdir()] == ["dataset.jsonl.partial"]

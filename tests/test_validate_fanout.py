@@ -365,6 +365,14 @@ class TestLineRanges:
                 ]
                 assert sum(parts, []) == whole, (a, b)
 
+    def test_start_past_the_end_counts_every_line(self, tmp_path):
+        """As when the file was cut short after its size was read."""
+        path = tmp_path / "lines.txt"
+        path.write_bytes(self.CONTENT)
+        for start in (len(self.CONTENT) + 1, len(self.CONTENT) + 2, 1 << 21):
+            assert lines_before(path, start) == 8
+            assert list(read_lines(path, start)) == []
+
     def test_undecodable_bytes_raise_in_the_range_of_their_line(self, tmp_path):
         path = tmp_path / "lines.txt"
         path.write_bytes(b"a\nb\xff\nc\n")
